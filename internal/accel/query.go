@@ -106,22 +106,10 @@ func (a *Accelerator) tryVectorizedScan(snap *Snapshot, sel *sqlparse.SelectStmt
 		atomic.AddInt64(&a.vexecFallbacks, 1)
 		return nil, false, nil
 	}
-	sc := sp.Child("scan")
-	sc.Label(obs.LabelTable, types.NormalizeName(sel.From[0].Name()))
-	sc.Label(obs.LabelShard, a.name)
-	sc.Label(obs.LabelMode, "vectorized:"+plan.Mode())
-	rel, stats, err := plan.Run(t, a.slices, snap.Visible)
-	sc.Add(obs.KeyRows, int64(stats.RowsMaterialized))
-	sc.Add(obs.KeyVersions, int64(stats.VersionsConsidered))
-	sc.Add(obs.KeyBlocksPruned, int64(stats.BlocksPruned))
-	sc.Add(obs.KeyBatches, int64(stats.Batches))
-	sc.Finish()
-	atomic.AddInt64(&a.rowsScanned, int64(stats.VersionsConsidered))
-	atomic.AddInt64(&a.blocksPruned, int64(stats.BlocksPruned))
+	rel, err := a.runScanPlan(plan, t, snap, sel.From[0], sp)
 	if err != nil {
 		return nil, true, err
 	}
-	atomic.AddInt64(&a.vectorizedQueries, 1)
 	if plan.Aggregated() {
 		return rel, true, nil
 	}
@@ -132,6 +120,55 @@ func (a *Accelerator) tryVectorizedScan(snap *Snapshot, sel *sqlparse.SelectStmt
 		return nil, true, err
 	}
 	return out, true, nil
+}
+
+// runScanPlan executes a planned batch scan under the statement snapshot,
+// emitting the scan span and accounting the scan and vectorization counters.
+func (a *Accelerator) runScanPlan(plan *vexec.Plan, t *colstore.Table, snap *Snapshot, item sqlparse.FromItem, sp *obs.Span) (*relalg.Relation, error) {
+	sc := a.startScanSpan(sp, item.Name())
+	sc.Label(obs.LabelMode, "vectorized:"+plan.Mode())
+	rel, stats, err := plan.Run(t, a.slices, snap.Visible)
+	sc.Add(obs.KeyRows, int64(stats.RowsMaterialized))
+	sc.Add(obs.KeyVersions, int64(stats.VersionsConsidered))
+	sc.Add(obs.KeyBlocksPruned, int64(stats.BlocksPruned))
+	sc.Add(obs.KeyBatches, int64(stats.Batches))
+	sc.Finish()
+	atomic.AddInt64(&a.rowsScanned, int64(stats.VersionsConsidered))
+	atomic.AddInt64(&a.blocksPruned, int64(stats.BlocksPruned))
+	if err != nil {
+		return nil, err
+	}
+	atomic.AddInt64(&a.vectorizedQueries, 1)
+	return rel, nil
+}
+
+// ScanFilteredTraced returns exactly the rows of sel's single plain table that
+// are visible under snap and satisfy sel's WHERE clause — every column,
+// qualified by the FROM item name, in position order. With the batch engine
+// on this is the vexec scan+filter plan (vector predicates with zone-map
+// pruning, residual conjuncts on the survivors, late materialisation), the
+// same exact filter Query relies on; with it off, the row scan with pushdown
+// followed by relalg.Filter. The shard router calls it so a shard-local
+// single-table statement filters once, on the shard, and the coordinator runs
+// the rest of the statement with WHERE stripped. sp may be nil.
+func (a *Accelerator) ScanFilteredTraced(snap *Snapshot, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error) {
+	item := sel.From[0]
+	t, err := a.Table(item.Table)
+	if err != nil {
+		atomic.AddInt64(&a.queryErrors, 1)
+		return nil, err
+	}
+	if a.VectorizedEnabled() {
+		scan := &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Star: true}}, From: sel.From, Where: sel.Where, Limit: -1}
+		if plan, ok := vexec.PlanQuery(scan, t.Schema()); ok {
+			return a.runScanPlan(plan, t, snap, item, sp)
+		}
+	}
+	rows, err := a.ScanVisibleTraced(snap, item.Table, sel, item, sp)
+	if err != nil {
+		return nil, err
+	}
+	return relalg.Filter(relalg.FromTable(item.Name(), t.Schema(), rows), sel.Where, relalg.Options{Parallelism: a.slices})
 }
 
 // tryVectorizedJoin runs a two-table statement as a vectorized hash join:

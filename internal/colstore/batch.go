@@ -66,14 +66,44 @@ type Batch struct {
 	Sel []int
 }
 
-// Materialize appends the selected rows to dst (late materialization).
+// Materialize appends the selected rows to dst (late materialization). The
+// rows of one batch are carved out of a single slab, filled column by column
+// with one typed loop per vector; the zero Value the slab starts as is NULL.
 func (b *Batch) Materialize(dst []types.Row) []types.Row {
-	for _, off := range b.Sel {
-		row := make(types.Row, len(b.Cols))
-		for ci := range b.Cols {
-			row[ci] = b.Cols[ci].Value(off)
+	width := len(b.Cols)
+	slab := make([]types.Value, len(b.Sel)*width)
+	for ci, col := range b.Cols {
+		cells := slab[ci:]
+		switch col.Kind {
+		case types.KindInt, types.KindTimestamp:
+			for k, off := range b.Sel {
+				if !col.Nulls[off] {
+					cells[k*width] = types.Value{Kind: col.Kind, Int: col.Ints[off]}
+				}
+			}
+		case types.KindFloat:
+			for k, off := range b.Sel {
+				if !col.Nulls[off] {
+					cells[k*width] = types.Value{Kind: types.KindFloat, Float: col.Floats[off]}
+				}
+			}
+		case types.KindBool:
+			for k, off := range b.Sel {
+				if !col.Nulls[off] {
+					cells[k*width] = types.Value{Kind: types.KindBool, Bool: col.Ints[off] != 0}
+				}
+			}
+		default:
+			for k, off := range b.Sel {
+				if !col.Nulls[off] {
+					cells[k*width] = types.Value{Kind: types.KindString, Str: col.Strs[off]}
+				}
+			}
 		}
-		dst = append(dst, row)
+	}
+	for range b.Sel {
+		dst = append(dst, slab[:width:width])
+		slab = slab[width:]
 	}
 	return dst
 }

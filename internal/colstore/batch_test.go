@@ -229,3 +229,78 @@ func TestScanBatchesSelectionSemantics(t *testing.T) {
 		t.Fatal("no rows delivered")
 	}
 }
+
+// buildNullableTable has NULLs in every column kind (buildMixedTable only in
+// two) so Materialize's typed loops are checked on their NULL branches.
+func buildNullableTable(t testing.TB, n int) (*Table, Visibility) {
+	t.Helper()
+	schema := types.NewSchema(
+		types.Column{Name: "ID", Kind: types.KindInt},
+		types.Column{Name: "V", Kind: types.KindFloat},
+		types.Column{Name: "S", Kind: types.KindString},
+		types.Column{Name: "B", Kind: types.KindBool},
+		types.Column{Name: "TS", Kind: types.KindTimestamp},
+		types.Column{Name: "D", Kind: types.KindString}, // low cardinality: dictionary-encoded
+	)
+	tab := NewTable("NULLABLE", schema, "")
+	rows := make([]types.Row, n)
+	for i := range rows {
+		row := types.Row{
+			types.NewInt(int64(i)), types.NewFloat(float64(i) / 8), types.NewString(fmt.Sprintf("s-%d", i)),
+			types.NewBool(i%3 == 0), types.NewTimestampMicros(int64(1700000000000000 + i)), types.NewString(fmt.Sprintf("d%d", i%4)),
+		}
+		row[(i/2)%len(row)] = types.Null() // every column takes its turn
+		rows[i] = row
+	}
+	if _, err := tab.Insert(1, rows); err != nil {
+		t.Fatal(err)
+	}
+	return tab, func(created, deleted int64) bool { return created == 1 && deleted == 0 }
+}
+
+// TestMaterializeMatchesVectorValue: the slab Materialize builds holds, cell
+// for cell, exactly what Vector.Value reconstructs — kind and payload, NULLs
+// included — for full and sparse selection vectors; rows never share cells;
+// and one batch costs one slab (plus at most one growth of dst).
+func TestMaterializeMatchesVectorValue(t *testing.T) {
+	tab, vis := buildNullableTable(t, 2*BatchSize+77)
+	preds := [][]SimplePredicate{nil, {NewSimplePredicate(0, CmpGe, types.NewInt(1000))}, {NewSimplePredicate(5, CmpEq, types.NewString("d2"))}}
+	for pi, p := range preds {
+		_, err := tab.ScanBatches(1, vis, p, func(_ int, b *Batch) error {
+			got := b.Materialize(nil)
+			if len(got) != len(b.Sel) {
+				return fmt.Errorf("%d rows for %d selected offsets", len(got), len(b.Sel))
+			}
+			for k, off := range b.Sel {
+				if len(got[k]) != len(b.Cols) || cap(got[k]) != len(b.Cols) {
+					return fmt.Errorf("row %d has len %d cap %d, want %d", k, len(got[k]), cap(got[k]), len(b.Cols))
+				}
+				for ci := range b.Cols {
+					if want := b.Cols[ci].Value(off); got[k][ci] != want {
+						return fmt.Errorf("preds[%d] offset %d col %d: %#v, want %#v", pi, off, ci, got[k][ci], want)
+					}
+				}
+			}
+			dst := make([]types.Row, 0, len(b.Sel))
+			if allocs := testing.AllocsPerRun(10, func() { dst = b.Materialize(dst[:0]) }); allocs > 2 {
+				return fmt.Errorf("Materialize of one batch costs %.0f allocations, budget 2", allocs)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+var materializeSink []types.Row
+
+func BenchmarkMaterialize(b *testing.B) {
+	tab, vis := buildNullableTable(b, 10*BatchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		materializeSink, _ = tab.ScanMaterialize(1, vis, nil)
+	}
+	b.ReportMetric(float64(len(materializeSink)), "rows/op")
+}

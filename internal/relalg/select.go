@@ -206,21 +206,68 @@ func projectRow(items []sqlparse.SelectItem, rel *Relation, env *expr.Env, row t
 	return out, nil
 }
 
+// projectPlain evaluates a select list without aggregates. The list is bound
+// once per statement: a star or a resolvable column reference becomes a source
+// index, so the per-row work for those is a copy; everything else (and a
+// reference that does not resolve, whose error only a row can raise) is
+// evaluated per row. All output rows are carved out of one slab.
 func projectPlain(rel *Relation, sel *sqlparse.SelectStmt) (*Relation, [][]types.Value, error) {
 	env := expr.NewEnv(rel.Cols)
 	out := &Relation{Cols: outputColumns(sel.Items, rel, env)}
-	var sortKeys [][]types.Value
-	needKeys := len(sel.OrderBy) > 0
-	outEnvCols := out.Cols
 
-	for _, row := range rel.Rows {
-		projected, err := projectRow(sel.Items, rel, env, row)
-		if err != nil {
-			return nil, nil, err
+	type binding struct {
+		src  int           // source column, when expr is nil
+		expr sqlparse.Expr // evaluated per row
+	}
+	bound := make([]binding, 0, len(out.Cols))
+	for _, item := range sel.Items {
+		if item.Star {
+			for ci, c := range rel.Cols {
+				if item.StarTable == "" || strings.EqualFold(item.StarTable, c.Qualifier) {
+					bound = append(bound, binding{src: ci})
+				}
+			}
+			continue
 		}
-		out.Rows = append(out.Rows, projected)
-		if needKeys {
-			keys, err := computeSortKeys(sel.OrderBy, env, row, outEnvCols, projected)
+		if ref, ok := item.Expr.(*sqlparse.ColumnRef); ok {
+			if ci, err := env.Resolve(ref); err == nil {
+				bound = append(bound, binding{src: ci})
+				continue
+			}
+		}
+		bound = append(bound, binding{expr: item.Expr})
+	}
+
+	if len(rel.Rows) == 0 {
+		return out, nil, nil
+	}
+	width := len(bound)
+	slab := make([]types.Value, len(rel.Rows)*width)
+	out.Rows = make([]types.Row, len(rel.Rows))
+	var sortKeys [][]types.Value
+	if len(sel.OrderBy) > 0 {
+		sortKeys = make([][]types.Value, 0, len(rel.Rows))
+	}
+	for ri, row := range rel.Rows {
+		projected := types.Row(slab[:width:width])
+		slab = slab[width:]
+		for i, b := range bound {
+			switch {
+			case b.expr != nil:
+				v, err := env.Eval(b.expr, row)
+				if err != nil {
+					return nil, nil, err
+				}
+				projected[i] = v
+			case b.src < len(row):
+				projected[i] = row[b.src]
+			default:
+				return nil, nil, fmt.Errorf("expr: row too short for column %s", rel.Cols[b.src].Name)
+			}
+		}
+		out.Rows[ri] = projected
+		if sortKeys != nil {
+			keys, err := computeSortKeys(sel.OrderBy, env, row, out.Cols, projected)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -272,3 +272,85 @@ func TestSchemaDerivation(t *testing.T) {
 		t.Errorf("duplicate column names not disambiguated: %v", ds.Names())
 	}
 }
+
+// TestProjectPlainMatchesRowProjection holds the bound, slab-backed projection
+// to the row-at-a-time reference (projectRow, one Env.Eval per item per row)
+// over every select-list shape binding treats differently: permutations,
+// repeats, stars, qualified stars, aliases, expressions between bare columns,
+// references that only resolve through a qualifier — and errors, which both
+// must raise for the same statements, and only when there is a row to raise
+// them on.
+func TestProjectPlainMatchesRowProjection(t *testing.T) {
+	joined, err := JoinAll([]*Relation{Requalify(ordersRelation(), "o"), Requalify(customersRelation(), "c")},
+		mustSelect(t, "SELECT * FROM orders o JOIN customers c ON o.id = c.id").From, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := &Relation{Cols: ordersRelation().Cols}
+	cases := []struct {
+		rel *Relation
+		sql string
+	}{
+		{ordersRelation(), "SELECT * FROM orders"},
+		{ordersRelation(), "SELECT orders.* FROM orders"},
+		{ordersRelation(), "SELECT amount, id, region FROM orders"},
+		{ordersRelation(), "SELECT id, id, orders.id FROM orders"},
+		{ordersRelation(), "SELECT id AS k, region r FROM orders"},
+		{ordersRelation(), "SELECT id, amount * 2 AS dbl, region, id + 1, 'lit', NULL FROM orders"},
+		{ordersRelation(), "SELECT *, id, orders.*, amount / 0 FROM orders"},
+		{ordersRelation(), "SELECT UPPER(region), COALESCE(amount, -1), CASE WHEN amount > 15 THEN 'hi' ELSE 'lo' END FROM orders"},
+		{ordersRelation(), "SELECT id FROM orders ORDER BY amount DESC"},
+		{ordersRelation(), "SELECT region, amount FROM orders ORDER BY 2, id"},
+		{ordersRelation(), "SELECT nosuch FROM orders"},
+		{ordersRelation(), "SELECT id, other.id FROM orders"},
+		{ordersRelation(), "SELECT id + nosuch FROM orders"},
+		{empty, "SELECT nosuch, id FROM orders"},
+		{empty, "SELECT * FROM orders ORDER BY id"},
+		{joined, "SELECT * FROM orders o JOIN customers c ON o.id = c.id"},
+		{joined, "SELECT c.*, o.amount FROM orders o JOIN customers c ON o.id = c.id"},
+		{joined, "SELECT o.*, name, c.id, o.id FROM orders o JOIN customers c ON o.id = c.id"},
+		{joined, "SELECT id FROM orders o JOIN customers c ON o.id = c.id"}, // ambiguous
+		{joined, "SELECT name, region FROM orders o JOIN customers c ON o.id = c.id ORDER BY o.id DESC"},
+	}
+	for _, c := range cases {
+		sel := mustSelect(t, c.sql)
+		env := expr.NewEnv(c.rel.Cols)
+		var want []types.Row
+		var wantErr error
+		for _, row := range c.rel.Rows {
+			projected, err := projectRow(sel.Items, c.rel, env, row)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, projected)
+		}
+		got, keys, err := projectPlain(c.rel, sel)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("%s: error %v, reference %v", c.sql, err, wantErr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		wantKeys := 0
+		if len(sel.OrderBy) > 0 {
+			wantKeys = len(want)
+		}
+		if len(got.Rows) != len(want) || len(keys) != wantKeys {
+			t.Errorf("%s: %d rows and %d sort keys, reference %d rows and %d keys", c.sql, len(got.Rows), len(keys), len(want), wantKeys)
+			continue
+		}
+		for i := range want {
+			if len(got.Rows[i]) != len(want[i]) || cap(got.Rows[i]) != len(want[i]) || len(got.Rows[i]) != len(got.Cols) {
+				t.Errorf("%s: row %d has len %d cap %d for %d columns, reference %d", c.sql, i, len(got.Rows[i]), cap(got.Rows[i]), len(got.Cols), len(want[i]))
+				break
+			}
+			for j := range want[i] {
+				if got.Rows[i][j] != want[i][j] {
+					t.Errorf("%s: row %d col %d = %#v, reference %#v", c.sql, i, j, got.Rows[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}

@@ -28,6 +28,9 @@ import (
 //     on its distribution key, the joins run entirely shard-local; grouped
 //     queries additionally split into per-shard partial aggregation with
 //     finalisation at the coordinator (two-phase), so only group rows travel.
+//     A single table is trivially co-located: every candidate shard applies
+//     the WHERE clause exactly and the coordinator runs the rest of the
+//     statement over the union without filtering again.
 //  3. Broadcast: when part of the join graph is co-located, the remaining
 //     (smaller) tables are replicated to every participating shard and the
 //     join still runs shard-local.
@@ -183,12 +186,12 @@ func (r *Router) noteAvoidedScans(pl *planner.Plan) {
 }
 
 // executeShardLocal runs co-located and broadcast plans: every participating
-// shard builds the joined FROM relation locally (scans with pushdown, planned
-// join order and methods, broadcast tables substituted by their gathered full
-// content), and the coordinator executes the rest of the statement over the
-// union of the per-shard join results. Grouped co-located statements take the
-// cheaper two-phase route instead: shards pre-aggregate their local joins and
-// only group rows travel.
+// shard builds the FROM relation locally — a single table filtered exactly,
+// a join with pushdown, planned order and methods, broadcast tables
+// substituted by their gathered full content — and the coordinator executes
+// the rest of the statement over the union of the per-shard results. Grouped
+// co-located statements take the cheaper two-phase route instead: shards
+// pre-aggregate locally and only group rows travel.
 func (r *Router) executeShardLocal(txnID int64, sel *sqlparse.SelectStmt, pl *planner.Plan, sp *obs.Span) (*relalg.Relation, error) {
 	hasBroadcast := pl.Placement == planner.PlacementBroadcast
 	multiTable := len(pl.Scans) > 1
@@ -252,7 +255,16 @@ func (r *Router) executeShardLocal(txnID int64, sel *sqlparse.SelectStmt, pl *pl
 		overrides[types.NormalizeName(item.Name())] = relalg.FromTable(item.Name(), scan.Info.Schema, rows)
 	}
 
-	// Build the joined FROM relation on every participating shard in parallel.
+	// Build the FROM relation on every participating shard in parallel. A
+	// single table is filtered exactly there (ScanFilteredTraced), so the
+	// coordinator runs the rest of the statement with WHERE stripped; a join
+	// result is a superset the coordinator filters.
+	rest := pl.Sel
+	if !multiTable {
+		stripped := *pl.Sel
+		stripped.Where = nil
+		rest = &stripped
+	}
 	results := make([]*relalg.Relation, len(participants))
 	errs := make([]error, len(participants))
 	var wg sync.WaitGroup
@@ -265,23 +277,30 @@ func (r *Router) executeShardLocal(txnID int64, sel *sqlparse.SelectStmt, pl *pl
 		go func(i int, m *accel.Accelerator, snap *accel.Snapshot, ssp *obs.Span) {
 			defer wg.Done()
 			defer ssp.Finish()
-			results[i], errs[i] = m.BuildFromRelationTraced(txnID, snap, pl.Sel, overrides, pl.Methods, ssp)
+			if multiTable {
+				results[i], errs[i] = m.BuildFromRelationTraced(txnID, snap, pl.Sel, overrides, pl.Methods, ssp)
+			} else {
+				results[i], errs[i] = m.ScanFilteredTraced(snap, pl.Sel, ssp)
+			}
 		}(i, m, snaps[p], ssp)
 	}
 	wg.Wait()
 	union := &relalg.Relation{}
+	total := 0
 	for i := range participants {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("shard %s: %w", ms[participants[i]].Name(), errs[i])
 		}
-		if union.Cols == nil {
-			union.Cols = results[i].Cols
-		}
-		union.Rows = append(union.Rows, results[i].Rows...)
+		total += len(results[i].Rows)
 	}
-	atomic.AddInt64(&r.stats.RowsGathered, int64(len(union.Rows)))
+	union.Cols = results[0].Cols
+	union.Rows = make([]types.Row, 0, total)
+	for _, part := range results {
+		union.Rows = append(union.Rows, part.Rows...)
+	}
+	atomic.AddInt64(&r.stats.RowsGathered, int64(total))
 	msp := sp.Child("merge")
-	rel, err := relalg.ExecuteSelect(union, pl.Sel, relalg.Options{Parallelism: r.Slices()})
+	rel, err := relalg.ExecuteSelect(union, rest, relalg.Options{Parallelism: r.Slices()})
 	msp.Finish()
 	return rel, err
 }

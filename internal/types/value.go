@@ -190,36 +190,53 @@ func (v Value) AsBool() (bool, bool) {
 	}
 }
 
-// AsString renders the value as a string without SQL quoting. NULL renders as
-// the empty string; use String for display purposes.
-func (v Value) AsString() string {
+// timestampLayout is how timestamps render (and the first layout they parse
+// from): microsecond precision, UTC, no zone suffix.
+const timestampLayout = "2006-01-02 15:04:05.000000"
+
+// AppendText appends the value's display rendering to dst and returns the
+// extended buffer. It is the single rendering implementation — String,
+// AsString, the embedded API's result cells and the wire encoder all produce
+// exactly these bytes: NULL as the literal NULL, integers in base 10, floats
+// in the shortest form that round-trips (strconv 'g', -1: 0.14, 1e+06, NaN, +Inf),
+// strings verbatim, booleans as true/false, timestamps as
+// "2006-01-02 15:04:05.000000" in UTC.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		return ""
+		return append(dst, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.AppendInt(dst, v.Int, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Float, 'g', -1, 64)
 	case KindString:
-		return v.Str
+		return append(dst, v.Str...)
 	case KindBool:
-		if v.Bool {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.Bool)
 	case KindTimestamp:
-		return v.Time().Format("2006-01-02 15:04:05.000000")
+		return v.Time().AppendFormat(dst, timestampLayout)
 	default:
-		return fmt.Sprintf("<%v>", v.Kind)
+		return fmt.Appendf(dst, "<%v>", v.Kind)
 	}
 }
 
-// String implements fmt.Stringer for diagnostics and result rendering.
-func (v Value) String() string {
+// AsString renders the value as a string without SQL quoting. NULL renders as
+// the empty string; use String for display purposes.
+func (v Value) AsString() string {
 	if v.Kind == KindNull {
-		return "NULL"
+		return ""
 	}
-	return v.AsString()
+	return v.String()
+}
+
+// String implements fmt.Stringer for diagnostics and result rendering (see
+// AppendText for the format).
+func (v Value) String() string {
+	if v.Kind == KindString {
+		return v.Str
+	}
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
 }
 
 // Cast converts the value to the target kind, returning an error when the
@@ -266,7 +283,7 @@ func (v Value) Cast(to Kind) (Value, error) {
 func ParseTimestamp(s string) (time.Time, error) {
 	s = strings.TrimSpace(s)
 	layouts := []string{
-		"2006-01-02 15:04:05.000000",
+		timestampLayout,
 		"2006-01-02 15:04:05",
 		"2006-01-02T15:04:05Z07:00",
 		"2006-01-02",

@@ -1,7 +1,9 @@
 package types
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -219,5 +221,62 @@ func TestParseTimestampFormats(t *testing.T) {
 	}
 	if _, err := ParseTimestamp("not a date"); err == nil {
 		t.Error("expected error")
+	}
+}
+
+// referenceText is the rendering String and AsString had before AppendText
+// owned it, kept as the oracle: one formatting call per kind, no shared code
+// with the implementation under test.
+func referenceText(v Value) string {
+	switch v.Kind {
+	case KindNull:
+		return "NULL"
+	case KindInt:
+		return strconv.FormatInt(v.Int, 10)
+	case KindFloat:
+		return strconv.FormatFloat(v.Float, 'g', -1, 64)
+	case KindString:
+		return v.Str
+	case KindBool:
+		if v.Bool {
+			return "true"
+		}
+		return "false"
+	case KindTimestamp:
+		return time.UnixMicro(v.Int).UTC().Format("2006-01-02 15:04:05.000000")
+	default:
+		return fmt.Sprintf("<%v>", v.Kind)
+	}
+}
+
+// TestAppendTextIsTheOneRendering: for random values of every kind — and the
+// edge values randomness rarely finds — AppendText, String and AsString all
+// produce the reference rendering, and AppendText only ever appends.
+func TestAppendTextIsTheOneRendering(t *testing.T) {
+	check := func(v Value) bool {
+		want := referenceText(v)
+		got := string(v.AppendText([]byte("prefix|")))
+		asString := want
+		if v.Kind == KindNull {
+			asString = ""
+		}
+		return got == "prefix|"+want && v.String() == want && v.AsString() == asString
+	}
+	property := func(kind uint8, i int64, f float64, s string, b bool) bool {
+		return check(Value{Kind: Kind(kind % 7), Int: i, Float: f, Str: s, Bool: b})
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	for _, v := range []Value{
+		Null(), NewInt(math.MinInt64), NewInt(math.MaxInt64), NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		NewFloat(math.Copysign(0, -1)), NewFloat(1e21), NewFloat(1e-7), NewFloat(0.1), NewFloat(math.MaxFloat64),
+		NewFloat(math.SmallestNonzeroFloat64), NewString(""), NewString("NULL"), NewString("\x00\xff<&>"), NewBool(true), NewBool(false),
+		NewTimestampMicros(0), NewTimestampMicros(-1), NewTimestampMicros(math.MaxInt64 / 2), NewTimestampMicros(math.MinInt64 / 2),
+		NewTimestamp(time.Date(9999, 12, 31, 23, 59, 59, 999999000, time.UTC)), {Kind: Kind(200)},
+	} {
+		if !check(v) {
+			t.Errorf("%#v renders as %q / %q / %q, reference %q", v, v.AppendText(nil), v.String(), v.AsString(), referenceText(v))
+		}
 	}
 }

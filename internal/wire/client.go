@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -90,7 +90,7 @@ func (c *Client) OpenSession() error {
 		return err
 	}
 	var resp openSessionResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		return fmt.Errorf("wire: bad session response: %w", err)
 	}
 	c.session = resp.Session
@@ -151,15 +151,24 @@ func (c *Client) QueryStream(sql string, chunkRows int, fn func(rows [][]string)
 		return nil, decodeError(resp)
 	}
 	out := &ClientResult{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
+	bp := getBuf()
+	lines := lineReader{r: resp.Body, buf: (*bp)[:cap(*bp)]}
+	defer func() { putBuf(bp, lines.buf) }()
+	for {
+		line, err := lines.next()
+		if err == io.EOF {
+			return nil, fmt.Errorf("wire: stream ended without a done frame")
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var f Frame
-		if err := json.Unmarshal(line, &f); err != nil {
+		// One copy per frame: the decoded rows are substrings of it, so they
+		// stay valid after the read buffer moves on.
+		f, err := decodeFrame(string(line))
+		if err != nil {
 			return nil, fmt.Errorf("wire: bad frame: %w", err)
 		}
 		switch f.Type {
@@ -184,10 +193,51 @@ func (c *Client) QueryStream(sql string, chunkRows int, fn func(rows [][]string)
 			return nil, fmt.Errorf("wire: unknown frame type %q", f.Type)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+}
+
+// lineReader yields the newline-terminated lines of r, of any length, out of
+// one reused buffer. A line is valid until the next call.
+type lineReader struct {
+	r   io.Reader
+	buf []byte
+	// buf[start:end] is read but not yet returned; its first scanned bytes
+	// are known to hold no newline.
+	start, end, scanned int
+	err                 error
+}
+
+// next returns the next line without its terminator; an unterminated last
+// line is returned too. After the last line it returns io.EOF.
+func (l *lineReader) next() ([]byte, error) {
+	for {
+		if i := bytes.IndexByte(l.buf[l.start+l.scanned:l.end], '\n'); i >= 0 {
+			line := l.buf[l.start : l.start+l.scanned+i]
+			l.start += l.scanned + i + 1
+			l.scanned = 0
+			return line, nil
+		}
+		l.scanned = l.end - l.start
+		if l.err != nil {
+			line := l.buf[l.start:l.end]
+			l.start, l.scanned = l.end, 0
+			if len(line) > 0 && l.err == io.EOF {
+				return line, nil
+			}
+			return nil, l.err
+		}
+		if l.start > 0 { // make room: move the partial line to the front
+			l.end = copy(l.buf, l.buf[l.start:l.end])
+			l.start = 0
+		}
+		if l.end == len(l.buf) { // the line outgrew the buffer
+			grown := make([]byte, max(2*len(l.buf), 32<<10))
+			copy(grown, l.buf[:l.end])
+			l.buf = grown
+		}
+		n, err := l.r.Read(l.buf[l.end:])
+		l.end += n
+		l.err = err
 	}
-	return nil, fmt.Errorf("wire: stream ended without a done frame")
 }
 
 // Health fetches the mounted ops /healthz report (any JSON shape).
@@ -228,8 +278,8 @@ func (c *Client) statement(path, sql string) (*ClientResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var resp statementResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	resp, err := decodeStatementResponse(body)
+	if err != nil {
 		return nil, fmt.Errorf("wire: bad response: %w", err)
 	}
 	return &ClientResult{
@@ -243,15 +293,15 @@ func (c *Client) statement(path, sql string) (*ClientResult, error) {
 	}, nil
 }
 
-// post sends a JSON body and returns the raw 200 response body.
-func (c *Client) post(path string, v any, hdr http.Header) ([]byte, error) {
+// post sends a JSON body and returns the 200 response body.
+func (c *Client) post(path string, v any, hdr http.Header) (string, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(raw))
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if c.priority != "" {
@@ -264,17 +314,44 @@ func (c *Client) post(path string, v any, hdr http.Header) ([]byte, error) {
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
+		return "", decodeError(resp)
 	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return nil, err
+	return readBody(resp)
+}
+
+// maxPresizedBody caps how much readBody reserves on the word of a
+// Content-Length header; longer bodies grow as they arrive.
+const maxPresizedBody = 256 << 20
+
+// readBody reads a response body into one string through a pooled buffer,
+// sized up front when the server sent a Content-Length. The decoded result
+// is made of substrings of that string, so it is the only copy.
+func readBody(resp *http.Response) (string, error) {
+	bp := getBuf()
+	buf := *bp
+	defer func() { putBuf(bp, buf) }()
+	if n := resp.ContentLength; n >= int64(cap(buf)) {
+		// +1: room to see EOF without growing. The bound keeps a lying
+		// header from reserving more than a plausible body.
+		buf = make([]byte, 0, min(n, maxPresizedBody)+1)
 	}
-	return buf.Bytes(), nil
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return string(buf), nil
+		}
+		if err != nil {
+			return "", err
+		}
+	}
 }
 
 // decodeError turns a non-2xx response into a *ServerError.

@@ -3,10 +3,17 @@
 // with per-session transaction state, idle reaping and graceful drain, and
 // admission control in front of every statement. The protocol contract is
 // documented in docs/WIRE_PROTOCOL.md; this file holds the request/response
-// shapes both the server and the Go client marshal.
+// shapes. Requests, session bodies and errors go through encoding/json;
+// statement responses and stream frames are written by encode.go and read by
+// decode.go, which are held byte-for-byte to what encoding/json does for the
+// statementResponse and Frame definitions below.
 package wire
 
-import "time"
+import (
+	"time"
+
+	"idaax/internal/types"
+)
 
 // ProtocolVersion is the wire protocol's version prefix ("/v1").
 const ProtocolVersion = "v1"
@@ -99,21 +106,22 @@ type errorBody struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// Result is a statement outcome as the serving layer sees it: result-set
-// values rendered as strings (NULL as the literal "NULL"), exactly what goes
-// on the wire.
+// Result is a statement outcome as the serving layer receives it: the
+// engine's typed rows, untouched. The server renders each value once, straight
+// into the response buffer (types.Value.AppendText: NULL as the literal
+// "NULL"); the rows are read, never retained or modified.
 type Result struct {
 	Columns      []string
-	Rows         [][]string
+	Rows         []types.Row
 	RowsAffected int
 	Routed       string
 	Message      string
 }
 
 // Session is what the serving layer needs from an engine session. The root
-// package adapts its Session facade to this interface, keeping the wire
-// package free of engine imports. Implementations are not concurrency-safe;
-// the server serialises access per pooled session.
+// package adapts the federation session to this interface, keeping the wire
+// package free of engine imports beyond the value model. Implementations are
+// not concurrency-safe; the server serialises access per pooled session.
 type Session interface {
 	// Exec parses and executes one SQL statement.
 	Exec(sql string) (*Result, error)

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -365,8 +366,10 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request, query b
 		return
 	}
 
-	// Resolve the session: pooled by token, or one-shot for this request.
+	// Resolve the session: pooled by token, or one-shot for this request
+	// (opened below, once the statement is admitted).
 	var ps *pooledSession
+	var prio admission.Class
 	if req.Session != "" {
 		s.mu.Lock()
 		ps = s.sessions[req.Session]
@@ -375,16 +378,10 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request, query b
 			writeError(w, http.StatusNotFound, CodeUnknownSession, "unknown session token (expired or reaped?)")
 			return
 		}
-	} else {
-		user := req.User
-		if user == "" {
-			user = s.cfg.DefaultUser
-		}
-		ps = &pooledSession{sess: s.cfg.NewSession(user), user: user}
+		prio = ps.priority
 	}
 
 	// Priority: per-request header overrides the session default.
-	prio := ps.priority
 	if h := r.Header.Get(PriorityHeader); h != "" {
 		p, ok := admission.ParseClass(h)
 		if !ok {
@@ -414,6 +411,18 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request, query b
 	}
 	defer ticket.Release()
 
+	oneShot := ps == nil
+	if oneShot {
+		user := req.User
+		if user == "" {
+			user = s.cfg.DefaultUser
+		}
+		ps = &pooledSession{sess: s.cfg.NewSession(user), user: user}
+		// Nobody can reach this session again: whatever it leaves open is
+		// rolled back and the session released when the request ends.
+		defer s.releaseSession(ps)
+	}
+
 	start := time.Now()
 	ps.mu.Lock()
 	if ps.closed {
@@ -425,6 +434,7 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request, query b
 		qw.NoteQueueWait(ticket.Queued)
 	}
 	res, execErr := ps.sess.Exec(req.SQL)
+	strandedTxn := oneShot && ps.sess.InTransaction()
 	ps.mu.Unlock()
 	ps.lastUsed.Store(time.Now().UnixNano())
 	elapsed := time.Since(start)
@@ -435,66 +445,60 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request, query b
 		writeError(w, http.StatusBadRequest, CodeSQLError, execErr.Error())
 		return
 	}
+	if strandedTxn {
+		s.count("wire_errors_total")
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
+			"explicit transactions need a pooled session: open one with POST /v1/sessions and pass its token")
+		return
+	}
 	if res == nil {
 		res = &Result{}
 	}
 	queuedMS := float64(ticket.Queued) / float64(time.Millisecond)
 	elapsedMS := float64(elapsed) / float64(time.Millisecond)
 
+	bp := getBuf()
+	buf := *bp
 	if query && req.Stream {
-		s.streamResult(w, res, req.ChunkRows, queuedMS, elapsedMS)
-		return
+		buf = s.streamResult(w, buf, res, req.ChunkRows, queuedMS, elapsedMS)
+	} else {
+		buf = appendStatementResponse(buf[:0], res, queuedMS, elapsedMS)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(buf)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(buf) // a failed write means the client went away
 	}
-	writeJSON(w, http.StatusOK, statementResponse{
-		Columns:      res.Columns,
-		Rows:         res.Rows,
-		RowsAffected: res.RowsAffected,
-		Routed:       res.Routed,
-		Message:      res.Message,
-		QueuedMS:     queuedMS,
-		ElapsedMS:    elapsedMS,
-	})
+	putBuf(bp, buf)
 }
 
-// streamResult writes the NDJSON framing: columns, row chunks, done.
-func (s *Server) streamResult(w http.ResponseWriter, res *Result, chunkRows int, queuedMS, elapsedMS float64) {
+// streamResult writes the NDJSON framing: columns, row chunks, done — each
+// frame rendered into buf (returned for reuse) and flushed as one write.
+func (s *Server) streamResult(w http.ResponseWriter, buf []byte, res *Result, chunkRows int, queuedMS, elapsedMS float64) []byte {
 	if chunkRows <= 0 {
 		chunkRows = s.cfg.ChunkRows
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
+	send := func() bool {
+		_, err := w.Write(buf)
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return err == nil
 	}
-	cols := res.Columns
-	if cols == nil {
-		cols = []string{}
-	}
-	_ = enc.Encode(Frame{Type: "columns", Columns: cols})
-	flush()
+	buf = appendColumnsFrame(buf[:0], res.Columns)
+	send()
 	for off := 0; off < len(res.Rows); off += chunkRows {
-		end := off + chunkRows
-		if end > len(res.Rows) {
-			end = len(res.Rows)
+		buf = appendRowsFrame(buf[:0], res.Rows[off:min(off+chunkRows, len(res.Rows))])
+		if !send() {
+			return buf // client went away; nothing to clean up
 		}
-		if err := enc.Encode(Frame{Type: "rows", Rows: res.Rows[off:end]}); err != nil {
-			return // client went away; nothing to clean up
-		}
-		flush()
 	}
-	_ = enc.Encode(Frame{
-		Type:         "done",
-		RowsAffected: res.RowsAffected,
-		Routed:       res.Routed,
-		Message:      res.Message,
-		QueuedMS:     queuedMS,
-		ElapsedMS:    elapsedMS,
-	})
-	flush()
+	buf = appendDoneFrame(buf[:0], res, queuedMS, elapsedMS)
+	send()
+	return buf
 }
 
 // ---------------------------------------------------------------------------

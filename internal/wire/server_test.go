@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"idaax/internal/admission"
 	"idaax/internal/obs"
 	"idaax/internal/obs/eventlog"
+	"idaax/internal/types"
 )
 
 // stubSession is a scripted engine session: it answers every statement from a
@@ -52,7 +54,7 @@ func (s *stubSession) Exec(sql string) (*Result, error) {
 	if s.exec != nil {
 		return s.exec(sql)
 	}
-	return &Result{Columns: []string{"V"}, Rows: [][]string{{"1"}}, Routed: "STUB"}, nil
+	return &Result{Columns: []string{"V"}, Rows: []types.Row{{types.NewInt(1)}}, Routed: "STUB"}, nil
 }
 
 func (s *stubSession) InTransaction() bool {
@@ -133,9 +135,9 @@ func TestExecRoundTrip(t *testing.T) {
 // TestStreamingFraming proves the NDJSON framing: columns, bounded row
 // chunks, one done frame.
 func TestStreamingFraming(t *testing.T) {
-	rows := make([][]string, 25)
+	rows := make([]types.Row, 25)
 	for i := range rows {
-		rows[i] = []string{fmt.Sprint(i)}
+		rows[i] = types.Row{types.NewInt(int64(i))}
 	}
 	h := newHarness(t, func(c *Config) {
 		base := c.NewSession
@@ -197,6 +199,99 @@ func TestSessionTransactionAcrossRequests(t *testing.T) {
 	}
 	if got := h.srv.SessionCount(); got != 0 {
 		t.Fatalf("session count = %d after close", got)
+	}
+}
+
+// TestOneShotBeginIsRefusedAndReleased is the regression test for the one-shot
+// transaction leak: a BEGIN without a session token used to leave an explicit
+// transaction open on a session nobody could reach again. Now the statement is
+// answered with bad_request, the transaction is rolled back and the session is
+// handed to CloseSession; ordinary one-shot statements are released too.
+func TestOneShotBeginIsRefusedAndReleased(t *testing.T) {
+	var released []Session
+	var mu sync.Mutex
+	h := newHarness(t, func(c *Config) {
+		c.CloseSession = func(s Session) {
+			mu.Lock()
+			released = append(released, s)
+			mu.Unlock()
+		}
+	})
+	_, err := h.client.Exec("BEGIN")
+	se, ok := err.(*ServerError)
+	if !ok || se.Status != http.StatusBadRequest || se.Code != CodeBadRequest || !strings.Contains(se.Message, "pooled session") {
+		t.Fatalf("one-shot BEGIN: err = %v, want 400 bad_request naming pooled sessions", err)
+	}
+	if _, err := h.client.Query("SELECT 1"); err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	sessions := append([]*stubSession(nil), h.sessions...)
+	h.mu.Unlock()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sessions) != 2 || len(released) != 2 {
+		t.Fatalf("%d one-shot sessions opened, %d released; want 2 and 2", len(sessions), len(released))
+	}
+	if begin := sessions[0]; begin.InTransaction() || begin.rolled != 1 || released[0] != Session(begin) {
+		t.Fatalf("BEGIN's session: inTxn=%v rolledBack=%d released=%v", begin.InTransaction(), begin.rolled, released[0] == Session(begin))
+	}
+	if sessions[1].rolled != 0 {
+		t.Fatal("a one-shot statement without a transaction was rolled back")
+	}
+	if got := h.srv.SessionCount(); got != 0 {
+		t.Fatalf("session count = %d: a one-shot session entered the pool", got)
+	}
+}
+
+// TestStreamFrameOfAnyLength is the regression test for the client's 16 MiB
+// frame cap: one rows frame far larger than that (and larger than every
+// buffer involved) arrives whole.
+func TestStreamFrameOfAnyLength(t *testing.T) {
+	cell := strings.Repeat("x", 1<<20)
+	rows := make([]types.Row, 20)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewString(cell)}
+	}
+	h := newHarness(t, func(c *Config) {
+		base := c.NewSession
+		c.NewSession = func(user string) Session {
+			ss := base(user).(*stubSession)
+			ss.exec = func(string) (*Result, error) {
+				return &Result{Columns: []string{"N", "BLOB"}, Rows: rows, Routed: "STUB"}, nil
+			}
+			return ss
+		}
+	})
+	var frames, got int
+	res, err := h.client.QueryStream("SELECT n, blob FROM t", len(rows), func(chunk [][]string) error {
+		frames++
+		for _, row := range chunk {
+			if row[0] != strconv.Itoa(got) || row[1] != cell {
+				return fmt.Errorf("row %d arrived damaged", got)
+			}
+			got++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames != 1 || got != len(rows) || res.Routed != "STUB" {
+		t.Fatalf("%d frames, %d rows, routed %q; want one %d-row frame", frames, got, res.Routed, len(rows))
+	}
+	// The same result buffered: the body announces its length up front.
+	buffered, err := h.client.Query("SELECT n, blob FROM t")
+	if err != nil || len(buffered.Rows) != len(rows) || buffered.Rows[19][1] != cell {
+		t.Fatalf("buffered read of the same result: %d rows, err %v", len(buffered.Rows), err)
+	}
+	resp, err := http.Post("http://"+h.srv.Addr()+"/v1/query", "application/json", strings.NewReader(`{"sql":"SELECT n, blob FROM t"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.ContentLength < int64(len(rows)*len(cell)) {
+		t.Fatalf("Content-Length = %d on a buffered response of more than %d bytes", resp.ContentLength, len(rows)*len(cell))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"idaax/internal/admission"
+	"idaax/internal/federation"
 	"idaax/internal/ops"
 	"idaax/internal/wire"
 )
@@ -89,7 +90,7 @@ func (s *System) ServeWire(cfg ServeConfig) (*WireServer, error) {
 		})
 	}
 	wcfg := wire.Config{
-		NewSession:   func(user string) wire.Session { return &wireSession{s.Session(user)} },
+		NewSession:   func(user string) wire.Session { return wireSession{s.coord.Session(user)} },
 		Admission:    ctl,
 		Obs:          s.coord.Obs,
 		Events:       s.coord.Events,
@@ -114,18 +115,17 @@ func (s *System) ServeWire(cfg ServeConfig) (*WireServer, error) {
 	return w, nil
 }
 
-// wireSession adapts the public Session facade to the wire layer's interface.
+// wireSession adapts an engine session to the wire layer's interface. The
+// typed rows go through untouched: the wire encoder renders them at the
+// socket, so a served row is rendered exactly once.
 type wireSession struct {
-	s *Session
+	*federation.Session
 }
 
-func (w *wireSession) Exec(sql string) (*wire.Result, error) {
-	res, err := w.s.Exec(sql)
-	if err != nil {
+func (w wireSession) Exec(sql string) (*wire.Result, error) {
+	res, err := w.Session.Exec(sql)
+	if err != nil || res == nil {
 		return nil, err
-	}
-	if res == nil {
-		return nil, nil
 	}
 	return &wire.Result{
 		Columns:      res.Columns,
@@ -135,9 +135,3 @@ func (w *wireSession) Exec(sql string) (*wire.Result, error) {
 		Message:      res.Message,
 	}, nil
 }
-
-func (w *wireSession) InTransaction() bool { return w.s.InTransaction() }
-func (w *wireSession) Rollback() error     { return w.s.Rollback() }
-
-// NoteQueueWait forwards admission queue time into the statement trace.
-func (w *wireSession) NoteQueueWait(d time.Duration) { w.s.fed.NoteQueueWait(d) }

@@ -93,6 +93,47 @@ func TestWireEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWireOneShotBeginLeavesNoTransaction is the engine-level half of the
+// one-shot transaction-leak regression (internal/wire has the protocol half):
+// a BEGIN sent without a session token is refused, and no DB2 transaction
+// stays open behind a session nobody holds a token for.
+func TestWireOneShotBeginLeavesNoTransaction(t *testing.T) {
+	sys, srv := startWireSystem(t, 1, ServeConfig{DefaultUser: "SYSADM"})
+	c := wire.NewClient(srv.Addr(), nil)
+	if _, err := c.Exec("CREATE TABLE leak (k BIGINT) IN ACCELERATOR IDAA1"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Exec("BEGIN")
+	se, ok := err.(*wire.ServerError)
+	if !ok || se.Code != wire.CodeBadRequest || !strings.Contains(se.Message, "pooled session") {
+		t.Fatalf("one-shot BEGIN: err = %v, want bad_request naming pooled sessions", err)
+	}
+	if n := sys.Coordinator().DB2.Txns.ActiveCount(); n != 0 {
+		t.Fatalf("%d transaction(s) still open after a one-shot BEGIN", n)
+	}
+	// One-shot statements keep auto-committing, and a pooled session still
+	// carries a transaction across requests.
+	if _, err := c.Exec("INSERT INTO leak VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.OpenSession(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseSession()
+	for _, stmt := range []string{"BEGIN", "INSERT INTO leak VALUES (2)", "COMMIT"} {
+		if _, err := c.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	q, err := c.Query("SELECT COUNT(*) FROM leak")
+	if err != nil || q.Rows[0][0] != "2" {
+		t.Fatalf("count = %v, err %v; want 2", q, err)
+	}
+	if n := sys.Coordinator().DB2.Txns.ActiveCount(); n != 0 {
+		t.Fatalf("%d transaction(s) open after COMMIT", n)
+	}
+}
+
 // TestWireSaturationShedsAndPrioritises proves the serving layer under
 // saturation: queue-depth fast-fails surface as 429s while admitted work
 // completes, and the admission metrics land in /metrics.

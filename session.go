@@ -30,6 +30,10 @@ type Result struct {
 	Message string
 }
 
+// convertResult renders a typed result for the embedded API. Every cell is
+// types.Value.AppendText's output; all of them are substrings of one string
+// and elements of one slice, so a result costs a handful of allocations
+// however many rows it has.
 func convertResult(r *federation.Result) *Result {
 	if r == nil {
 		return nil
@@ -40,12 +44,28 @@ func convertResult(r *federation.Result) *Result {
 		Routed:       r.Routed,
 		Message:      r.Message,
 	}
+	if len(r.Rows) == 0 {
+		return out
+	}
+	cells := 0
 	for _, row := range r.Rows {
-		rendered := make([]string, len(row))
-		for i, v := range row {
-			rendered[i] = v.String()
+		cells += len(row)
+	}
+	var text []byte
+	ends := make([]int, 0, cells)
+	for _, row := range r.Rows {
+		for _, v := range row {
+			text = v.AppendText(text)
+			ends = append(ends, len(text))
 		}
-		out.Rows = append(out.Rows, rendered)
+	}
+	all, flat := string(text), make([]string, cells)
+	for i, start := 0, 0; i < cells; i++ {
+		flat[i], start = all[start:ends[i]], ends[i]
+	}
+	out.Rows = make([][]string, len(r.Rows))
+	for i, row := range r.Rows {
+		out.Rows[i], flat = flat[:len(row):len(row)], flat[len(row):]
 	}
 	return out
 }

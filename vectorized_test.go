@@ -293,3 +293,134 @@ func TestVectorizedScanDuringRebalance(t *testing.T) {
 			resultFingerprint(res), resultFingerprint(rowRes))
 	}
 }
+
+// plainSelectQueries are the non-aggregate single-table shapes the shard-local
+// gather path (filter once on the shard, WHERE stripped at the coordinator)
+// and the bound projection must keep exact. Every statement is deterministic
+// as a set; the ordered ones also as a sequence.
+var plainSelectQueries = []struct {
+	sql     string
+	ordered bool
+}{
+	// Projection shapes.
+	{"SELECT v, cat, id, flag, grp FROM vdiff", false},
+	{"SELECT id, id FROM vdiff WHERE id < 40", false},
+	{"SELECT * FROM vdiff WHERE grp = 3", false},
+	{"SELECT vdiff.* FROM vdiff WHERE v < -10", false},
+	{"SELECT t.*, t.id AS again FROM vdiff t WHERE t.cat = 'c1' AND t.v > 50", false},
+	{"SELECT id AS k, cat label, v * 2 AS dbl FROM vdiff WHERE id >= 100 AND id < 140", false},
+	{"SELECT id, v + 1, cat, grp * 10 + 1, 'lit', flag FROM vdiff WHERE id < 60", false},
+	{"SELECT id, COALESCE(cat, 'none'), CASE WHEN v > 0 THEN 'pos' ELSE 'neg' END FROM vdiff WHERE id < 90", false},
+	// ORDER BY, LIMIT/OFFSET, DISTINCT above the gather.
+	{"SELECT cat FROM vdiff WHERE id < 300 ORDER BY id", true},
+	{"SELECT id FROM vdiff WHERE v IS NOT NULL ORDER BY v DESC, id", true},
+	{"SELECT id, cat FROM vdiff ORDER BY id LIMIT 25 OFFSET 40", true},
+	{"SELECT id FROM vdiff WHERE id >= 500 ORDER BY id DESC LIMIT 7", true},
+	{"SELECT id FROM vdiff ORDER BY id LIMIT 5 OFFSET 100000", true},
+	{"SELECT DISTINCT grp, flag FROM vdiff", false},
+	{"SELECT DISTINCT cat FROM vdiff WHERE grp IS NULL ORDER BY cat", true},
+	// Residual predicates: evaluated row-wise on the shard, after the vector ones.
+	{"SELECT id FROM vdiff WHERE grp + 1 > 3", false},
+	{"SELECT id FROM vdiff WHERE id < 700 AND grp + 1 > 3 AND v >= 0", false},
+	{"SELECT id FROM vdiff WHERE grp IN (1, 3, 5) AND cat IN ('c0', 'c4')", false},
+	{"SELECT id FROM vdiff WHERE cat = 'c2' OR v > 70 OR grp IS NULL", false},
+	{"SELECT id FROM vdiff WHERE NOT (v > 0) AND id BETWEEN 10 AND 900", false},
+	{"SELECT id FROM vdiff WHERE cat LIKE '%3' AND flag = FALSE", false},
+	{"SELECT id FROM vdiff WHERE id % 2 = 0 AND id < 50", false},
+	// NULL keys: NULL never matches =, IN or a range; IS NULL finds it.
+	{"SELECT id FROM vdiff WHERE grp = NULL", false},
+	{"SELECT id, grp FROM vdiff WHERE grp IS NULL", false},
+	{"SELECT id FROM vdiff WHERE grp IN (NULL, 2)", false},
+	{"SELECT id FROM vdiff WHERE grp >= 0 AND grp < 2", false},
+	{"SELECT id FROM vdiff WHERE grp = 6", false},
+	// Empty results keep their columns.
+	{"SELECT id, v FROM vdiff WHERE id < 0", false},
+	{"SELECT * FROM vdiff WHERE cat = 'nope'", false},
+	{"SELECT id FROM vdiff WHERE id = 5 AND id = 6", false},
+	{"SELECT id FROM vdiff WHERE grp = 99", false},
+	// Aggregates the two-phase planner declines still gather filtered rows.
+	{"SELECT COUNT(DISTINCT cat), COUNT(*) FROM vdiff WHERE v > 0", true},
+}
+
+// TestPlainSelectDifferential extends both differential suites to the plain
+// select shapes: a single accelerator, a 3-shard fleet hashed on a NOT NULL
+// key and a 3-shard fleet hashed on a key with NULLs must return the same
+// rows, each with the vectorized engine on and off — six executions per
+// statement, one answer.
+func TestPlainSelectDifferential(t *testing.T) {
+	const rows = 1500
+	fleets := []struct {
+		name, accelerator, distribute string
+		sys                           *idaax.System
+	}{
+		{"single", "IDAA1", "", newTestSystem(t)},
+		{"sharded by id", "SHARDS", " DISTRIBUTE BY HASH(id)", newShardedSystem(t, 3)},
+		{"sharded by grp", "SHARDS", " DISTRIBUTE BY HASH(grp)", newShardedSystem(t, 3)},
+	}
+	fingerprint := func(sys *idaax.System, q struct {
+		sql     string
+		ordered bool
+	}, label string) string {
+		res, err := sys.AdminSession().Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", q.sql, label, err)
+		}
+		if q.ordered {
+			return resultFingerprint(res)
+		}
+		return sortedFingerprint(res)
+	}
+	var want []string
+	for fi, f := range fleets {
+		defer f.sys.Close()
+		seedVectorTable(t, f.sys, f.accelerator, f.distribute, rows)
+		for _, vectorized := range []bool{true, false} {
+			f.sys.SetVectorizedExecution(vectorized)
+			label := fmt.Sprintf("%s, vectorized=%v", f.name, vectorized)
+			for qi, q := range plainSelectQueries {
+				got := fingerprint(f.sys, q, label)
+				if fi == 0 && vectorized {
+					want = append(want, got)
+				} else if got != want[qi] {
+					t.Errorf("%s: %s disagrees with the vectorized single accelerator\n--- got ---\n%s\n--- want ---\n%s", q.sql, label, got, want[qi])
+				}
+			}
+		}
+		f.sys.SetVectorizedExecution(true)
+	}
+	if rowsSeen := strings.Count(want[0], "\n"); rowsSeen != rows {
+		t.Fatalf("the full-table statement returned %d rows, want %d", rowsSeen, rows)
+	}
+
+	// The gather path never takes the coordinator-side filter: every shard
+	// answers with the batch engine, nothing falls back.
+	stats, err := fleets[1].sys.ShardGroupStats("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Group.VectorizedQueries == 0 || stats.Group.VexecFallbacks != 0 {
+		t.Fatalf("sharded run: %d vectorized shard scans, %d fallbacks", stats.Group.VectorizedQueries, stats.Group.VexecFallbacks)
+	}
+
+	// One more pass racing a live rebalance: while a fourth member takes over
+	// its share of the rows, every statement still sees each row exactly once.
+	racing := fleets[1].sys
+	if err := racing.AddShardMember("", "IDAA4", 2); err != nil {
+		t.Fatal(err)
+	}
+	for pass, active := 0, true; active || pass < 2; pass++ {
+		status, err := racing.RebalanceStatus("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		active = status.Active
+		for qi, q := range plainSelectQueries {
+			if got := fingerprint(racing, q, "during rebalance"); got != want[qi] {
+				t.Fatalf("%s: drifted during the rebalance (pass %d)\n--- got ---\n%s\n--- want ---\n%s", q.sql, pass, got, want[qi])
+			}
+		}
+	}
+	if err := racing.WaitForRebalance(""); err != nil {
+		t.Fatal(err)
+	}
+}
