@@ -9,7 +9,7 @@ import (
 )
 
 // The Benchmark* functions below regenerate the evaluation tables (one per
-// experiment / figure, see DESIGN.md §3 and EXPERIMENTS.md). Each benchmark
+// experiment / figure, registered in internal/bench). Each benchmark
 // runs the full experiment once per iteration and reports the rendered table
 // via b.Log, so `go test -bench=. -benchmem` reproduces the paper-style
 // results end to end. Use -short (or the small scale in cmd/idaabench) for a

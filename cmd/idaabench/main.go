@@ -1,7 +1,7 @@
 // Command idaabench regenerates the evaluation tables of the reproduction
 // (experiments E1–E12 and the architecture figure F1). Each experiment builds
 // its own system instance, generates its workload deterministically and prints
-// the resulting table, so the numbers in EXPERIMENTS.md can be reproduced with
+// the resulting table, so every number can be reproduced with
 //
 //	go run ./cmd/idaabench -scale full
 //	go run ./cmd/idaabench -experiment e12 -scale small

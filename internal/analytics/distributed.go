@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"idaax/internal/par"
 )
 
 // This file implements the merge half of shard-local ("distributed") training:
@@ -20,25 +22,12 @@ import (
 // forEachPart runs fn(i, parts[i]) concurrently for every non-empty partition
 // and returns the first error.
 func forEachPart(parts []*Dataset, fn func(i int, ds *Dataset) error) error {
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, ds := range parts {
-		if ds == nil || ds.Rows() == 0 {
-			continue
+	return par.Do(len(parts), func(i int) error {
+		if ds := parts[i]; ds != nil && ds.Rows() > 0 {
+			return fn(i, ds)
 		}
-		wg.Add(1)
-		go func(i int, ds *Dataset) {
-			defer wg.Done()
-			errs[i] = fn(i, ds)
-		}(i, ds)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // partStats validates a partition list and returns the shared feature names
@@ -594,11 +583,10 @@ func TrainKMeansDistributed(parts []*Dataset, opts KMeansOptions) (*KMeansModel,
 	// Final scatter: assign every row to the consolidated centers.
 	assignments := make([][]int, len(parts))
 	inertia := make([]float64, len(parts))
-	if err := forEachPart(parts, func(i int, ds *Dataset) error {
-		assign := make([]int, ds.Rows())
-		inertia[i] = assignParallel(ds, centroids, assign, opts.Parallelism)
-		assignments[i] = assign
-		return nil
+	if err := forEachPart(parts, func(i int, ds *Dataset) (err error) {
+		assignments[i] = make([]int, ds.Rows())
+		inertia[i], err = assignParallel(ds, centroids, assignments[i], opts.Parallelism)
+		return err
 	}); err != nil {
 		return nil, nil, err
 	}

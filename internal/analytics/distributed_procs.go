@@ -120,12 +120,12 @@ func shardsUsed(parts []*Dataset) int {
 	return n
 }
 
-// classifierCorrect scatters an accuracy computation: correct predictions and
-// labelled rows summed over the partitions.
-func classifierCorrect(predict func([]float64) string, parts []*Dataset) (correct, total int) {
+// classifierAccuracy scatters an accuracy computation: correct predictions
+// over labelled rows, summed over the partitions (0 when none is labelled).
+func classifierAccuracy(predict func([]float64) string, parts []*Dataset) (float64, error) {
 	corrects := make([]int, len(parts))
 	totals := make([]int, len(parts))
-	_ = forEachPart(parts, func(i int, ds *Dataset) error {
+	err := forEachPart(parts, func(i int, ds *Dataset) error {
 		if len(ds.Labels) != ds.Rows() {
 			return nil
 		}
@@ -137,11 +137,18 @@ func classifierCorrect(predict func([]float64) string, parts []*Dataset) (correc
 		}
 		return nil
 	})
+	if err != nil {
+		return 0, err
+	}
+	correct, total := 0, 0
 	for i := range parts {
 		correct += corrects[i]
 		total += totals[i]
 	}
-	return correct, total
+	if total == 0 {
+		return 0, nil
+	}
+	return float64(correct) / float64(total), nil
 }
 
 // materializeTarget drops/creates the output AOT like materializeRows, but on
@@ -219,10 +226,9 @@ func distNaiveBayes(ctx *core.ProcContext, be accel.Backend, table, target, feat
 	if err != nil {
 		return nil, err
 	}
-	correct, labelled := classifierCorrect(func(f []float64) string { c, _ := model.PredictClass(f); return c }, parts)
-	acc := 0.0
-	if labelled > 0 {
-		acc = float64(correct) / float64(labelled)
+	acc, err := classifierAccuracy(func(f []float64) string { c, _ := model.PredictClass(f); return c }, parts)
+	if err != nil {
+		return nil, err
 	}
 	metrics := map[string]float64{"ACCURACY": acc, "N": float64(model.N), "CLASSES": float64(len(model.Classes)), "SHARDS": float64(shardsUsed(parts))}
 	if err := saveModel(ctx, modelTable, ModelKindNaiveBayes, model, metrics); err != nil {
@@ -245,10 +251,9 @@ func distDecisionTree(ctx *core.ProcContext, be accel.Backend, table, target, fe
 	if err != nil {
 		return nil, err
 	}
-	correct, labelled := classifierCorrect(model.PredictClass, parts)
-	acc := 0.0
-	if labelled > 0 {
-		acc = float64(correct) / float64(labelled)
+	acc, err := classifierAccuracy(model.PredictClass, parts)
+	if err != nil {
+		return nil, err
 	}
 	metrics := map[string]float64{"ACCURACY": acc, "NODES": float64(model.Nodes()), "DEPTH": float64(model.Depth()), "N": float64(model.N), "TREES": float64(len(model.Trees)), "SHARDS": float64(shardsUsed(parts))}
 	if err := saveModel(ctx, modelTable, ModelKindForest, model, metrics); err != nil {

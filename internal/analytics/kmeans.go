@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+
+	"idaax/internal/par"
 )
 
 // KMeansModel holds cluster centroids.
@@ -54,18 +55,16 @@ func TrainKMeans(ds *Dataset, opts KMeansOptions) (*KMeansModel, []int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
 
 	centroids := initKMeansPlusPlus(ds, opts.K, newRNG(opts.Seed))
 	assignments := make([]int, n)
 	iterations := 0
-	var inertia float64
 
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		iterations = iter + 1
-		inertia = assignParallel(ds, centroids, assignments, workers)
+		if _, err := assignParallel(ds, centroids, assignments, workers); err != nil {
+			return nil, nil, err
+		}
 
 		// Recompute centroids.
 		newCentroids := make([][]float64, opts.K)
@@ -97,7 +96,10 @@ func TrainKMeans(ds *Dataset, opts KMeansOptions) (*KMeansModel, []int, error) {
 			break
 		}
 	}
-	inertia = assignParallel(ds, centroids, assignments, workers)
+	inertia, err := assignParallel(ds, centroids, assignments, workers)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	model := &KMeansModel{
 		FeatureNames: append([]string(nil), ds.FeatureNames...),
@@ -165,45 +167,21 @@ func nearestCentroid(x []float64, centroids [][]float64) (int, float64) {
 	return best, bestDist
 }
 
-func assignParallel(ds *Dataset, centroids [][]float64, assignments []int, workers int) float64 {
-	n := ds.Rows()
-	if workers <= 1 {
-		total := 0.0
-		for i := 0; i < n; i++ {
+func assignParallel(ds *Dataset, centroids [][]float64, assignments []int, workers int) (float64, error) {
+	partial := make([]float64, max(workers, 1))
+	err := par.Ranges(ds.Rows(), workers, func(w, lo, hi int) error {
+		sum := 0.0
+		for i := lo; i < hi; i++ {
 			c, d := nearestCentroid(ds.Features[i], centroids)
 			assignments[i] = c
-			total += d
+			sum += d
 		}
-		return total
-	}
-	chunk := (n + workers - 1) / workers
-	partial := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sum := 0.0
-			for i := lo; i < hi; i++ {
-				c, d := nearestCentroid(ds.Features[i], centroids)
-				assignments[i] = c
-				sum += d
-			}
-			partial[w] = sum
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		partial[w] = sum
+		return nil
+	})
 	total := 0.0
 	for _, s := range partial {
 		total += s
 	}
-	return total
+	return total, err
 }

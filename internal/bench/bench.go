@@ -1,8 +1,8 @@
 // Package bench implements the experiment harness that regenerates every
-// table of the evaluation (DESIGN.md §3, EXPERIMENTS.md). The same experiment
-// code is driven from `go test -bench` (bench_test.go) and from the
-// cmd/idaabench binary, so the numbers in EXPERIMENTS.md can be reproduced
-// either way.
+// table of the evaluation. The same experiment code is driven from
+// `go test -bench` (bench_test.go) and from the cmd/idaabench binary, so every
+// number can be reproduced either way. End-to-end claims about the served
+// system are judged by the benchmark in benchmark/ (see benchmark/README.md).
 package bench
 
 import (
@@ -45,7 +45,7 @@ func SmallScale() Scale {
 	}
 }
 
-// FullScale is the scale EXPERIMENTS.md reports.
+// FullScale is the paper-sized scale (cmd/idaabench -scale full).
 func FullScale() Scale {
 	return Scale{
 		Name:           "full",

@@ -1,8 +1,7 @@
 package colstore
 
 import (
-	"sync"
-
+	"idaax/internal/par"
 	"idaax/internal/types"
 )
 
@@ -117,7 +116,8 @@ func (b *Batch) Materialize(dst []types.Row) []types.Row {
 // concatenating per-worker results in worker order yields position order —
 // the same order ParallelScan returns. The batch passed to fn (vectors and
 // selection vector included) is reused and only valid for the duration of the
-// call. ScanStats.RowsMaterialized counts the selected rows delivered.
+// call. ScanStats.RowsMaterialized counts the selected rows delivered. A
+// panic in fn fails the scan with a *par.PanicError.
 func (t *Table) ScanBatches(slices int, vis Visibility, preds []SimplePredicate, fn func(worker int, b *Batch) error) (ScanStats, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -132,15 +132,7 @@ func (t *Table) ScanBatches(slices int, vis Visibility, preds []SimplePredicate,
 	// scan completes and a dictionary spill requires the write lock, so the
 	// resolved tables cannot go stale mid-scan.
 	preds = resolveDictPredicates(t.cols, preds)
-	if slices < 1 {
-		slices = 1
-	}
-	if maxUseful := (n + 2047) / 2048; slices > maxUseful {
-		slices = maxUseful
-	}
-	if slices > n {
-		slices = n
-	}
+	slices = scanSlices(slices, n)
 
 	type sliceResult struct {
 		pruned   int
@@ -149,31 +141,28 @@ func (t *Table) ScanBatches(slices int, vis Visibility, preds []SimplePredicate,
 		err      error
 	}
 	results := make([]sliceResult, slices)
-	chunk := (n + slices - 1) / slices
-	var wg sync.WaitGroup
-	for s := 0; s < slices; s++ {
-		lo := s * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			pruned, selected, batches, err := t.scanChunkBatches(s, lo, hi, vis, preds, fn)
-			results[s] = sliceResult{pruned: pruned, selected: selected, batches: batches, err: err}
-		}(s, lo, hi)
-	}
-	wg.Wait()
+	err := par.Ranges(n, slices, func(s, lo, hi int) error {
+		r := &results[s]
+		r.pruned, r.selected, r.batches, r.err = t.scanChunkBatches(s, lo, hi, vis, preds, fn)
+		return r.err
+	})
+	// The counters cover the slices up to the first failed one.
 	for _, r := range results {
 		stats.BlocksPruned += r.pruned
 		stats.RowsMaterialized += r.selected
 		stats.Batches += r.batches
 		if r.err != nil {
-			return stats, r.err
+			break
 		}
 	}
-	return stats, nil
+	return stats, err
+}
+
+// scanSlices is the number of slices an n-row scan (n > 0) runs on: the
+// requested count, at least one, and no more than one per 2048 rows so small
+// tables do not pay per-slice overhead for a handful of rows.
+func scanSlices(slices, n int) int {
+	return max(1, min(slices, (n+2047)/2048))
 }
 
 // scanChunkBatches is one worker's share of ScanBatches: rows [lo, hi).
@@ -254,14 +243,18 @@ func (t *Table) fillBatch(b *Batch, start, end int) {
 // ScanMaterialize is the batch-scan twin of ParallelScan: it returns exactly
 // the same rows in the same (position) order, but evaluates predicates with
 // vector loops and materializes only surviving rows into per-worker buffers
-// sized from batch survivor counts.
+// sized from batch survivor counts. Like ParallelScan, it re-raises a slice
+// worker's panic on the caller's goroutine as a *par.PanicError.
 func (t *Table) ScanMaterialize(slices int, vis Visibility, preds []SimplePredicate) ([]types.Row, ScanStats) {
 	nw := max(slices, 1)
 	buckets := make([][]types.Row, nw)
-	stats, _ := t.ScanBatches(slices, vis, preds, func(w int, b *Batch) error {
+	stats, err := t.ScanBatches(slices, vis, preds, func(w int, b *Batch) error {
 		buckets[w] = b.Materialize(buckets[w])
 		return nil
 	})
+	if err != nil {
+		panic(err)
+	}
 	out := make([]types.Row, 0, stats.RowsMaterialized)
 	for _, rows := range buckets {
 		out = append(out, rows...)

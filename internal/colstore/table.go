@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"idaax/internal/obs"
+	"idaax/internal/par"
 	"idaax/internal/stats"
 	"idaax/internal/types"
 )
@@ -511,7 +512,8 @@ type ScanStats struct {
 // pushed-down predicates, scanning with the requested number of worker slices
 // and pruning zone-map blocks that cannot match. The result order is by row
 // position (slices own contiguous ranges and results are concatenated in
-// slice order).
+// slice order). A panic in a slice worker is re-raised on the caller's
+// goroutine as a *par.PanicError once every slice has stopped.
 func (t *Table) ParallelScan(slices int, vis Visibility, preds []SimplePredicate) ([]types.Row, ScanStats) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -521,87 +523,66 @@ func (t *Table) ParallelScan(slices int, vis Visibility, preds []SimplePredicate
 	if n == 0 {
 		return nil, stats
 	}
-	if slices < 1 {
-		slices = 1
-	}
-	// Avoid pathological per-slice overhead on small tables: give every slice
-	// at least a reasonable chunk of rows to work on.
-	if maxUseful := (n + 2047) / 2048; slices > maxUseful {
-		slices = maxUseful
-	}
-	if slices > n {
-		slices = n
-	}
+	slices = scanSlices(slices, n)
 
 	type sliceResult struct {
 		rows   []types.Row
 		pruned int
 	}
 	results := make([]sliceResult, slices)
-	chunk := (n + slices - 1) / slices
-	var wg sync.WaitGroup
-	for s := 0; s < slices; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			// First pass records surviving row indices (cheap ints), so the
-			// row buffer can be allocated once at its exact final size instead
-			// of growing through repeated appends on large scans.
-			idxs := make([]int, 0, min(hi-lo, 4*ZoneBlockSize))
-			pruned := 0
-			blockStart := lo
-			for blockStart < hi {
-				block := blockStart / ZoneBlockSize
-				blockEnd := (block + 1) * ZoneBlockSize
-				if blockEnd > hi {
-					blockEnd = hi
+	err := par.Ranges(n, slices, func(s, lo, hi int) error {
+		// First pass records surviving row indices (cheap ints), so the
+		// row buffer can be allocated once at its exact final size instead
+		// of growing through repeated appends on large scans.
+		idxs := make([]int, 0, min(hi-lo, 4*ZoneBlockSize))
+		pruned := 0
+		blockStart := lo
+		for blockStart < hi {
+			block := blockStart / ZoneBlockSize
+			blockEnd := (block + 1) * ZoneBlockSize
+			if blockEnd > hi {
+				blockEnd = hi
+			}
+			skip := false
+			for _, p := range preds {
+				if !p.blockMayMatch(t.cols[p.ColIdx], block) {
+					skip = true
+					break
 				}
-				skip := false
+			}
+			if skip {
+				pruned++
+				blockStart = blockEnd
+				continue
+			}
+			for i := blockStart; i < blockEnd; i++ {
+				if !vis(t.created[i], t.deleted[i]) {
+					continue
+				}
+				match := true
 				for _, p := range preds {
-					if !p.blockMayMatch(t.cols[p.ColIdx], block) {
-						skip = true
+					if !p.rowMatches(t.cols[p.ColIdx], i) {
+						match = false
 						break
 					}
 				}
-				if skip {
-					pruned++
-					blockStart = blockEnd
+				if !match {
 					continue
 				}
-				for i := blockStart; i < blockEnd; i++ {
-					if !vis(t.created[i], t.deleted[i]) {
-						continue
-					}
-					match := true
-					for _, p := range preds {
-						if !p.rowMatches(t.cols[p.ColIdx], i) {
-							match = false
-							break
-						}
-					}
-					if !match {
-						continue
-					}
-					idxs = append(idxs, i)
-				}
-				blockStart = blockEnd
+				idxs = append(idxs, i)
 			}
-			rows := make([]types.Row, len(idxs))
-			for j, i := range idxs {
-				rows[j] = t.readRowLocked(i)
-			}
-			results[s] = sliceResult{rows: rows, pruned: pruned}
-		}(s, lo, hi)
+			blockStart = blockEnd
+		}
+		rows := make([]types.Row, len(idxs))
+		for j, i := range idxs {
+			rows[j] = t.readRowLocked(i)
+		}
+		results[s] = sliceResult{rows: rows, pruned: pruned}
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
-	wg.Wait()
 
 	total := 0
 	for _, r := range results {

@@ -1,9 +1,8 @@
 package relalg
 
 import (
-	"sync"
-
 	"idaax/internal/expr"
+	"idaax/internal/par"
 	"idaax/internal/sqlparse"
 	"idaax/internal/types"
 )
@@ -47,7 +46,7 @@ func aggregateAndProject(rel *Relation, sel *sqlparse.SelectStmt, opts Options) 
 		}
 	}
 
-	workers := opts.workers(len(rel.Rows))
+	workers := opts.workers()
 	var groups map[string]*groupState
 	var order []string
 	var err error
@@ -200,36 +199,14 @@ func buildGroups(rows []types.Row, sel *sqlparse.SelectStmt, env *expr.Env, aggC
 // states. This mirrors how the accelerator's slices compute partial aggregates
 // that the coordinator combines.
 func buildGroupsParallel(rel *Relation, sel *sqlparse.SelectStmt, env *expr.Env, aggCalls []*sqlparse.FuncCall, workers int) (map[string]*groupState, []string, error) {
-	n := len(rel.Rows)
-	chunk := (n + workers - 1) / workers
 	partials := make([]map[string]*groupState, workers)
 	partialOrders := make([][]string, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			localEnv := expr.NewEnv(rel.Cols)
-			groups, order, err := buildGroups(rel.Rows[lo:hi], sel, localEnv, aggCalls)
-			partials[w] = groups
-			partialOrders[w] = order
-			errs[w] = err
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	err := par.Ranges(len(rel.Rows), workers, func(w, lo, hi int) (err error) {
+		partials[w], partialOrders[w], err = buildGroups(rel.Rows[lo:hi], sel, expr.NewEnv(rel.Cols), aggCalls)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	merged := make(map[string]*groupState)
 	var order []string

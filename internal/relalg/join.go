@@ -2,9 +2,9 @@ package relalg
 
 import (
 	"fmt"
-	"sync"
 
 	"idaax/internal/expr"
+	"idaax/internal/par"
 	"idaax/internal/sqlparse"
 	"idaax/internal/types"
 )
@@ -151,61 +151,36 @@ func hashJoin(left, right *Relation, jt sqlparse.JoinType, on sqlparse.Expr, lef
 		return rows, nil
 	}
 
-	n := len(left.Rows)
-	if workers < 2 || n < 4096 {
-		rows, err := probe(expr.NewEnv(out.Cols), left.Rows)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = rows
-		return out, nil
+	if len(left.Rows) < 4096 {
+		workers = 1
 	}
-	results, err := parallelOverLeft(n, workers, func(env *expr.Env, lo, hi int) ([]types.Row, error) {
-		return probe(env, left.Rows[lo:hi])
-	}, out.Cols)
+	rows, err := parallelOverLeft(left.Rows, workers, out.Cols, probe)
 	if err != nil {
 		return nil, err
 	}
-	for _, part := range results {
-		out.Rows = append(out.Rows, part...)
-	}
+	out.Rows = rows
 	return out, nil
 }
 
-// parallelOverLeft splits [0, n) into one contiguous chunk per worker and runs
-// fn on each with a worker-private expression environment (environments carry
-// per-query override maps and must not be shared across goroutines). Results
-// come back in chunk order so the output row order matches a serial run.
-func parallelOverLeft(n, workers int, fn func(env *expr.Env, lo, hi int) ([]types.Row, error), cols []expr.InputColumn) ([][]types.Row, error) {
-	if workers > n {
-		workers = n
+// parallelOverLeft splits the left rows into one contiguous chunk per worker
+// and probes each with a worker-private expression environment (environments
+// carry per-query override maps and must not be shared across goroutines).
+// The chunks' rows are concatenated in chunk order so the output row order
+// matches a serial run; one worker probes inline.
+func parallelOverLeft(lrows []types.Row, workers int, cols []expr.InputColumn, probe func(env *expr.Env, lrows []types.Row) ([]types.Row, error)) ([]types.Row, error) {
+	results := make([][]types.Row, max(1, min(workers, len(lrows))))
+	err := par.Ranges(len(lrows), workers, func(w, lo, hi int) (err error) {
+		results[w], err = probe(expr.NewEnv(cols), lrows[lo:hi])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	chunk := (n + workers - 1) / workers
-	results := make([][]types.Row, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			results[w], errs[w] = fn(expr.NewEnv(cols), lo, hi)
-		}(w, lo, hi)
+	rows := results[0]
+	for _, part := range results[1:] {
+		rows = append(rows, part...)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return rows, nil
 }
 
 func joinKey(row types.Row, idx []int) (string, bool) {
@@ -259,24 +234,14 @@ func nestedLoopJoin(left, right *Relation, jt sqlparse.JoinType, on sqlparse.Exp
 		return rows, nil
 	}
 
-	n := len(left.Rows)
-	if workers < 2 || n*len(right.Rows) < 1<<14 || n < 2 {
-		rows, err := probe(expr.NewEnv(out.Cols), left.Rows)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = rows
-		return out, nil
+	if len(left.Rows)*len(right.Rows) < 1<<14 {
+		workers = 1
 	}
-	results, err := parallelOverLeft(n, workers, func(env *expr.Env, lo, hi int) ([]types.Row, error) {
-		return probe(env, left.Rows[lo:hi])
-	}, out.Cols)
+	rows, err := parallelOverLeft(left.Rows, workers, out.Cols, probe)
 	if err != nil {
 		return nil, err
 	}
-	for _, part := range results {
-		out.Rows = append(out.Rows, part...)
-	}
+	out.Rows = rows
 	return out, nil
 }
 

@@ -5,9 +5,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"idaax/internal/expr"
+	"idaax/internal/par"
 	"idaax/internal/sqlparse"
 	"idaax/internal/types"
 )
@@ -21,21 +21,10 @@ type Options struct {
 	Parallelism int
 }
 
-func (o Options) workers(n int) int {
-	p := o.Parallelism
-	if p < 1 {
-		p = 1
-	}
-	if p > runtime.NumCPU()*4 {
-		p = runtime.NumCPU() * 4
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+// workers is the goroutine budget for one operator; par.Ranges clamps it
+// further to the row count.
+func (o Options) workers() int {
+	return max(1, min(o.Parallelism, runtime.NumCPU()*4))
 }
 
 // ExecuteSelect runs WHERE, GROUP BY/aggregation, HAVING, projection,
@@ -79,63 +68,28 @@ func Filter(rel *Relation, where sqlparse.Expr, opts Options) (*Relation, error)
 		return rel, nil
 	}
 	out := &Relation{Cols: rel.Cols}
-	n := len(rel.Rows)
-	if n == 0 {
-		return out, nil
-	}
-	workers := opts.workers(n)
-	if workers == 1 {
+	workers := opts.workers()
+	results := make([][]types.Row, workers)
+	err := par.Ranges(len(rel.Rows), workers, func(w, lo, hi int) error {
 		env := expr.NewEnv(rel.Cols)
-		for _, row := range rel.Rows {
+		var keep []types.Row
+		for _, row := range rel.Rows[lo:hi] {
 			ok, err := env.EvalBool(where, row)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if ok {
-				out.Rows = append(out.Rows, row)
+				keep = append(keep, row)
 			}
 		}
-		return out, nil
+		results[w] = keep
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	chunk := (n + workers - 1) / workers
-	results := make([][]types.Row, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			env := expr.NewEnv(rel.Cols)
-			var keep []types.Row
-			for _, row := range rel.Rows[lo:hi] {
-				ok, err := env.EvalBool(where, row)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if ok {
-					keep = append(keep, row)
-				}
-			}
-			results[w] = keep
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, part := range results {
+	out.Rows = results[0]
+	for _, part := range results[1:] {
 		out.Rows = append(out.Rows, part...)
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 
 	"idaax/internal/accel"
 	"idaax/internal/obs"
+	"idaax/internal/par"
 	"idaax/internal/relalg"
 	"idaax/internal/sqlparse"
 	"idaax/internal/types"
@@ -122,55 +123,68 @@ func (r *Router) CallShardLocalStream(txnID int64, table, proc string, sp *obs.S
 	ms, snaps := r.snapshotAll(txnID)
 	sp.Add(obs.KeyShards, int64(len(ms)))
 
-	partials := make([]any, len(ms))
-	errs := make([]error, len(ms))
-	ready := make([]chan struct{}, len(ms))
-	var wg sync.WaitGroup
+	tbl := types.NormalizeName(table)
+	spans := make([]*obs.Span, len(ms))
 	for i, m := range ms {
 		m.NoteQuery()
-		ready[i] = make(chan struct{})
-		psp := sp.Child("partition")
-		psp.Label(obs.LabelShard, m.Name())
-		psp.Label(obs.LabelTable, types.NormalizeName(table))
-		wg.Add(1)
-		go func(i int, m *accel.Accelerator, snap *accel.Snapshot, psp *obs.Span) {
-			defer wg.Done()
-			defer close(ready[i])
+		spans[i] = sp.Child("partition")
+		spans[i].Label(obs.LabelShard, m.Name())
+		spans[i].Label(obs.LabelTable, tbl)
+	}
+	// Each worker parks its outcome in its ordinal's slot; the worker that
+	// completes the lowest unsettled ordinal settles every consecutive
+	// completed one under mu, so merge runs in ordinal order and never
+	// concurrently. par.Do(1, …) runs inline and confines a panic to the one
+	// ordinal (or merge) that raised it.
+	var (
+		mu       sync.Mutex
+		partials = make([]any, len(ms))
+		errs     = make([]error, len(ms))
+		done     = make([]bool, len(ms))
+		next     int
+		callErr  error
+	)
+	err = par.Do(len(ms), func(i int) error {
+		var partial any
+		err := par.Do(1, func(int) error {
+			m, psp := ms[i], spans[i]
 			defer psp.Finish()
-			rows, err := m.ScanVisibleTraced(snap, table, nil, sqlparse.FromItem{Table: types.NormalizeName(table)}, psp)
+			rows, err := m.ScanVisibleTraced(snaps[i], table, nil, sqlparse.FromItem{Table: tbl}, psp)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 			atomic.AddInt64(&r.stats.AnalyticsPartials, 1)
-			partials[i], errs[i] = fn(&accel.ShardPartition{
+			partial, err = fn(&accel.ShardPartition{
 				Member:  m.Name(),
 				Ordinal: i,
 				Shards:  len(ms),
-				Rows:    relalg.FromTable(types.NormalizeName(table), meta.schema, rows),
+				Rows:    relalg.FromTable(tbl, meta.schema, rows),
 				WriteLocal: func(out string, outRows []types.Row) (int, error) {
 					n, err := m.ImportRows(out, outRows, nil)
 					atomic.AddInt64(&r.stats.AnalyticsRowsWrittenLocal, int64(n))
 					return n, err
 				},
 			})
-		}(i, m, snaps[i], psp)
-	}
-	var callErr error
-	for i := range ms {
-		<-ready[i]
-		if errs[i] != nil {
-			r.emitScatterFailure(ms[i].Name(), types.NormalizeName(table), proc, errs[i])
-			if callErr == nil {
-				callErr = fmt.Errorf("shard %s: %w", ms[i].Name(), errs[i])
+			return err
+		})
+		mu.Lock()
+		defer mu.Unlock()
+		partials[i], errs[i], done[i] = partial, err, true
+		for ; next < len(ms) && done[next]; next++ {
+			if errs[next] != nil {
+				r.emitScatterFailure(ms[next].Name(), tbl, proc, errs[next])
+				if callErr == nil {
+					callErr = fmt.Errorf("shard %s: %w", ms[next].Name(), errs[next])
+				}
+			} else if callErr == nil {
+				callErr = par.Do(1, func(int) error { return merge(next, partials[next]) })
 			}
-			continue
+			partials[next] = nil
 		}
-		if callErr == nil {
-			callErr = merge(i, partials[i])
-		}
-		partials[i] = nil
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
 	return callErr
 }

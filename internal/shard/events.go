@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"idaax/internal/obs/eventlog"
+	"idaax/internal/par"
 )
 
 // SetEventLog wires the ops-plane event journal into the router: membership
@@ -56,7 +58,7 @@ func (r *Router) emitScatterFailure(member, table, proc string, err error) {
 		Shard:    member,
 		Table:    table,
 		Message:  fmt.Sprintf("analytics scatter failed on %s: %v", member, err),
-		Payload:  map[string]string{"procedure": proc},
+		Payload:  withStack(map[string]string{"procedure": proc}, err),
 	})
 }
 
@@ -68,5 +70,18 @@ func (r *Router) emitScanError(member, table string, err error) {
 		Shard:    member,
 		Table:    table,
 		Message:  fmt.Sprintf("shard scan failed on %s: %v", member, err),
+		Payload:  withStack(nil, err),
 	})
+}
+
+// withStack adds the stack of a worker panic behind err to an event payload.
+func withStack(payload map[string]string, err error) map[string]string {
+	var pe *par.PanicError
+	if errors.As(err, &pe) {
+		if payload == nil {
+			payload = make(map[string]string, 1)
+		}
+		payload["stack"] = string(pe.Stack)
+	}
+	return payload
 }

@@ -2,12 +2,13 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"idaax/internal/accel"
 	"idaax/internal/obs"
+	"idaax/internal/par"
 	"idaax/internal/planner"
 	"idaax/internal/relalg"
 	"idaax/internal/sqlparse"
@@ -266,35 +267,30 @@ func (r *Router) executeShardLocal(txnID int64, sel *sqlparse.SelectStmt, pl *pl
 		rest = &stripped
 	}
 	results := make([]*relalg.Relation, len(participants))
-	errs := make([]error, len(participants))
-	var wg sync.WaitGroup
+	spans := make([]*obs.Span, len(participants))
 	for i, p := range participants {
-		m := ms[p]
-		m.NoteQuery()
-		ssp := sp.Child("shard")
-		ssp.Label(obs.LabelShard, m.Name())
-		wg.Add(1)
-		go func(i int, m *accel.Accelerator, snap *accel.Snapshot, ssp *obs.Span) {
-			defer wg.Done()
-			defer ssp.Finish()
-			if multiTable {
-				results[i], errs[i] = m.BuildFromRelationTraced(txnID, snap, pl.Sel, overrides, pl.Methods, ssp)
-			} else {
-				results[i], errs[i] = m.ScanFilteredTraced(snap, pl.Sel, ssp)
-			}
-		}(i, m, snaps[p], ssp)
+		ms[p].NoteQuery()
+		spans[i] = sp.Child("shard")
+		spans[i].Label(obs.LabelShard, ms[p].Name())
 	}
-	wg.Wait()
-	union := &relalg.Relation{}
-	total := 0
-	for i := range participants {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("shard %s: %w", ms[participants[i]].Name(), errs[i])
+	failed, err := fanOut(len(participants), func(i int) (err error) {
+		m, snap, ssp := ms[participants[i]], snaps[participants[i]], spans[i]
+		defer ssp.Finish()
+		if multiTable {
+			results[i], err = m.BuildFromRelationTraced(txnID, snap, pl.Sel, overrides, pl.Methods, ssp)
+		} else {
+			results[i], err = m.ScanFilteredTraced(snap, pl.Sel, ssp)
 		}
-		total += len(results[i].Rows)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: %w", ms[participants[failed]].Name(), err)
 	}
-	union.Cols = results[0].Cols
-	union.Rows = make([]types.Row, 0, total)
+	total := 0
+	for _, part := range results {
+		total += len(part.Rows)
+	}
+	union := &relalg.Relation{Cols: results[0].Cols, Rows: make([]types.Row, 0, total)}
 	for _, part := range results {
 		union.Rows = append(union.Rows, part.Rows...)
 	}
@@ -450,66 +446,33 @@ func (r *Router) gatherRows(ms []*accel.Accelerator, members []int, snaps []*acc
 	gsp.Add(obs.KeyShards, int64(len(members)))
 	defer gsp.Finish()
 	results := make([][]types.Row, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, p := range members {
-		wg.Add(1)
-		go func(i int, m *accel.Accelerator, snap *accel.Snapshot) {
-			defer wg.Done()
-			results[i], errs[i] = m.ScanVisibleTraced(snap, item.Table, sel, item, gsp)
-		}(i, ms[p], snaps[p])
+	failed, err := fanOut(len(members), func(i int) (err error) {
+		results[i], err = ms[members[i]].ScanVisibleTraced(snaps[members[i]], item.Table, sel, item, gsp)
+		return err
+	})
+	if err != nil {
+		name := ms[members[failed]].Name()
+		r.emitScanError(name, types.NormalizeName(item.Name()), err)
+		return nil, fmt.Errorf("shard %s: %w", name, err)
 	}
-	wg.Wait()
-	total := 0
-	for i := range members {
-		if errs[i] != nil {
-			r.emitScanError(ms[members[i]].Name(), types.NormalizeName(item.Name()), errs[i])
-			return nil, fmt.Errorf("shard %s: %w", ms[members[i]].Name(), errs[i])
-		}
-		total += len(results[i])
-	}
-	out := make([]types.Row, 0, total)
-	for _, part := range results {
-		out = append(out, part...)
-	}
-	atomic.AddInt64(&r.stats.RowsGathered, int64(total))
+	out := slices.Concat(results...)
+	atomic.AddInt64(&r.stats.RowsGathered, int64(len(out)))
 	return out, nil
 }
 
-// scatterQuery runs the same statement on the given members concurrently —
-// each under its snapshot from the fenced set — and returns the union of the
-// result relations (columns taken from the first shard; every shard produces
-// the identical column layout).
-func (r *Router) scatterQuery(txnID int64, sel *sqlparse.SelectStmt, ms []*accel.Accelerator, snaps []*accel.Snapshot, members []int, sp *obs.Span) (*relalg.Relation, error) {
-	ssp := sp.Child("scatter")
-	ssp.Add(obs.KeyShards, int64(len(members)))
-	defer ssp.Finish()
-	results := make([]*relalg.Relation, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, p := range members {
-		qsp := ssp.Child("shard")
-		qsp.Label(obs.LabelShard, ms[p].Name())
-		wg.Add(1)
-		go func(i int, m *accel.Accelerator, snap *accel.Snapshot, qsp *obs.Span) {
-			defer wg.Done()
-			defer qsp.Finish()
-			results[i], errs[i] = m.QueryAtTraced(txnID, snap, sel, qsp)
-		}(i, ms[p], snaps[p], qsp)
-	}
-	wg.Wait()
-	union := &relalg.Relation{}
-	for i := range members {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("shard %s: %w", ms[members[i]].Name(), errs[i])
+// fanOut runs fn(i) for every i in [0, n) concurrently and returns the first
+// failure in index order — a panic in fn included, as a *par.PanicError —
+// with its index, so the caller can name the member it came from.
+func fanOut(n int, fn func(i int) error) (int, error) {
+	ok := make([]bool, n)
+	err := par.Do(n, func(i int) error {
+		if err := fn(i); err != nil {
+			return err
 		}
-		if union.Cols == nil {
-			union.Cols = results[i].Cols
-		}
-		union.Rows = append(union.Rows, results[i].Rows...)
-	}
-	atomic.AddInt64(&r.stats.RowsGathered, int64(len(union.Rows)))
-	return union, nil
+		ok[i] = true
+		return nil
+	})
+	return slices.Index(ok, false), err
 }
 
 // scatterPartials runs the partial-aggregate statement on the given members
@@ -517,41 +480,37 @@ func (r *Router) scatterQuery(txnID int64, sel *sqlparse.SelectStmt, ms []*accel
 // aggregation frame (frame.go): fixed-width tagged group keys and accumulator
 // states, with repeated strings collapsed to int32 codes into per-column
 // mini-dictionaries. The coordinator decodes the frames and concatenates them
-// in member order — the same union scatterQuery would produce, at a fraction
-// of the wire bytes of re-rendered text rows. The frame/byte counters record
-// both the actual frame size and the estimated classic text size, so the
-// saving is observable per statement.
+// in member order — the union of the members' result relations, at a
+// fraction of the wire bytes of re-rendered text rows. The frame/byte
+// counters record both the actual frame size and the estimated classic text
+// size, so the saving is observable per statement.
 func (r *Router) scatterPartials(txnID int64, sel *sqlparse.SelectStmt, ms []*accel.Accelerator, snaps []*accel.Snapshot, members []int, sp *obs.Span) (*relalg.Relation, error) {
 	ssp := sp.Child("scatter")
 	ssp.Add(obs.KeyShards, int64(len(members)))
 	defer ssp.Finish()
 	frames := make([][]byte, len(members))
 	textBytes := make([]int64, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
+	spans := make([]*obs.Span, len(members))
 	for i, p := range members {
-		qsp := ssp.Child("shard")
-		qsp.Label(obs.LabelShard, ms[p].Name())
-		wg.Add(1)
-		go func(i int, m *accel.Accelerator, snap *accel.Snapshot, qsp *obs.Span) {
-			defer wg.Done()
-			defer qsp.Finish()
-			rel, err := m.QueryAtTraced(txnID, snap, sel, qsp)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			frames[i] = encodeAggFrame(rel)
-			textBytes[i] = textWireBytes(rel)
-		}(i, ms[p], snaps[p], qsp)
+		spans[i] = ssp.Child("shard")
+		spans[i].Label(obs.LabelShard, ms[p].Name())
 	}
-	wg.Wait()
+	failed, err := fanOut(len(members), func(i int) error {
+		defer spans[i].Finish()
+		rel, err := ms[members[i]].QueryAtTraced(txnID, snaps[members[i]], sel, spans[i])
+		if err != nil {
+			return err
+		}
+		frames[i] = encodeAggFrame(rel)
+		textBytes[i] = textWireBytes(rel)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: %w", ms[members[failed]].Name(), err)
+	}
 	union := &relalg.Relation{}
 	var frameTotal, textTotal int64
 	for i := range members {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("shard %s: %w", ms[members[i]].Name(), errs[i])
-		}
 		part, err := decodeAggFrame(frames[i])
 		if err != nil {
 			return nil, fmt.Errorf("shard %s: %w", ms[members[i]].Name(), err)

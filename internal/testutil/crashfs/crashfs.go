@@ -307,6 +307,10 @@ func (f *FS) ReadDir(dir string) ([]string, error) {
 		return nil, ErrCrashed
 	}
 	dir = path.Clean(dir)
+	prefix := dir + "/"
+	if dir == "." {
+		prefix = ""
+	}
 	seen := make(map[string]bool)
 	var names []string
 	for name := range f.files {
@@ -316,8 +320,8 @@ func (f *FS) ReadDir(dir string) ([]string, error) {
 				seen[base] = true
 				names = append(names, base)
 			}
-		} else if strings.HasPrefix(name, dir+"/") {
-			rest := strings.TrimPrefix(name, dir+"/")
+		} else if strings.HasPrefix(name, prefix) {
+			rest := strings.TrimPrefix(name, prefix)
 			if i := strings.IndexByte(rest, '/'); i >= 0 {
 				sub := rest[:i]
 				if !seen[sub] {
