@@ -10,7 +10,7 @@
 // (including each experiment's named metrics), and -baseline compares the
 // fresh metrics against a checked-in report, exiting non-zero when any metric
 // regresses by more than -tolerance (throughput dropping, data movement
-// rising):
+// rising) or is missing from the fresh report:
 //
 //	go run ./cmd/idaabench -experiment e12 -scale small \
 //	    -json BENCH_E12.json -baseline .github/bench-baselines/BENCH_E12.json

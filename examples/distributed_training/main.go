@@ -5,9 +5,7 @@
 // coordinator merges the partials into one model — no base row ever travels.
 // Scoring scatters too, writing every prediction on the shard that computed
 // it; because the id column is the distribution key, the prediction table
-// inherits the key and joins against the input run shard-local. The tour
-// ends with the A/B switch bench E12 uses: forcing the old gather path and
-// comparing the data-movement counters.
+// inherits the key and joins against the input run shard-local.
 //
 //	go run ./examples/distributed_training
 package main
@@ -53,6 +51,7 @@ func main() {
 	fmt.Printf("loaded %d rows over 4 shards\n", rows)
 
 	fmt.Println("\n== 2. Training scatters; only partials travel ==")
+	st0, _ := sys.ShardGroupStats("")
 	res := session.MustExec("CALL IDAX.LOGISTIC_REGRESSION('SIGNUPS', 'CHURNED', 'VISITS,SPEND,TICKETS', 'CHURN_MODEL', 120, 0.3)")
 	fmt.Println(res.Message)
 	res = session.MustExec("CALL IDAX.SUMMARY('SIGNUPS', 'VISITS,SPEND,TICKETS')")
@@ -68,22 +67,11 @@ func main() {
 	fmt.Println(res.Message)
 	st2, _ := sys.ShardGroupStats("")
 	fmt.Printf("predictions written on their own shard: %d\n", st2.AnalyticsRowsWrittenLocal)
+	fmt.Printf("RowsGathered across train + score: %d -> %d\n", st0.RowsGathered, st2.RowsGathered)
 
 	// The score table inherited HASH(uid), so this join never gathers.
 	res = session.MustExec("SELECT COUNT(*) FROM signups s INNER JOIN churn_scores c ON s.uid = c.id WHERE c.label = '1'")
 	st3, _ := sys.ShardGroupStats("")
 	fmt.Printf("predicted churners: %s (join ran co-located: %v)\n",
 		res.Rows[0][0], st3.ColocatedJoins > st2.ColocatedJoins)
-
-	fmt.Println("\n== 4. The A/B switch: force the old gather path ==")
-	if err := sys.SetShardLocalAnalytics("", false); err != nil {
-		panic(err)
-	}
-	before, _ := sys.ShardGroupStats("")
-	res = session.MustExec("CALL IDAX.LOGISTIC_REGRESSION('SIGNUPS', 'CHURNED', 'VISITS,SPEND,TICKETS', 'CHURN_MODEL_GATHERED', 120, 0.3)")
-	fmt.Println(res.Message)
-	after, _ := sys.ShardGroupStats("")
-	fmt.Printf("gather path moved %d base rows to the coordinator for one training run;\n", after.RowsGathered-before.RowsGathered)
-	fmt.Println("the scatter path moved none. Both models are identical (differential tests pin it);")
-	fmt.Println("bench E12 measures the throughput and data-movement gap, and CI gates on it.")
 }

@@ -52,8 +52,8 @@ type Backend interface {
 	// SetVectorizedExecution toggles the vectorized batch engine (on by
 	// default; a sharded backend fans the setting to every member, including
 	// ones added later). VectorizedEnabled reports the current state. The
-	// switch exists for A/B measurement, like the router's cost-based-planning
-	// toggle; both engines return identical results.
+	// switch exists for A/B measurement and keeps the row engine reachable as
+	// the differential oracle; both engines return identical results.
 	SetVectorizedExecution(enabled bool)
 	VectorizedEnabled() bool
 
@@ -85,28 +85,6 @@ type Backend interface {
 	// live distribution map first); srcIDs may be nil or align with rows.
 	ExportRows(table string, fn func(row types.Row, srcID int64) error) error
 	ImportRows(table string, rows []types.Row, srcIDs []int64) (int, error)
-
-	// CallShardLocal is the analytics seam: it runs fn once per shard holding
-	// rows of table — concurrently on a sharded backend, under one fenced
-	// snapshot set and the table's migration fence, so every visible row is
-	// presented to exactly one invocation even while a rebalance is pending —
-	// and returns the partial results in shard order. proc labels the call for
-	// the per-procedure counters of a sharded backend ("" is allowed).
-	CallShardLocal(txnID int64, table, proc string, fn ShardLocalFunc) ([]any, error)
-	// CallShardLocalTraced is CallShardLocal with a trace span: each shard's
-	// scan and partial computation nests under sp. CallShardLocal is the
-	// untraced (nil span) form.
-	CallShardLocalTraced(txnID int64, table, proc string, sp *obs.Span, fn ShardLocalFunc) ([]any, error)
-	// CallShardLocalStream is the incremental form of CallShardLocalTraced:
-	// partials are not collected into one slice; instead merge runs at the
-	// coordinator once per shard, in shard-ordinal order, as soon as that
-	// ordinal's partial (and every lower ordinal's) has completed. merge is
-	// never invoked concurrently, and a partial is released to the collector
-	// right after its merge returns, so the coordinator buffers only partials
-	// that finished out of order — not one result set per shard. Ordinal
-	// order keeps floating-point merges deterministic across runs. sp may be
-	// nil; a merge error aborts the call (remaining shards still drain).
-	CallShardLocalStream(txnID int64, table, proc string, sp *obs.Span, fn ShardLocalFunc, merge func(ordinal int, partial any) error) error
 }
 
 var _ Backend = (*Accelerator)(nil)

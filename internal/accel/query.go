@@ -31,20 +31,16 @@ func (a *Accelerator) QueryTraced(txnID int64, sel *sqlparse.SelectStmt, sp *obs
 	return a.QueryAtTraced(txnID, a.Registry.Snapshot(txnID), sel, sp)
 }
 
-// QueryAt is Query under a caller-provided snapshot. The shard router uses it
-// to run one statement over many accelerators with snapshots taken together
-// under its commit fence, so a transaction committing across the fleet is
-// either visible on every shard or on none.
+// QueryAtTraced is Query under a caller-provided snapshot, with a trace span
+// (nil disables tracing). The shard router uses it to run one statement over
+// many accelerators with snapshots taken together under its commit fence, so
+// a transaction committing across the fleet is either visible on every shard
+// or on none.
 //
 // Multi-table statements first pass through the cost-based planner, which may
 // reorder the FROM clause and hoist WHERE equalities into join conditions;
 // the rewritten statement returns exactly the same rows (the full WHERE
 // clause is re-applied after the joins).
-func (a *Accelerator) QueryAt(txnID int64, snap *Snapshot, sel *sqlparse.SelectStmt) (*relalg.Relation, error) {
-	return a.QueryAtTraced(txnID, snap, sel, nil)
-}
-
-// QueryAtTraced is QueryAt with a trace span (nil disables tracing).
 func (a *Accelerator) QueryAtTraced(txnID int64, snap *Snapshot, sel *sqlparse.SelectStmt, sp *obs.Span) (rel *relalg.Relation, err error) {
 	atomic.AddInt64(&a.queriesRun, 1)
 	defer func() {

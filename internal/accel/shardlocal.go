@@ -3,12 +3,11 @@ package accel
 import (
 	"idaax/internal/obs"
 	"idaax/internal/relalg"
-	"idaax/internal/sqlparse"
 	"idaax/internal/types"
 )
 
 // ShardPartition is one shard's slice of a table, handed to the function a
-// caller passes to Backend.CallShardLocal. It is the analytics seam of the
+// caller passes to MultiShard.CallShardLocal. It is the analytics seam of the
 // backend surface: a procedure reads the shard's committed-visible rows,
 // computes a partial result (sufficient statistics, a locally trained model,
 // scored rows) and either returns the partial for merging at the coordinator
@@ -24,7 +23,7 @@ import (
 type ShardPartition struct {
 	// Member is the name of the accelerator holding this partition.
 	Member string
-	// Ordinal is the shard ordinal (0 for a single accelerator).
+	// Ordinal is the shard ordinal.
 	Ordinal int
 	// Shards is the number of partitions participating in the call.
 	Shards int
@@ -40,67 +39,28 @@ type ShardPartition struct {
 }
 
 // ShardLocalFunc is the per-shard body of a CallShardLocal invocation. The
-// returned partial (nil allowed) is collected in shard order for merging.
+// returned partial (nil allowed) is handed to merge in shard order.
 type ShardLocalFunc func(p *ShardPartition) (any, error)
 
-// MultiShard is implemented by backends that partition tables over more than
-// one member (shard.Router). Analytics procedures use it to decide whether a
-// CALL should scatter shard-local or read through the ordinary gather path.
+// MultiShard is a Backend that partitions tables over more than one member
+// (shard.Router). Analytics procedures use it to scatter a CALL shard-local
+// instead of reading the table through the ordinary query path.
 type MultiShard interface {
+	Backend
 	// ShardCount is the number of member accelerators.
 	ShardCount() int
-	// ShardLocalAnalytics reports whether shard-local procedure execution is
-	// enabled (it can be turned off to force the gather path for A/B
-	// measurement, like SetCostBasedPlanning for queries).
-	ShardLocalAnalytics() bool
-}
-
-// CallShardLocal implements the Backend analytics seam for a single
-// accelerator: the whole table is one partition and fn runs once against it.
-// proc labels the call for accounting; a single accelerator ignores it.
-func (a *Accelerator) CallShardLocal(txnID int64, table, proc string, fn ShardLocalFunc) ([]any, error) {
-	return a.CallShardLocalTraced(txnID, table, proc, nil, fn)
-}
-
-// CallShardLocalTraced is CallShardLocal with a trace span: the partition's
-// scan and the partial computation nest under sp. sp may be nil.
-func (a *Accelerator) CallShardLocalTraced(txnID int64, table, proc string, sp *obs.Span, fn ShardLocalFunc) ([]any, error) {
-	t, err := a.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	snap := a.Registry.Snapshot(txnID)
-	a.NoteQuery()
-	psp := sp.Child("partition")
-	psp.Label(obs.LabelShard, a.name)
-	psp.Label(obs.LabelTable, t.Name())
-	rows, err := a.ScanVisibleTraced(snap, table, nil, sqlparse.FromItem{Table: t.Name()}, psp)
-	if err != nil {
-		psp.Finish()
-		return nil, err
-	}
-	part := &ShardPartition{
-		Member: a.name,
-		Shards: 1,
-		Rows:   relalg.FromTable(t.Name(), t.Schema(), rows),
-		WriteLocal: func(out string, rows []types.Row) (int, error) {
-			return a.ImportRows(out, rows, nil)
-		},
-	}
-	partial, err := fn(part)
-	psp.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return []any{partial}, nil
-}
-
-// CallShardLocalStream implements the streaming analytics seam for a single
-// accelerator: the one partition computes and its partial merges immediately.
-func (a *Accelerator) CallShardLocalStream(txnID int64, table, proc string, sp *obs.Span, fn ShardLocalFunc, merge func(ordinal int, partial any) error) error {
-	partials, err := a.CallShardLocalTraced(txnID, table, proc, sp, fn)
-	if err != nil {
-		return err
-	}
-	return merge(0, partials[0])
+	// CallShardLocal is the analytics seam: it runs fn once per shard holding
+	// rows of table — concurrently, under one fenced snapshot set and the
+	// table's migration fence, so every visible row is presented to exactly
+	// one invocation even while a rebalance is pending — with each shard's
+	// scan and partial computation nested under sp (nil allowed). merge runs
+	// at the coordinator once per shard, in shard-ordinal order, as soon as
+	// that ordinal's partial (and every lower ordinal's) has completed. merge
+	// is never invoked concurrently, and a partial is released right after its
+	// merge returns, so the coordinator buffers only partials that finished
+	// out of order. Ordinal order keeps floating-point merges deterministic
+	// across runs. A merge error aborts the call (remaining shards still
+	// drain). proc labels the call for the per-procedure counters ("" is
+	// allowed).
+	CallShardLocal(txnID int64, table, proc string, sp *obs.Span, fn ShardLocalFunc, merge func(ordinal int, partial any) error) error
 }

@@ -12,59 +12,52 @@ import (
 
 // This file routes the IDAX.* procedures through the shard-local analytics
 // seam. When a CALL's input table lives on a sharded backend, training and
-// scoring scatter over the members that own the rows (accel.Backend.
+// scoring scatter over the members that own the rows (accel.MultiShard.
 // CallShardLocal) and only partials — sufficient statistics, local models,
 // completion counts — return to the coordinator for merging. Scoring writes
 // its predictions shard-local, next to the partition they were computed from.
 
 // scatterTarget decides whether a procedure on the given input table should
 // run shard-local: the table's backend must partition it over at least two
-// members and shard-local analytics must not be disabled (bench A/B switch).
-func scatterTarget(ctx *core.ProcContext, table string) (accel.Backend, string, bool) {
+// members.
+func scatterTarget(ctx *core.ProcContext, table string) (accel.MultiShard, bool) {
 	if ctx.BackendFor == nil {
-		return nil, "", false
+		return nil, false
 	}
-	be, name := ctx.BackendFor(table)
-	if be == nil {
-		return nil, "", false
+	ms, ok := ctx.BackendFor(table).(accel.MultiShard)
+	if !ok || ms.ShardCount() < 2 || !ms.HasTable(types.NormalizeName(table)) {
+		return nil, false
 	}
-	ms, ok := be.(accel.MultiShard)
-	if !ok || ms.ShardCount() < 2 || !ms.ShardLocalAnalytics() {
-		return nil, "", false
-	}
-	if !be.HasTable(types.NormalizeName(table)) {
-		return nil, "", false
-	}
-	return be, name, true
+	return ms, true
 }
 
-// scatterCall runs one shard-local scatter through the traced analytics seam,
-// nesting the per-shard partition spans under the calling statement's trace
-// (a no-op when the CALL is untraced).
-func scatterCall(ctx *core.ProcContext, be accel.Backend, table, proc string, fn accel.ShardLocalFunc) ([]any, error) {
+// scatterStream runs one shard-local scatter, nesting the per-shard partition
+// spans under the calling statement's trace (a no-op when the CALL is
+// untraced). merge consumes each shard's partial in ordinal order as it
+// completes, so single-pass reductions (moment merges, completion counts)
+// never hold one partial per shard at the coordinator.
+func scatterStream(ctx *core.ProcContext, be accel.MultiShard, table, proc string, fn accel.ShardLocalFunc, merge func(ordinal int, partial any) error) error {
 	sp := ctx.Span.Child("analytics")
 	sp.Label(obs.LabelTable, types.NormalizeName(table))
 	if proc != "" {
 		sp.Label(obs.LabelMode, types.NormalizeName(proc))
 	}
-	partials, err := be.CallShardLocalTraced(ctx.TxnID, table, proc, sp, fn)
-	sp.Finish()
-	return partials, err
-}
-
-// scatterStream is scatterCall through the streaming seam: merge consumes
-// each shard's partial in ordinal order as it completes, so single-pass
-// reductions (moment merges, completion counts) never hold one partial per
-// shard at the coordinator.
-func scatterStream(ctx *core.ProcContext, be accel.Backend, table, proc string, fn accel.ShardLocalFunc, merge func(ordinal int, partial any) error) error {
-	sp := ctx.Span.Child("analytics")
-	sp.Label(obs.LabelTable, types.NormalizeName(table))
-	if proc != "" {
-		sp.Label(obs.LabelMode, types.NormalizeName(proc))
-	}
-	err := be.CallShardLocalStream(ctx.TxnID, table, proc, sp, fn, merge)
+	err := be.CallShardLocal(ctx.TxnID, table, proc, sp, fn, merge)
 	sp.Finish()
 	return err
+}
+
+// scatterCall is scatterStream collecting every partial, in shard order, for
+// callers that need them all at once — the multi-round trainers iterating
+// over retained per-shard feature matrices. Merge runs in ordinal order, so
+// a plain append keeps the order.
+func scatterCall(ctx *core.ProcContext, be accel.MultiShard, table, proc string, fn accel.ShardLocalFunc) ([]any, error) {
+	var partials []any
+	err := scatterStream(ctx, be, table, proc, fn, func(_ int, partial any) error {
+		partials = append(partials, partial)
+		return nil
+	})
+	return partials, err
 }
 
 // plannerInfo asks the backend's planner catalog about a table — the same
@@ -81,7 +74,7 @@ func plannerInfo(be accel.Backend, table string) (planner.TableInfo, bool) {
 // scatterExtract runs one shard-local scatter that reduces every partition of
 // the input table to a Dataset. Partitions with no usable rows come back nil;
 // at least one row fleet-wide is required.
-func scatterExtract(ctx *core.ProcContext, be accel.Backend, table, proc string, opts ExtractOptions) ([]*Dataset, int, error) {
+func scatterExtract(ctx *core.ProcContext, be accel.MultiShard, table, proc string, opts ExtractOptions) ([]*Dataset, int, error) {
 	if err := ctx.CheckSelect(table); err != nil {
 		return nil, 0, err
 	}
@@ -174,7 +167,7 @@ func materializeTarget(ctx *core.ProcContext, outTable, accName string, schema t
 // Distributed training
 // ---------------------------------------------------------------------------
 
-func distLinearRegression(ctx *core.ProcContext, be accel.Backend, table, target, features, modelTable string, ridge float64) (*core.ProcResult, error) {
+func distLinearRegression(ctx *core.ProcContext, be accel.MultiShard, table, target, features, modelTable string, ridge float64) (*core.ProcResult, error) {
 	parts, _, err := scatterExtract(ctx, be, table, "IDAX.LINEAR_REGRESSION",
 		ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
 	if err != nil {
@@ -195,7 +188,7 @@ func distLinearRegression(ctx *core.ProcContext, be accel.Backend, table, target
 	}, nil
 }
 
-func distLogisticRegression(ctx *core.ProcContext, be accel.Backend, table, target, features, modelTable string, iterations int, learningRate float64) (*core.ProcResult, error) {
+func distLogisticRegression(ctx *core.ProcContext, be accel.MultiShard, table, target, features, modelTable string, iterations int, learningRate float64) (*core.ProcResult, error) {
 	parts, _, err := scatterExtract(ctx, be, table, "IDAX.LOGISTIC_REGRESSION",
 		ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
 	if err != nil {
@@ -216,7 +209,7 @@ func distLogisticRegression(ctx *core.ProcContext, be accel.Backend, table, targ
 	}, nil
 }
 
-func distNaiveBayes(ctx *core.ProcContext, be accel.Backend, table, target, features, modelTable string) (*core.ProcResult, error) {
+func distNaiveBayes(ctx *core.ProcContext, be accel.MultiShard, table, target, features, modelTable string) (*core.ProcResult, error) {
 	parts, _, err := scatterExtract(ctx, be, table, "IDAX.NAIVE_BAYES",
 		ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
 	if err != nil {
@@ -241,7 +234,7 @@ func distNaiveBayes(ctx *core.ProcContext, be accel.Backend, table, target, feat
 	}, nil
 }
 
-func distDecisionTree(ctx *core.ProcContext, be accel.Backend, table, target, features, modelTable string, maxDepth int) (*core.ProcResult, error) {
+func distDecisionTree(ctx *core.ProcContext, be accel.MultiShard, table, target, features, modelTable string, maxDepth int) (*core.ProcResult, error) {
 	parts, _, err := scatterExtract(ctx, be, table, "IDAX.DECISION_TREE",
 		ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
 	if err != nil {
@@ -266,7 +259,7 @@ func distDecisionTree(ctx *core.ProcContext, be accel.Backend, table, target, fe
 	}, nil
 }
 
-func distKMeans(ctx *core.ProcContext, be accel.Backend, table, features string, k int, modelTable, assignTable, idColumn string, iterations int, seed int64) (*core.ProcResult, error) {
+func distKMeans(ctx *core.ProcContext, be accel.MultiShard, table, features string, k int, modelTable, assignTable, idColumn string, iterations int, seed int64) (*core.ProcResult, error) {
 	parts, _, err := scatterExtract(ctx, be, table, "IDAX.KMEANS",
 		ExtractOptions{Features: core.SplitList(features), ID: idColumn, SkipIncomplete: true})
 	if err != nil {
@@ -307,7 +300,7 @@ func distKMeans(ctx *core.ProcContext, be accel.Backend, table, features string,
 // Batches for shard ordinals that disappeared between the two scatters (a
 // concurrent membership change) fall back to the routed insert path, so no
 // assignment is ever dropped.
-func writeAssignmentsShardLocal(ctx *core.ProcContext, be accel.Backend, assignTable string, parts []*Dataset, assignments [][]int, syntheticIDs bool) (int, error) {
+func writeAssignmentsShardLocal(ctx *core.ProcContext, be accel.MultiShard, assignTable string, parts []*Dataset, assignments [][]int, syntheticIDs bool) (int, error) {
 	schema := types.NewSchema(
 		types.Column{Name: "ID", Kind: types.KindString},
 		types.Column{Name: "CLUSTER", Kind: types.KindInt},
@@ -369,7 +362,7 @@ func writeAssignmentsShardLocal(ctx *core.ProcContext, be accel.Backend, assignT
 // Distributed summary and scoring
 // ---------------------------------------------------------------------------
 
-func distSummary(ctx *core.ProcContext, be accel.Backend, table, cols string) (*core.ProcResult, error) {
+func distSummary(ctx *core.ProcContext, be accel.MultiShard, table, cols string) (*core.ProcResult, error) {
 	if err := ctx.CheckSelect(table); err != nil {
 		return nil, err
 	}
@@ -409,7 +402,7 @@ func distSummary(ctx *core.ProcContext, be accel.Backend, table, cols string) (*
 	}, nil
 }
 
-func distPredict(ctx *core.ProcContext, be accel.Backend, kind string, model any, table, idColumn, outTable string) (*core.ProcResult, error) {
+func distPredict(ctx *core.ProcContext, be accel.MultiShard, kind string, model any, table, idColumn, outTable string) (*core.ProcResult, error) {
 	if err := ctx.CheckSelect(table); err != nil {
 		return nil, err
 	}
@@ -511,13 +504,9 @@ func distPredict(ctx *core.ProcContext, be accel.Backend, kind string, model any
 	if outDistKey != "" {
 		colocated = ", co-located with input by " + idColumn
 	}
-	shards := 0
-	if ms, ok := be.(accel.MultiShard); ok {
-		shards = ms.ShardCount()
-	}
 	return &core.ProcResult{
 		RowsAffected: total,
 		OutputTables: []string{out},
-		Message:      fmt.Sprintf("scored %d rows shard-local across %d shards with %s model into %s (predictions written on their shard%s)", total, shards, kind, out, colocated),
+		Message:      fmt.Sprintf("scored %d rows shard-local across %d shards with %s model into %s (predictions written on their shard%s)", total, be.ShardCount(), kind, out, colocated),
 	}, nil
 }

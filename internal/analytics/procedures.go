@@ -120,7 +120,7 @@ func procSummary(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	if err != nil {
 		return nil, err
 	}
-	if be, _, ok := scatterTarget(ctx, table); ok {
+	if be, ok := scatterTarget(ctx, table); ok {
 		return distSummary(ctx, be, table, cols)
 	}
 	rel, err := readTable(ctx, table)
@@ -307,7 +307,7 @@ func procLinearRegression(ctx *core.ProcContext, args []types.Value) (*core.Proc
 	}
 	ridge := core.ArgFloat(args, 4, 1e-6)
 
-	if be, _, ok := scatterTarget(ctx, table); ok {
+	if be, ok := scatterTarget(ctx, table); ok {
 		return distLinearRegression(ctx, be, table, target, features, modelTable, ridge)
 	}
 	rel, err := readTable(ctx, table)
@@ -353,7 +353,7 @@ func procLogisticRegression(ctx *core.ProcContext, args []types.Value) (*core.Pr
 	iterations := int(core.ArgInt(args, 4, 200))
 	learningRate := core.ArgFloat(args, 5, 0.1)
 
-	if be, _, ok := scatterTarget(ctx, table); ok {
+	if be, ok := scatterTarget(ctx, table); ok {
 		return distLogisticRegression(ctx, be, table, target, features, modelTable, iterations, learningRate)
 	}
 	rel, err := readTable(ctx, table)
@@ -398,7 +398,7 @@ func procKMeans(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, er
 	iterations := int(core.ArgInt(args, 6, 50))
 	seed := core.ArgInt(args, 7, 7)
 
-	if be, _, ok := scatterTarget(ctx, table); ok {
+	if be, ok := scatterTarget(ctx, table); ok {
 		return distKMeans(ctx, be, table, features, k, modelTable, assignTable, idColumn, iterations, seed)
 	}
 	rel, err := readTable(ctx, table)
@@ -456,7 +456,7 @@ func procNaiveBayes(ctx *core.ProcContext, args []types.Value) (*core.ProcResult
 	if err != nil {
 		return nil, err
 	}
-	if be, _, ok := scatterTarget(ctx, table); ok {
+	if be, ok := scatterTarget(ctx, table); ok {
 		return distNaiveBayes(ctx, be, table, target, features, modelTable)
 	}
 	rel, err := readTable(ctx, table)
@@ -500,7 +500,7 @@ func procDecisionTree(ctx *core.ProcContext, args []types.Value) (*core.ProcResu
 		return nil, err
 	}
 	maxDepth := int(core.ArgInt(args, 4, 6))
-	if be, _, ok := scatterTarget(ctx, table); ok {
+	if be, ok := scatterTarget(ctx, table); ok {
 		return distDecisionTree(ctx, be, table, target, features, modelTable, maxDepth)
 	}
 	rel, err := readTable(ctx, table)
@@ -552,7 +552,7 @@ func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	if err != nil {
 		return nil, err
 	}
-	if be, _, ok := scatterTarget(ctx, table); ok {
+	if be, ok := scatterTarget(ctx, table); ok {
 		return distPredict(ctx, be, kind, model, table, idColumn, outTable)
 	}
 	rel, err := readTable(ctx, table)

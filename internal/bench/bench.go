@@ -111,13 +111,16 @@ func (r *Report) FindExperiment(id string) *Table {
 // CompareMetrics checks a fresh report against a baseline and returns one
 // message per regression: a higher-is-better metric that dropped more than
 // tolerance (fraction, e.g. 0.30) below the baseline, or a lower-is-better
-// one that rose more than tolerance above it. Metrics present on only one
-// side are ignored, so baselines survive adding experiments.
+// one that rose more than tolerance above it. A baseline experiment or
+// metric the current report lacks is a regression too, so a gate cannot pass
+// by no longer measuring; metrics only the current report has are ignored,
+// so baselines survive adding them.
 func CompareMetrics(baseline, current *Report, tolerance float64) []string {
 	var regressions []string
 	for _, base := range baseline.Experiments {
 		cur := current.FindExperiment(base.ID)
 		if cur == nil {
+			regressions = append(regressions, fmt.Sprintf("%s missing from the report", base.ID))
 			continue
 		}
 		curByName := make(map[string]Metric, len(cur.Metrics))
@@ -127,6 +130,7 @@ func CompareMetrics(baseline, current *Report, tolerance float64) []string {
 		for _, bm := range base.Metrics {
 			cm, ok := curByName[bm.Name]
 			if !ok {
+				regressions = append(regressions, fmt.Sprintf("%s %s missing from the report", base.ID, bm.Name))
 				continue
 			}
 			if bm.HigherIsBetter {
@@ -210,9 +214,9 @@ func Experiments() map[string]Experiment {
 		{ID: "E7", Title: "Ablation: offload and AOT design choices", Run: RunE7Ablation},
 		{ID: "E8", Title: "Governance: privilege enforcement before delegation", Run: RunE8Governance},
 		{ID: "E9", Title: "Sharded scan throughput scaling across a multi-accelerator fleet", Run: RunE9ShardedScan},
-		{ID: "E10", Title: "Join placement: co-located shard-local joins vs coordinator gather", Run: RunE10ColocatedJoin},
+		{ID: "E10", Title: "Join placement by layout: hash-co-located vs random distribution", Run: RunE10ColocatedJoin},
 		{ID: "E11", Title: "Elastic fleet: online rebalance vs stop-the-world re-load", Run: RunE11Rebalance},
-		{ID: "E12", Title: "Distributed analytics: shard-local train/score vs coordinator gather", Run: RunE12DistributedAnalytics},
+		{ID: "E12", Title: "Distributed analytics: shard-local train/score", Run: RunE12DistributedAnalytics},
 		{ID: "E13", Title: "Vectorized batch engine vs row-at-a-time execution", Run: RunE13Vectorized},
 		{ID: "E14", Title: "Tracing and metrics overhead on the hot query path", Run: RunE14Observability},
 		{ID: "E15", Title: "Operations plane overhead under concurrent scrapes", Run: RunE15OpsOverhead},

@@ -47,9 +47,9 @@ func TestShardedScanExperiment(t *testing.T) {
 	}
 }
 
-// TestColocatedJoinExperiment is the planner regression smoke: E10 must run
-// and the planner configuration must move fewer rows than the forced gather
-// plan for every join class at every scale. CI runs it in -short mode.
+// TestColocatedJoinExperiment is the join-placement smoke: E10 must run and
+// the hash-co-located layout must move fewer rows than the random layout for
+// every join class at every scale. CI runs it in -short mode.
 func TestColocatedJoinExperiment(t *testing.T) {
 	scale := SmallScale()
 	scale.LoadRows = 4000
@@ -64,22 +64,22 @@ func TestColocatedJoinExperiment(t *testing.T) {
 		t.Fatalf("expected 3 join classes at two scales, got %d rows", len(table.Rows))
 	}
 	for _, row := range table.Rows {
-		var movedGather, movedPlanner int64
-		fmt.Sscanf(row[5], "%d", &movedGather)
-		fmt.Sscanf(row[6], "%d", &movedPlanner)
-		if movedPlanner >= movedGather {
-			t.Fatalf("%s at %s rows: planner moved %d rows, gather %d — co-located placement not effective:\n%s",
-				row[1], row[0], movedPlanner, movedGather, table.Format())
+		var movedRandom, movedHash int64
+		fmt.Sscanf(row[5], "%d", &movedRandom)
+		fmt.Sscanf(row[6], "%d", &movedHash)
+		if movedHash >= movedRandom {
+			t.Fatalf("%s at %s rows: hash layout moved %d rows, random %d — co-located placement not effective:\n%s",
+				row[1], row[0], movedHash, movedRandom, table.Format())
 		}
 	}
 	colocatedSeen := false
 	for _, note := range table.Notes {
-		if strings.Contains(note, "colocated_joins=") && !strings.Contains(note, "colocated_joins=0") {
+		if strings.Contains(note, " hash: colocated_joins=") && !strings.Contains(note, "colocated_joins=0") {
 			colocatedSeen = true
 		}
 	}
 	if !colocatedSeen {
-		t.Fatalf("no co-located joins recorded:\n%s", table.Format())
+		t.Fatalf("no co-located joins recorded on the hash layout:\n%s", table.Format())
 	}
 }
 
@@ -122,10 +122,10 @@ func TestRebalanceExperiment(t *testing.T) {
 }
 
 // TestDistributedAnalyticsExperiment is the E12 smoke CI runs on every PR:
-// the scatter/merge path must gather strictly fewer rows to the coordinator
-// than the forced gather path at every scale, must write its predictions
-// shard-local, and must emit the machine-readable metrics the bench-regression
-// comparison consumes.
+// shard-local training and scoring must gather no base rows to the
+// coordinator at any scale, must write its predictions shard-local, and must
+// emit exactly the machine-readable metrics the bench-regression comparison
+// consumes.
 func TestDistributedAnalyticsExperiment(t *testing.T) {
 	scale := SmallScale()
 	scale.ChurnRows = 3000
@@ -136,30 +136,27 @@ func TestDistributedAnalyticsExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 4 {
-		t.Fatalf("expected gather+distributed rows at two scales, got %d:\n%s", len(table.Rows), table.Format())
+	if len(table.Rows) != 2 {
+		t.Fatalf("expected one shard-local row per scale, got %d:\n%s", len(table.Rows), table.Format())
 	}
-	for i := 0; i < len(table.Rows); i += 2 {
-		gather, dist := table.Rows[i], table.Rows[i+1]
-		var gatheredRows, distRows, localWrites int64
-		fmt.Sscanf(gather[5], "%d", &gatheredRows)
-		fmt.Sscanf(dist[5], "%d", &distRows)
-		fmt.Sscanf(dist[6], "%d", &localWrites)
-		if distRows >= gatheredRows {
-			t.Fatalf("scale %s: distributed gathered %d rows, gather path %d — no data movement saved:\n%s",
-				gather[0], distRows, gatheredRows, table.Format())
-		}
-		if localWrites == 0 {
-			t.Fatalf("scale %s: no shard-local prediction writes recorded:\n%s", gather[0], table.Format())
-		}
-	}
-	metricNames := map[string]bool{}
+	metrics := map[string]float64{}
 	for _, m := range table.Metrics {
-		metricNames[m.Name] = true
+		metrics[m.Name] = m.Value
 	}
-	for _, want := range []string{"train_rows_per_sec_distributed_scale1", "rows_gathered_gather_scale1", "train_speedup_scale1"} {
-		if !metricNames[want] {
-			t.Fatalf("metric %s missing from report: %v", want, metricNames)
+	for _, suffix := range []string{"scale1", "scale2"} {
+		if v, ok := metrics["rows_gathered_distributed_"+suffix]; !ok || v != 0 {
+			t.Fatalf("rows_gathered_distributed_%s = %v (present %v), want exactly 0:\n%s", suffix, v, ok, table.Format())
+		}
+		if metrics["local_score_writes_distributed_"+suffix] <= 0 {
+			t.Fatalf("local_score_writes_distributed_%s: no shard-local prediction writes:\n%s", suffix, table.Format())
+		}
+		if metrics["train_rows_per_sec_distributed_"+suffix] <= 0 {
+			t.Fatalf("train_rows_per_sec_distributed_%s missing:\n%s", suffix, table.Format())
+		}
+	}
+	for name := range metrics {
+		if strings.Contains(name, "gather_") || strings.Contains(name, "speedup") {
+			t.Fatalf("metric %s belongs to the removed gather arm:\n%s", name, table.Format())
 		}
 	}
 }
@@ -436,7 +433,6 @@ func TestCompareMetrics(t *testing.T) {
 		Metrics: []Metric{
 			{Name: "thr", Value: 100, HigherIsBetter: true},
 			{Name: "moved", Value: 1000, HigherIsBetter: false},
-			{Name: "only_in_base", Value: 5, HigherIsBetter: true},
 		},
 	}}}
 	ok := &Report{Experiments: []*Table{{
@@ -460,6 +456,29 @@ func TestCompareMetrics(t *testing.T) {
 	regs := CompareMetrics(base, bad, 0.30)
 	if len(regs) != 2 {
 		t.Fatalf("expected 2 regressions, got %v", regs)
+	}
+}
+
+// TestCompareMetricsMissingIsARegression pins that the gate can fail on what
+// the current report lacks: a baseline metric or a whole baseline experiment
+// that no longer appears is reported, never skipped.
+func TestCompareMetricsMissingIsARegression(t *testing.T) {
+	base := &Report{Experiments: []*Table{
+		{ID: "E12", Metrics: []Metric{
+			{Name: "thr", Value: 100, HigherIsBetter: true},
+			{Name: "only_in_base", Value: 5, HigherIsBetter: true},
+		}},
+		{ID: "E13", Metrics: []Metric{{Name: "speedup", Value: 2, HigherIsBetter: true}}},
+	}}
+	current := &Report{Experiments: []*Table{
+		{ID: "E12", Metrics: []Metric{{Name: "thr", Value: 100, HigherIsBetter: true}}},
+	}}
+	regs := CompareMetrics(base, current, 0.30)
+	if len(regs) != 2 {
+		t.Fatalf("expected the missing metric and the missing experiment, got %v", regs)
+	}
+	if !strings.Contains(regs[0], "only_in_base") || !strings.Contains(regs[1], "E13") {
+		t.Fatalf("regressions do not name what is missing: %v", regs)
 	}
 }
 

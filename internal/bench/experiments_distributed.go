@@ -7,19 +7,17 @@ import (
 	"idaax"
 )
 
-// RunE12DistributedAnalytics measures the tentpole of the shard-local
-// analytics seam: training and scoring on a hash-distributed table executed
-// (a) the pre-seam way — every base row gathered to the coordinator, the
-// model computed there — and (b) scattered per shard with partial merging and
-// shard-local prediction writes. Both paths produce the same models (the
-// differential tests pin that); the experiment reports throughput and, more
-// fundamentally, data movement: rows gathered coordinator-side per training
-// run, at two data scales on a four-shard fleet.
+// RunE12DistributedAnalytics measures the shard-local analytics seam:
+// training and scoring on a hash-distributed table scatter per shard with
+// partial merging and shard-local prediction writes. The experiment reports
+// throughput and, more fundamentally, data movement — rows gathered to the
+// coordinator per train+score run (none: only partials travel) and rows
+// written shard-local — at two data scales on a four-shard fleet.
 func RunE12DistributedAnalytics(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:      "E12",
-		Title:   "Shard-local train/score (scatter + partial merge) vs coordinator gather",
-		Columns: []string{"ROWS", "APPROACH", "TRAIN_MS", "TRAIN_ROWS_PER_SEC", "SCORE_MS", "ROWS_GATHERED", "LOCAL_WRITES", "SPEEDUP"},
+		Title:   "Shard-local train/score (scatter + partial merge)",
+		Columns: []string{"ROWS", "TRAIN_MS", "TRAIN_ROWS_PER_SEC", "SCORE_MS", "ROWS_GATHERED", "LOCAL_WRITES"},
 	}
 	const shards = 4
 	slices := scale.Slices
@@ -30,83 +28,53 @@ func RunE12DistributedAnalytics(scale Scale) (*Table, error) {
 	features := "TENURE_MONTHS,MONTHLY_SPEND,SUPPORT_CALLS,LATE_PAYMENTS,DISCOUNT_RATE"
 
 	for si, rows := range sizes {
-		for _, distributed := range []bool{false, true} {
-			sys, group := newShardedSystem(shards, slices)
-			if err := setupShardedChurn(sys, group, rows); err != nil {
-				return nil, err
-			}
-			if err := sys.SetShardLocalAnalytics(group, distributed); err != nil {
-				return nil, err
-			}
-			session := sys.AdminSession()
-
-			before, err := sys.ShardGroupStats(group)
-			if err != nil {
-				return nil, err
-			}
-			trainStart := time.Now()
-			trainCalls := []string{
-				"CALL IDAX.LINEAR_REGRESSION('SHCHURN', 'MONTHLY_SPEND', 'TENURE_MONTHS,SUPPORT_CALLS,LATE_PAYMENTS,DISCOUNT_RATE', 'M_LIN')",
-				fmt.Sprintf("CALL IDAX.LOGISTIC_REGRESSION('SHCHURN', 'CHURNED', '%s', 'M_LOG', 60, 0.2)", features),
-				fmt.Sprintf("CALL IDAX.NAIVE_BAYES('SHCHURN', 'CHURNED', '%s', 'M_NB')", features),
-			}
-			for _, call := range trainCalls {
-				if _, err := session.Exec(call); err != nil {
-					return nil, fmt.Errorf("E12 train (distributed=%v): %w", distributed, err)
-				}
-			}
-			trainElapsed := time.Since(trainStart)
-
-			scoreStart := time.Now()
-			if _, err := session.Exec("CALL IDAX.PREDICT('M_LOG', 'SHCHURN', 'CUSTOMER_ID', 'E12_SCORES')"); err != nil {
-				return nil, fmt.Errorf("E12 score (distributed=%v): %w", distributed, err)
-			}
-			scoreElapsed := time.Since(scoreStart)
-
-			after, err := sys.ShardGroupStats(group)
-			if err != nil {
-				return nil, err
-			}
-			gathered := after.RowsGathered - before.RowsGathered
-			localWrites := after.AnalyticsRowsWrittenLocal - before.AnalyticsRowsWrittenLocal
-
-			approach := "gather to coordinator"
-			key := "gather"
-			if distributed {
-				approach = "shard-local scatter + merge"
-				key = "distributed"
-			}
-			trainRowsPerSec := float64(rows*len(trainCalls)) / trainElapsed.Seconds()
-			t.AddRow(itoa(rows), approach, ms(trainElapsed), fmt.Sprintf("%.0f", trainRowsPerSec),
-				ms(scoreElapsed), i64(gathered), i64(localWrites), "")
-
-			suffix := fmt.Sprintf("_%s_scale%d", key, si+1)
-			t.AddMetric("train_rows_per_sec"+suffix, trainRowsPerSec, true)
-			t.AddMetric("rows_gathered"+suffix, float64(gathered), false)
-			if distributed {
-				t.AddMetric("local_score_writes"+suffix, float64(localWrites), true)
-				// Fill the SPEEDUP column of this and the previous (gather) row.
-				prev := t.Rows[len(t.Rows)-2]
-				cur := t.Rows[len(t.Rows)-1]
-				var prevRate float64
-				fmt.Sscanf(prev[3], "%f", &prevRate)
-				if prevRate > 0 {
-					speedup := trainRowsPerSec / prevRate
-					prev[7] = "1.0x"
-					cur[7] = fmt.Sprintf("%.1fx", speedup)
-					t.AddMetric(fmt.Sprintf("train_speedup_scale%d", si+1), speedup, true)
-				}
-				var prevGathered int64
-				fmt.Sscanf(prev[5], "%d", &prevGathered)
-				if gathered < prevGathered {
-					t.AddNote("%d rows: scatter/merge training+scoring gathered %d rows to the coordinator vs %d on the gather path (%.1f%% of the data movement eliminated); predictions were written shard-local (%d rows).",
-						rows, gathered, prevGathered, 100*(1-float64(gathered)/float64(prevGathered)), localWrites)
-				}
-			}
-			sys.Close()
+		sys, group := newShardedSystem(shards, slices)
+		if err := setupShardedChurn(sys, group, rows); err != nil {
+			return nil, err
 		}
+		session := sys.AdminSession()
+
+		before, err := sys.ShardGroupStats(group)
+		if err != nil {
+			return nil, err
+		}
+		trainStart := time.Now()
+		trainCalls := []string{
+			"CALL IDAX.LINEAR_REGRESSION('SHCHURN', 'MONTHLY_SPEND', 'TENURE_MONTHS,SUPPORT_CALLS,LATE_PAYMENTS,DISCOUNT_RATE', 'M_LIN')",
+			fmt.Sprintf("CALL IDAX.LOGISTIC_REGRESSION('SHCHURN', 'CHURNED', '%s', 'M_LOG', 60, 0.2)", features),
+			fmt.Sprintf("CALL IDAX.NAIVE_BAYES('SHCHURN', 'CHURNED', '%s', 'M_NB')", features),
+		}
+		for _, call := range trainCalls {
+			if _, err := session.Exec(call); err != nil {
+				return nil, fmt.Errorf("E12 train: %w", err)
+			}
+		}
+		trainElapsed := time.Since(trainStart)
+
+		scoreStart := time.Now()
+		if _, err := session.Exec("CALL IDAX.PREDICT('M_LOG', 'SHCHURN', 'CUSTOMER_ID', 'E12_SCORES')"); err != nil {
+			return nil, fmt.Errorf("E12 score: %w", err)
+		}
+		scoreElapsed := time.Since(scoreStart)
+
+		after, err := sys.ShardGroupStats(group)
+		if err != nil {
+			return nil, err
+		}
+		gathered := after.RowsGathered - before.RowsGathered
+		localWrites := after.AnalyticsRowsWrittenLocal - before.AnalyticsRowsWrittenLocal
+
+		trainRowsPerSec := float64(rows*len(trainCalls)) / trainElapsed.Seconds()
+		t.AddRow(itoa(rows), ms(trainElapsed), fmt.Sprintf("%.0f", trainRowsPerSec),
+			ms(scoreElapsed), i64(gathered), i64(localWrites))
+
+		suffix := fmt.Sprintf("_distributed_scale%d", si+1)
+		t.AddMetric("train_rows_per_sec"+suffix, trainRowsPerSec, true)
+		t.AddMetric("rows_gathered"+suffix, float64(gathered), false)
+		t.AddMetric("local_score_writes"+suffix, float64(localWrites), true)
+		sys.Close()
 	}
-	t.AddNote("Four shards; training runs linear regression (Gram-matrix merge), logistic regression (per-iteration gradient merge) and naive Bayes (class-moment merge); scoring writes predictions on the shard that computed them. Differential tests pin model equality between the two paths.")
+	t.AddNote("Four shards; training runs linear regression (Gram-matrix merge), logistic regression (per-iteration gradient merge) and naive Bayes (class-moment merge); scoring writes predictions on the shard that computed them. Differential tests pin the models to a single-accelerator system's.")
 	return t, nil
 }
 

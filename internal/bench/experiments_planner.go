@@ -8,24 +8,24 @@ import (
 	"idaax"
 )
 
-// RunE10ColocatedJoin measures the cost-based planner's co-located join
-// placement: a pair of tables hash-distributed on their join key (ORDERS on
-// CUSTOMER_ID, CUSTOMERS on ID) is loaded into a 4-shard system at two data
-// scales, and each join class runs once with cost-based planning disabled
-// (the heuristic gather plan ships every table's base rows to the
-// coordinator and joins there) and once enabled (joins execute shard-local;
-// only join results or aggregate partials reach the coordinator).
+// RunE10ColocatedJoin measures what the cost-based planner gains from data
+// layout: the same ORDERS/CUSTOMERS pair is loaded into a 4-shard system
+// twice at each of two data scales, once DISTRIBUTE BY RANDOM (round robin:
+// the planner cannot co-locate the join, so it gathers or broadcasts) and
+// once hash-distributed on the join key (ORDERS on CUSTOMER_ID, CUSTOMERS on
+// ID: joins execute shard-local and only join results or aggregate partials
+// reach the coordinator).
 //
-// The aggregate join shows the planner's wall-clock win (two-phase partial
-// aggregation over shard-local joins); the plain join materialises the same
-// join output under both plans, so its gain is in rows moved, which is the
-// quantity that matters once shards live on real hardware.
+// The aggregate join shows the wall-clock win of co-location (two-phase
+// partial aggregation over shard-local joins); the plain join materialises
+// the same join output under both layouts, so its gain is in rows moved,
+// which is the quantity that matters once shards live on real hardware.
 func RunE10ColocatedJoin(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:    "E10",
-		Title: "Join placement: co-located shard-local joins vs coordinator gather (4 shards)",
-		Columns: []string{"ROWS", "QUERY", "GATHER_MS", "PLANNER_MS", "SPEEDUP",
-			"MOVED_GATHER", "MOVED_PLANNER"},
+		Title: "Join placement by layout: hash-co-located vs random distribution (4 shards)",
+		Columns: []string{"ROWS", "QUERY", "RANDOM_MS", "HASH_MS", "SPEEDUP",
+			"MOVED_RANDOM", "MOVED_HASH"},
 	}
 	slices := scale.Slices
 	if slices <= 0 {
@@ -37,6 +37,10 @@ func RunE10ColocatedJoin(scale Scale) (*Table, error) {
 		{"plain-join", "SELECT o.oid, c.name FROM orders o JOIN customers c ON o.customer_id = c.id WHERE o.amount > 4 ORDER BY o.oid LIMIT 20"},
 		{"pruned-join", "SELECT COUNT(*), SUM(o.amount) FROM orders o JOIN customers c ON o.customer_id = c.id WHERE o.customer_id IN (1, 2, 3)"},
 	}
+	layouts := []struct{ name, orders, customers string }{
+		{"random", "RANDOM", "RANDOM"},
+		{"hash", "HASH(customer_id)", "HASH(id)"},
+	}
 
 	// Two data scales; the movement advantage is roughly constant while the
 	// wall-clock advantage grows with the data volume.
@@ -44,21 +48,15 @@ func RunE10ColocatedJoin(scale Scale) (*Table, error) {
 		if rows < 400 {
 			rows = 400
 		}
-		sys, accelerator := newShardedSystem(4, slices)
-		if err := seedColocatedPair(sys, accelerator, rows); err != nil {
-			return nil, err
-		}
-		router, err := sys.Coordinator().ShardGroup(accelerator)
-		if err != nil {
-			return nil, err
-		}
-		session := sys.AdminSession()
-
-		for _, class := range classes {
-			var elapsed [2]time.Duration
-			var moved [2]int64
-			for cfg, planned := range []bool{false, true} {
-				router.SetCostBasedPlanning(planned)
+		var elapsed [2][]time.Duration
+		var moved [2][]int64
+		for li, layout := range layouts {
+			sys, accelerator := newShardedSystem(4, slices)
+			if err := seedJoinPair(sys, accelerator, rows, layout.orders, layout.customers); err != nil {
+				return nil, err
+			}
+			session := sys.AdminSession()
+			for _, class := range classes {
 				// Warm once so first-run allocation noise stays out.
 				if _, err := session.Query(class.sql); err != nil {
 					return nil, err
@@ -73,37 +71,38 @@ func RunE10ColocatedJoin(scale Scale) (*Table, error) {
 						return nil, err
 					}
 				}
-				elapsed[cfg] = time.Since(start)
+				elapsed[li] = append(elapsed[li], time.Since(start))
 				after, err := sys.ShardGroupStats(accelerator)
 				if err != nil {
 					return nil, err
 				}
-				moved[cfg] = (after.RowsGathered - before.RowsGathered) / rounds
+				moved[li] = append(moved[li], (after.RowsGathered-before.RowsGathered)/rounds)
 			}
-			t.AddRow(itoa(rows), class.name, ms(elapsed[0]), ms(elapsed[1]),
-				ratio(elapsed[0], elapsed[1]), i64(moved[0]), i64(moved[1]))
+			st, err := sys.ShardGroupStats(accelerator)
+			if err != nil {
+				return nil, err
+			}
+			t.AddNote("rows=%d %s: colocated_joins=%d broadcast_joins=%d pruned_shard_scans_avoided=%d",
+				rows, layout.name, st.ColocatedJoins, st.BroadcastJoins, st.ShardScansAvoided)
+			sys.Close()
 		}
-
-		st, err := sys.ShardGroupStats(accelerator)
-		if err != nil {
-			return nil, err
+		for ci, class := range classes {
+			t.AddRow(itoa(rows), class.name, ms(elapsed[0][ci]), ms(elapsed[1][ci]),
+				ratio(elapsed[0][ci], elapsed[1][ci]), i64(moved[0][ci]), i64(moved[1][ci]))
 		}
-		t.AddNote("rows=%d: colocated_joins=%d pruned_shard_scans_avoided=%d",
-			rows, st.ColocatedJoins, st.ShardScansAvoided)
-		sys.Close()
 	}
-	t.AddNote("ORDERS and CUSTOMERS share their distribution key, so planned joins run shard-local; the gather plan ships all base rows to the coordinator first")
+	t.AddNote("hash: ORDERS and CUSTOMERS share their distribution key, so joins run shard-local; random: the planner broadcasts or gathers base rows to the coordinator first")
 	return t, nil
 }
 
-// seedColocatedPair creates and loads the co-distributed ORDERS/CUSTOMERS
-// pair through the SQL INSERT path (rows flow through the router's
-// partitioner).
-func seedColocatedPair(sys *idaax.System, accelerator string, rows int) error {
+// seedJoinPair creates the ORDERS/CUSTOMERS pair with the given DISTRIBUTE
+// BY clauses and loads it through the SQL INSERT path (rows flow through the
+// router's partitioner).
+func seedJoinPair(sys *idaax.System, accelerator string, rows int, ordersDist, customersDist string) error {
 	session := sys.AdminSession()
 	ddl := []string{
-		fmt.Sprintf("CREATE TABLE orders (oid BIGINT NOT NULL, customer_id BIGINT, amount DOUBLE) IN ACCELERATOR %s DISTRIBUTE BY HASH(customer_id)", accelerator),
-		fmt.Sprintf("CREATE TABLE customers (id BIGINT NOT NULL, name VARCHAR(16), segment VARCHAR(8)) IN ACCELERATOR %s DISTRIBUTE BY HASH(id)", accelerator),
+		fmt.Sprintf("CREATE TABLE orders (oid BIGINT NOT NULL, customer_id BIGINT, amount DOUBLE) IN ACCELERATOR %s DISTRIBUTE BY %s", accelerator, ordersDist),
+		fmt.Sprintf("CREATE TABLE customers (id BIGINT NOT NULL, name VARCHAR(16), segment VARCHAR(8)) IN ACCELERATOR %s DISTRIBUTE BY %s", accelerator, customersDist),
 	}
 	for _, d := range ddl {
 		if _, err := session.Exec(d); err != nil {

@@ -42,11 +42,11 @@ type ProcContext struct {
 	InsertRows func(table string, rows []types.Row) (int, error)
 	// BackendFor resolves the backend hosting an accelerated table's rows
 	// (possibly a shard group, unlike Accelerator which is the session's
-	// default backend) together with its pairing name. nil/"" when the table
-	// is not accelerated or unknown. Analytics procedures use it to scatter
-	// training and scoring shard-local instead of gathering the table; nil
-	// (e.g. in a hand-built context) simply disables the scatter path.
-	BackendFor func(table string) (accel.Backend, string)
+	// default backend); nil when the table is not accelerated or unknown.
+	// Analytics procedures use it to scatter training and scoring
+	// shard-local instead of gathering the table; nil (e.g. in a hand-built
+	// context) simply disables the scatter path.
+	BackendFor func(table string) accel.Backend
 	// Span is the calling statement's trace span; analytics scatters attach
 	// their per-shard partition spans beneath it so a CALL's trace shows the
 	// same fan-out a query's does. May be nil (tracing off).

@@ -797,16 +797,16 @@ func (s *Session) execCall(tx *txn.Txn, stmt *sqlparse.CallStmt) (*Result, error
 			}
 			return n, nil
 		},
-		BackendFor: func(table string) (accel.Backend, string) {
+		BackendFor: func(table string) accel.Backend {
 			meta, err := s.coord.cat.Table(table)
 			if err != nil || meta.Accelerator == "" {
-				return nil, ""
+				return nil
 			}
 			b, err := s.coord.Accelerator(meta.Accelerator)
 			if err != nil {
-				return nil, ""
+				return nil
 			}
-			return b, meta.Accelerator
+			return b
 		},
 	}
 	procRes, err := s.coord.Procs.Call(ctx, stmt.Procedure, args)

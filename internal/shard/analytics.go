@@ -23,23 +23,6 @@ import (
 // ShardCount implements accel.MultiShard.
 func (r *Router) ShardCount() int { return len(r.Members()) }
 
-// SetShardLocalAnalytics enables or disables shard-local procedure execution
-// (enabled by default). With it off, analytics CALLs fall back to gathering
-// the table to the coordinator — the pre-scatter behaviour, kept for A/B
-// measurement (bench E12).
-func (r *Router) SetShardLocalAnalytics(enabled bool) {
-	v := int32(1)
-	if enabled {
-		v = 0
-	}
-	atomic.StoreInt32(&r.analyticsDisabled, v)
-}
-
-// ShardLocalAnalytics implements accel.MultiShard.
-func (r *Router) ShardLocalAnalytics() bool {
-	return atomic.LoadInt32(&r.analyticsDisabled) == 0
-}
-
 // DistributedProcCalls returns how many times each procedure scattered over
 // this group, keyed by the procedure label passed to CallShardLocal.
 func (r *Router) DistributedProcCalls() map[string]int64 {
@@ -62,9 +45,14 @@ func (r *Router) noteProcScatter(proc string) {
 	r.procMu.Unlock()
 }
 
-// CallShardLocal implements the Backend analytics seam across the fleet: fn
-// runs concurrently on every member, each invocation seeing only that shard's
-// visible rows, and the partial results come back in shard order.
+// CallShardLocal implements accel.MultiShard across the fleet: fn runs
+// concurrently on every member, each invocation seeing only that shard's
+// visible rows under its own "partition" child of sp, and merge consumes each
+// shard's partial at the coordinator in shard-ordinal order as soon as it (and
+// every lower ordinal) has completed. Partials that finish out of order wait
+// in their slot and are released right after merging, so the coordinator's
+// footprint is the merge state plus the unmerged tail — not one partial per
+// shard.
 //
 // Two properties make the scatter safe against a concurrent rebalance:
 //
@@ -79,40 +67,7 @@ func (r *Router) noteProcScatter(proc string) {
 //
 // Draining members still participate: their unmigrated rows are part of the
 // table until the drain completes.
-func (r *Router) CallShardLocal(txnID int64, table, proc string, fn accel.ShardLocalFunc) ([]any, error) {
-	return r.CallShardLocalTraced(txnID, table, proc, nil, fn)
-}
-
-// CallShardLocalTraced is CallShardLocal with a trace span: every member's
-// partition (scan plus partial computation) nests under sp as its own child,
-// so an analytics CALL's trace shows the same per-shard fan-out a query's
-// does. sp may be nil. It is the collecting form of the streaming seam below:
-// the merge callback just appends (ordinal order makes that a plain append),
-// so callers that genuinely need every partial at once — the multi-round
-// trainers iterating over retained per-shard feature matrices — get them,
-// while single-pass merges use CallShardLocalStream and never hold more than
-// the out-of-order tail.
-func (r *Router) CallShardLocalTraced(txnID int64, table, proc string, sp *obs.Span, fn accel.ShardLocalFunc) ([]any, error) {
-	var out []any
-	err := r.CallShardLocalStream(txnID, table, proc, sp, fn, func(_ int, partial any) error {
-		out = append(out, partial)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CallShardLocalStream implements the streaming analytics seam across the
-// fleet: fn runs concurrently on every member, and merge consumes each
-// shard's partial at the coordinator in shard-ordinal order as soon as it
-// (and every lower ordinal) has completed. Partials that finish out of order
-// wait in their slot and are released right after merging, so the
-// coordinator's footprint is the merge state plus the unmerged tail — not
-// one partial per shard. The rebalance-safety argument of CallShardLocal
-// (migration fence held shared, snapshots fenced together) applies unchanged.
-func (r *Router) CallShardLocalStream(txnID int64, table, proc string, sp *obs.Span, fn accel.ShardLocalFunc, merge func(ordinal int, partial any) error) error {
+func (r *Router) CallShardLocal(txnID int64, table, proc string, sp *obs.Span, fn accel.ShardLocalFunc, merge func(ordinal int, partial any) error) error {
 	meta, err := r.meta(table)
 	if err != nil {
 		return err

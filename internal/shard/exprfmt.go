@@ -58,15 +58,3 @@ func formatExpr(e sqlparse.Expr) string {
 		return fmt.Sprintf("%T", e)
 	}
 }
-
-// andConjuncts flattens the top-level AND tree of a WHERE clause.
-func andConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
-	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-		out = andConjuncts(b.Left, out)
-		return andConjuncts(b.Right, out)
-	}
-	if e != nil {
-		out = append(out, e)
-	}
-	return out
-}

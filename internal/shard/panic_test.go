@@ -21,13 +21,13 @@ func TestCallShardLocalPanicIsAStatementError(t *testing.T) {
 	router.SetEventLog(journal)
 
 	var member string
-	_, err := router.CallShardLocal(0, "T", "panictest", func(p *accel.ShardPartition) (any, error) {
+	err := router.CallShardLocal(0, "T", "panictest", nil, func(p *accel.ShardPartition) (any, error) {
 		if p.Ordinal == 1 {
 			member = p.Member
 			panic("partition exploded")
 		}
 		return len(p.Rows.Rows), nil
-	})
+	}, func(int, any) error { return nil })
 	var pe *par.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a wrapped *par.PanicError", err)
@@ -80,12 +80,12 @@ func TestCallShardLocalPanicIsAStatementError(t *testing.T) {
 	}
 }
 
-// TestCallShardLocalStreamMergePanic panics inside the coordinator's merge:
-// the call fails with the panic and no later ordinal is merged.
-func TestCallShardLocalStreamMergePanic(t *testing.T) {
+// TestCallShardLocalMergePanic panics inside the coordinator's merge: the
+// call fails with the panic and no later ordinal is merged.
+func TestCallShardLocalMergePanic(t *testing.T) {
 	router, _ := newFleet(t, 3, "ID", testRows(300))
 	var merged []int
-	err := router.CallShardLocalStream(0, "T", "mergepanic", nil,
+	err := router.CallShardLocal(0, "T", "mergepanic", nil,
 		func(p *accel.ShardPartition) (any, error) { return p.Ordinal, nil },
 		func(ordinal int, _ any) error {
 			merged = append(merged, ordinal)

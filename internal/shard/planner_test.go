@@ -164,24 +164,29 @@ func TestPlannedJoinsDifferential(t *testing.T) {
 	}
 }
 
-// TestPlannedJoinsDifferentialPlannerOff proves the heuristic fallback stays
-// result-identical too (the benchmark baseline path).
-func TestPlannedJoinsDifferentialPlannerOff(t *testing.T) {
+// TestFromlessSelectDifferential covers the statements the planner has
+// nothing to plan for: a SELECT without FROM is evaluated at the coordinator
+// and must match the single accelerator without touching any shard.
+func TestFromlessSelectDifferential(t *testing.T) {
 	router, ref := newJoinFleet(t, 3)
-	router.SetCostBasedPlanning(false)
-	for _, tc := range joinCases {
-		got, err := router.Query(0, parseSelect(t, tc.sql))
+	before := router.ShardingStats()
+	for _, sql := range []string{
+		"SELECT 1 + 2, 'x'",
+		"SELECT 7 * 6 AS answer, NULL, 2.5 / 2",
+		"SELECT CASE WHEN 1 < 2 THEN 'lt' ELSE 'ge' END",
+	} {
+		got, err := router.Query(0, parseSelect(t, sql))
 		if err != nil {
-			t.Fatalf("sharded %q: %v", tc.sql, err)
+			t.Fatalf("sharded %q: %v", sql, err)
 		}
-		want, err := ref.Query(0, parseSelect(t, tc.sql))
+		want, err := ref.Query(0, parseSelect(t, sql))
 		if err != nil {
-			t.Fatalf("reference %q: %v", tc.sql, err)
+			t.Fatalf("reference %q: %v", sql, err)
 		}
-		assertSameResult(t, tc.sql, got, want, tc.ordered)
+		assertSameResult(t, sql, got, want, true)
 	}
-	if st := router.ShardingStats(); st.ColocatedJoins != 0 {
-		t.Fatalf("planner disabled but co-located joins recorded: %+v", st)
+	if after := router.ShardingStats(); after.RowsGathered != before.RowsGathered {
+		t.Fatalf("FROM-less SELECTs gathered %d rows", after.RowsGathered-before.RowsGathered)
 	}
 }
 

@@ -158,7 +158,7 @@ type Stats struct {
 }
 
 // Router spreads tables over a fleet of accelerators and implements
-// accel.Backend, so the federation layer, the AOT manager and replication can
+// accel.MultiShard, so the federation layer, the AOT manager and replication can
 // treat the fleet exactly like one big accelerator. The fleet is elastic:
 // AddMember and RemoveMember (rebalance.go) change the member set at runtime
 // and the rebalancer live-migrates rows to match.
@@ -195,15 +195,6 @@ type Router struct {
 
 	// rebal is the single-flight state of the background rebalancer.
 	rebal rebalanceState
-
-	// planningDisabled turns the cost-based planner off (heuristic routing
-	// only); the benchmark harness uses it to measure the planner's effect.
-	planningDisabled int32
-
-	// analyticsDisabled turns shard-local procedure execution off (CALLs then
-	// gather rows to the coordinator like before); the benchmark harness uses
-	// it to measure the scatter/merge path's effect.
-	analyticsDisabled int32
 
 	// vectorizedOff mirrors the members' vectorized-execution switch so
 	// members joining an elastic fleet later inherit the current setting.
@@ -379,21 +370,6 @@ func (r *Router) ShardingStats() Stats {
 		Epoch:                     r.Epoch(),
 	}
 }
-
-// SetCostBasedPlanning enables or disables the cost-based planner (enabled by
-// default). With planning off, the router falls back to the heuristic
-// routing: equality-only pruning, single-table two-phase aggregation, and
-// gather joins.
-func (r *Router) SetCostBasedPlanning(enabled bool) {
-	v := int32(1)
-	if enabled {
-		v = 0
-	}
-	atomic.StoreInt32(&r.planningDisabled, v)
-}
-
-// PlanningEnabled reports whether cost-based planning is active.
-func (r *Router) PlanningEnabled() bool { return atomic.LoadInt32(&r.planningDisabled) == 0 }
 
 // SetVectorizedExecution toggles the vectorized batch engine on every member
 // (and on members added later). Enabled by default; bench E13 turns it off to
@@ -999,4 +975,4 @@ func (r *Router) ImportRows(table string, rows []types.Row, srcIDs []int64) (int
 	return total, nil
 }
 
-var _ accel.Backend = (*Router)(nil)
+var _ accel.MultiShard = (*Router)(nil)

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"idaax/internal/accel"
@@ -77,39 +76,14 @@ func (r *Router) QueryTraced(txnID int64, sel *sqlparse.SelectStmt, sp *obs.Span
 
 func (r *Router) queryOnce(txnID int64, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error) {
 	atomic.AddInt64(&r.stats.QueriesRouted, 1)
-	if r.PlanningEnabled() {
-		psp := sp.Child("plan")
-		pl := planner.PlanSelect(sel, r.PlannerCatalog())
-		psp.Finish()
-		if pl != nil {
-			return r.executePlanned(txnID, sel, pl, sp)
-		}
+	psp := sp.Child("plan")
+	pl := planner.PlanSelect(sel, r.PlannerCatalog())
+	psp.Finish()
+	if pl == nil {
+		// Nothing to plan (no FROM clause): the coordinator evaluates it.
+		return r.executeGather(txnID, sel, nil, sp)
 	}
-	return r.queryHeuristic(txnID, sel, sp)
-}
-
-// queryHeuristic is the pre-planner routing (still used when cost-based
-// planning is disabled, e.g. by the benchmark harness to measure the gap).
-func (r *Router) queryHeuristic(txnID int64, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error) {
-	if len(sel.From) == 1 && sel.From[0].Subquery == nil {
-		item := sel.From[0]
-		if meta, err := r.meta(item.Table); err == nil {
-			if shard, ok := r.pruneTarget(meta, item, sel.Where); ok {
-				ms := r.Members()
-				if shard >= 0 && shard < len(ms) {
-					atomic.AddInt64(&r.stats.QueriesPruned, 1)
-					return r.queryOneShard(txnID, sel, ms[shard], sp)
-				}
-			}
-			if relalg.NeedsAggregation(sel) {
-				if plan, ok := planTwoPhase(sel); ok {
-					atomic.AddInt64(&r.stats.TwoPhaseAggregates, 1)
-					return r.executeTwoPhase(txnID, plan, nil, sp)
-				}
-			}
-		}
-	}
-	return r.executeGather(txnID, sel, nil, sp)
+	return r.executePlanned(txnID, sel, pl, sp)
 }
 
 // queryOneShard runs the whole statement on a single member (the pruned fast
@@ -301,55 +275,6 @@ func (r *Router) executeShardLocal(txnID int64, sel *sqlparse.SelectStmt, pl *pl
 	return rel, err
 }
 
-// pruneTarget inspects the WHERE clause for a "distKey = literal" conjunct on
-// the given FROM item and returns the single shard that can hold matching
-// rows. Any such conjunct restricts every result row to one key value, so the
-// whole query — including aggregation and ordering — is answerable by the
-// owning shard alone. (The heuristic path only; the planner generalises this
-// to IN lists and bounded ranges.) Placement goes through the routed check,
-// so keys mid-migration are never pruned.
-func (r *Router) pruneTarget(meta *tableMeta, item sqlparse.FromItem, where sqlparse.Expr) (int, bool) {
-	if meta.keyIdx < 0 || where == nil {
-		return 0, false
-	}
-	place := r.routedPlaceKey(meta)
-	for _, conjunct := range andConjuncts(where, nil) {
-		b, ok := conjunct.(*sqlparse.BinaryExpr)
-		if !ok || b.Op != sqlparse.OpEq {
-			continue
-		}
-		ref, lit := equalityOperands(b)
-		if ref == nil || lit == nil || lit.Val.IsNull() {
-			continue
-		}
-		if types.NormalizeName(ref.Name) != meta.distKey {
-			continue
-		}
-		if ref.Table != "" && !strings.EqualFold(ref.Table, item.Name()) {
-			continue
-		}
-		if shard, ok := place(lit.Val); ok {
-			return shard, true
-		}
-	}
-	return 0, false
-}
-
-// equalityOperands extracts (column, literal) from col = lit or lit = col.
-func equalityOperands(b *sqlparse.BinaryExpr) (*sqlparse.ColumnRef, *sqlparse.Literal) {
-	if ref, ok := b.Left.(*sqlparse.ColumnRef); ok {
-		if lit, ok := b.Right.(*sqlparse.Literal); ok {
-			return ref, lit
-		}
-	}
-	if ref, ok := b.Right.(*sqlparse.ColumnRef); ok {
-		if lit, ok := b.Left.(*sqlparse.Literal); ok {
-			return ref, lit
-		}
-	}
-	return nil, nil
-}
-
 // executeGather runs the general plan: every referenced sharded table is
 // gathered from its candidate shards in parallel (all shards when pl is nil),
 // subqueries recurse through the router, and the complete statement executes
@@ -527,17 +452,6 @@ func (r *Router) scatterPartials(txnID int64, sel *sqlparse.SelectStmt, ms []*ac
 	atomic.AddInt64(&r.stats.TwoPhaseTextBytes, textTotal)
 	atomic.AddInt64(&r.stats.RowsGathered, int64(len(union.Rows)))
 	return union, nil
-}
-
-// executeTwoPhase scatters the partial-aggregate statement to the members
-// (all of them when members is nil) and finalises the merged partials at the
-// coordinator.
-func (r *Router) executeTwoPhase(txnID int64, plan *twoPhasePlan, members []int, sp *obs.Span) (*relalg.Relation, error) {
-	ms, snaps := r.snapshotAll(txnID)
-	if members == nil {
-		members = allOrdinals(len(ms))
-	}
-	return r.executeTwoPhaseOn(txnID, plan, ms, snaps, members, sp)
 }
 
 func (r *Router) executeTwoPhaseOn(txnID int64, plan *twoPhasePlan, ms []*accel.Accelerator, snaps []*accel.Snapshot, members []int, sp *obs.Span) (*relalg.Relation, error) {

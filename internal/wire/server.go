@@ -85,7 +85,7 @@ type Server struct {
 
 	inflight sync.WaitGroup
 	nInfl    atomic.Int64
-	draining atomic.Bool
+	draining atomic.Bool // set under mu (see enter)
 
 	reapStop chan struct{}
 	reapDone chan struct{}
@@ -183,7 +183,10 @@ func (s *Server) SessionCount() int {
 // never cut off mid-handshake), every pooled session is rolled back and
 // released, the reaper stops and the listener closes. Safe to call twice.
 func (s *Server) Close() error {
-	if s.draining.Swap(true) {
+	s.mu.Lock()
+	already := s.draining.Swap(true)
+	s.mu.Unlock()
+	if already {
 		return nil
 	}
 	s.cfg.Events.Emitf(eventlog.TypeWireServer, eventlog.Info, "", "",
@@ -226,6 +229,26 @@ func (s *Server) Close() error {
 	}
 	s.cfg.Events.Emitf(eventlog.TypeWireServer, eventlog.Info, "", "", "wire server stopped")
 	return err
+}
+
+// enter registers a request as in flight unless the server is draining. The
+// check and the Add happen under mu, which Close sets draining under, so
+// Close's drain either sees the request or the request sees the drain.
+func (s *Server) enter() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(1)
+	s.nInfl.Add(1)
+	return true
+}
+
+// exit ends a request enter admitted.
+func (s *Server) exit() {
+	s.nInfl.Add(-1)
+	s.inflight.Done()
 }
 
 // releaseSession rolls back any open transaction and hands the session back.
@@ -293,10 +316,11 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, CodeBadRequest, "use POST to open a session")
 		return
 	}
-	if s.draining.Load() {
+	if !s.enter() {
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 		return
 	}
+	defer s.exit()
 	// An empty body opens a default session: every field is optional.
 	var req openSessionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
@@ -316,9 +340,19 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	tok := newToken()
 	ps := &pooledSession{sess: s.cfg.NewSession(user), user: user, priority: prio}
 	ps.lastUsed.Store(time.Now().UnixNano())
+	// Close takes the pool when its drain ends or times out, so a session
+	// opened once draining began is released here instead of pooled.
 	s.mu.Lock()
-	s.sessions[tok] = ps
+	draining := s.draining.Load()
+	if !draining {
+		s.sessions[tok] = ps
+	}
 	s.mu.Unlock()
+	if draining {
+		s.releaseSession(ps)
+		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+		return
+	}
 	s.count("wire_sessions_opened")
 	writeJSON(w, http.StatusOK, openSessionResponse{Session: tok, User: user, Priority: prio.String()})
 }
@@ -352,10 +386,13 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request, query b
 		return
 	}
 	s.count("wire_requests_total")
-	if s.draining.Load() {
+	// In flight from here, before admission, so Close's drain covers queued
+	// work too.
+	if !s.enter() {
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 		return
 	}
+	defer s.exit()
 	var req statementRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
@@ -391,12 +428,6 @@ func (s *Server) handleStatement(w http.ResponseWriter, r *http.Request, query b
 		}
 		prio = p
 	}
-
-	// Track the statement as in-flight before admission so Close's drain
-	// covers queued work too.
-	s.inflight.Add(1)
-	s.nInfl.Add(1)
-	defer func() { s.nInfl.Add(-1); s.inflight.Done() }()
 
 	ticket, err := s.cfg.Admission.Acquire(r.Context(), prio)
 	if err != nil {

@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -500,6 +503,85 @@ func TestDrain(t *testing.T) {
 			t.Fatal("pooled session left in transaction after drain")
 		}
 	}
+}
+
+// TestCloseRacingNewWork opens sessions and runs one-shot statements from
+// many goroutines while Close runs: no session may be opened after Close
+// returned, and every session opened must be released — a pooled session
+// slipping in after Close took the pool would never be rolled back. Every
+// fourth iteration the drain times out at once, so Close takes the pool while
+// handlers still run; sessions must still all be released.
+func TestCloseRacingNewWork(t *testing.T) {
+	for iter := 0; iter < 200; iter++ {
+		var opened, released, late, reading atomic.Int64
+		var closed atomic.Bool
+		var drainTimeout time.Duration
+		if iter%4 == 3 {
+			drainTimeout = time.Nanosecond
+		}
+		srv := NewServer(Config{
+			DrainTimeout: drainTimeout,
+			NewSession: func(user string) Session {
+				if closed.Load() {
+					late.Add(1)
+				}
+				opened.Add(1)
+				return &stubSession{user: user}
+			},
+			CloseSession: func(Session) { released.Add(1) },
+			IdleTimeout:  -1,
+		})
+		h := srv.Handler()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; !closed.Load(); i++ {
+					// Statements in even iterations, a mix in odd ones: a
+					// drain with nothing yet counted in flight is the case
+					// the statement path must get right on its own.
+					path, body := "/v1/query", `{"sql":"SELECT 1"}`
+					if iter%2 == 1 && (g+i)%2 == 0 {
+						path, body = "/v1/sessions", `{}`
+					}
+					gated := drainGatedBody{strings.NewReader(body), srv, &reading}
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, path, gated))
+				}
+			}(g)
+		}
+		// Close starts while every goroutine is mid-request.
+		for reading.Load() < 8 {
+			runtime.Gosched()
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closed.Store(true)
+		wg.Wait()
+		if n := late.Load(); n > 0 && drainTimeout == 0 {
+			t.Fatalf("iteration %d: %d session(s) opened after Close returned", iter, n)
+		}
+		if o, r := opened.Load(), released.Load(); o != r {
+			t.Fatalf("iteration %d: %d sessions opened, %d released", iter, o, r)
+		}
+	}
+}
+
+// drainGatedBody is a request body that cannot be read before the server
+// starts draining: the handler reading it is mid-request when Close begins.
+type drainGatedBody struct {
+	r       io.Reader
+	srv     *Server
+	reading *atomic.Int64
+}
+
+func (b drainGatedBody) Read(p []byte) (int, error) {
+	b.reading.Add(1)
+	for !b.srv.Draining() {
+		runtime.Gosched()
+	}
+	return b.r.Read(p)
 }
 
 // TestOpsHandlerMount proves non-/v1 paths fall through to the mounted ops

@@ -342,28 +342,13 @@ func (s *System) ShardGroupStats(name string) (ShardGroupStats, error) {
 	}, nil
 }
 
-// SetShardLocalAnalytics enables or disables shard-local procedure execution
-// for the named shard group (empty name = the configured default group).
-// Enabled by default; the benchmark harness disables it to measure the
-// gather baseline (bench E12).
-func (s *System) SetShardLocalAnalytics(group string, enabled bool) error {
-	if group == "" {
-		group = s.cfg.ShardGroupName
-	}
-	router, err := s.coord.ShardGroup(group)
-	if err != nil {
-		return err
-	}
-	router.SetShardLocalAnalytics(enabled)
-	return nil
-}
-
 // SetVectorizedExecution enables or disables the vectorized batch execution
 // engine on every paired backend — single accelerators and shard groups alike
 // (shard groups fan the setting to their members, including members added
-// later). Enabled by default; it is the A/B switch mirroring the router's
-// SetCostBasedPlanning, and bench E13 uses it to measure the batch engine
-// against the row-at-a-time baseline. Both engines return identical results.
+// later). Enabled by default; the row-at-a-time engine it falls back to is
+// the differential oracle the vectorized suites compare against, and bench
+// E13 uses it to measure the batch engine. Both engines return identical
+// results.
 func (s *System) SetVectorizedExecution(enabled bool) {
 	for _, name := range s.coord.Accelerators() {
 		if a, err := s.coord.Accelerator(name); err == nil {
