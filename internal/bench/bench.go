@@ -222,7 +222,7 @@ func Experiments() map[string]Experiment {
 		{ID: "E15", Title: "Operations plane overhead under concurrent scrapes", Run: RunE15OpsOverhead},
 		{ID: "E16", Title: "Durability: WAL ingest overhead and recovery time", Run: RunE16Durability},
 		{ID: "E17", Title: "Serving layer: mixed interactive/batch load, admission control on vs off", Run: RunE17Serving},
-		{ID: "E18", Title: "Batch hash joins, dictionary encoding and binary shard shipping", Run: RunE18JoinDictionary},
+		{ID: "E18", Title: "Batch hash joins and dictionary encoding", Run: RunE18JoinDictionary},
 		{ID: "F1", Title: "Architecture inventory and data paths (Figure 1)", Run: RunF1Architecture},
 	}
 	out := make(map[string]Experiment, len(exps))

@@ -10,7 +10,7 @@ import (
 	"idaax/internal/types"
 )
 
-// RunE18JoinDictionary measures the three deep-vectorization paths together:
+// RunE18JoinDictionary measures the two deep-vectorization paths together:
 //
 //   - join: the batch hash join vs the row-at-a-time join on a 3-shard
 //     co-located layout (both tables DISTRIBUTE BY HASH on the join key), the
@@ -20,14 +20,11 @@ import (
 //     column at several cardinalities, with dictionary encoding on (default
 //     threshold) vs off (threshold 0). The highest cardinality deliberately
 //     overflows the threshold, so its pair documents that a spilled column
-//     costs nothing over a never-encoded one;
-//   - wire: shard -> coordinator bytes moved by two-phase aggregation, binary
-//     frames vs the re-rendered-text estimate, on the accumulator-heavy shape
-//     where text ballooning is worst (non-terminating float sums).
+//     costs nothing over a never-encoded one.
 func RunE18JoinDictionary(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:      "E18",
-		Title:   "Batch hash joins, dictionary encoding and binary shard shipping",
+		Title:   "Batch hash joins and dictionary encoding",
 		Columns: []string{"SECTION", "ROWS", "CONFIG", "ELAPSED_MS", "ROWS_PER_SEC", "DETAIL", "RATIO"},
 	}
 	slices := scale.Slices
@@ -40,9 +37,6 @@ func RunE18JoinDictionary(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	if err := runE18Dictionary(t, scale, sizes[len(sizes)-1]); err != nil {
-		return nil, err
-	}
-	if err := runE18Wire(t, sizes[0], slices); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -190,63 +184,6 @@ func runE18Dictionary(t *Table, scale Scale, rows int) error {
 	}
 	t.AddNote("dict section: the same queries over the same %d rows, dictionary threshold %d (on) vs 0 (off). card=%d exceeds the threshold, so its column spilled to raw strings — the pair shows a spilled column performs like a never-encoded one.",
 		rows, colstore.DefaultDictThreshold, 2*colstore.DefaultDictThreshold)
-	return nil
-}
-
-// runE18Wire measures shard -> coordinator bytes moved by two-phase grouped
-// aggregation: the binary frames actually shipped vs the re-rendered-text
-// estimate kept alongside them. The accumulators are non-terminating decimals
-// (x = (i+0.1)/3), the shape where text re-encoding balloons to 17-18
-// characters per value.
-func runE18Wire(t *Table, rows, slices int) error {
-	sys, accelerator := newShardedSystem(3, slices)
-	defer sys.Close()
-	session := sys.AdminSession()
-	ddl := fmt.Sprintf("CREATE TABLE e18_wire (k BIGINT NOT NULL, seg VARCHAR(24), x DOUBLE) IN ACCELERATOR %s DISTRIBUTE BY HASH(k)", accelerator)
-	if _, err := session.Exec(ddl); err != nil {
-		return err
-	}
-	const batch = 2000
-	for lo := 0; lo < rows; lo += batch {
-		hi := lo + batch
-		if hi > rows {
-			hi = rows
-		}
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO e18_wire VALUES ")
-		for i := lo; i < hi; i++ {
-			if i > lo {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, 'SEGMENT%02d', %.17g)", i, i%24, (float64(i)+0.1)/3)
-		}
-		if _, err := session.Exec(sb.String()); err != nil {
-			return err
-		}
-	}
-
-	const wireQueries = 10
-	start := time.Now()
-	for i := 0; i < wireQueries; i++ {
-		if _, err := session.Query("SELECT seg, COUNT(*), SUM(x), AVG(x), MIN(x), MAX(x) FROM e18_wire GROUP BY seg"); err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-	st, err := sys.ShardGroupStats(accelerator)
-	if err != nil {
-		return err
-	}
-	if st.TwoPhaseFrames == 0 || st.TwoPhaseFrameBytes == 0 || st.TwoPhaseTextBytes == 0 {
-		return fmt.Errorf("E18 wire: no two-phase frames recorded (frames=%d frameBytes=%d textBytes=%d)",
-			st.TwoPhaseFrames, st.TwoPhaseFrameBytes, st.TwoPhaseTextBytes)
-	}
-	ratio := float64(st.TwoPhaseTextBytes) / float64(st.TwoPhaseFrameBytes)
-	t.AddRow("wire", itoa(rows), "frames", ms(elapsed), "-", i64(st.TwoPhaseFrameBytes)+" B", fmt.Sprintf("%.2fx", ratio))
-	t.AddRow("wire", itoa(rows), "text-estimate", "-", "-", i64(st.TwoPhaseTextBytes)+" B", "1.00x")
-	t.AddMetric("wire_text_over_frame_ratio", ratio, true)
-	t.AddNote("wire section: %d two-phase aggregations shipped %d binary frames (%d B) shard -> coordinator; re-rendering the same partials as text would have moved %d B — frames are the smaller wire format on accumulator-heavy partials.",
-		wireQueries, st.TwoPhaseFrames, st.TwoPhaseFrameBytes, st.TwoPhaseTextBytes)
 	return nil
 }
 

@@ -71,15 +71,20 @@ func aggregateAndProject(rel *Relation, sel *sqlparse.SelectStmt, opts Options) 
 
 	out := &Relation{Cols: outputColumns(sel.Items, rel, env)}
 	var sortKeys [][]types.Value
-	needKeys := len(sel.OrderBy) > 0
+	var sorter *sortKeyPlan
+	if len(sel.OrderBy) > 0 {
+		sorter = newSortKeyPlan(sel.OrderBy, out.Cols)
+	}
 
+	// One overrides map serves every group: each group rebinds the same
+	// aggregate calls to its own results.
+	env.Overrides = make(map[sqlparse.Expr]types.Value, len(aggCalls))
+	defer func() { env.Overrides = nil }()
 	for _, key := range order {
 		g := groups[key]
-		overrides := make(map[sqlparse.Expr]types.Value, len(aggCalls))
 		for i, fc := range aggCalls {
-			overrides[fc] = g.aggs[i].Result()
+			env.Overrides[fc] = g.aggs[i].Result()
 		}
-		env.Overrides = overrides
 
 		rep := g.repRow
 		if rep == nil {
@@ -91,7 +96,6 @@ func aggregateAndProject(rel *Relation, sel *sqlparse.SelectStmt, opts Options) 
 		if sel.Having != nil {
 			ok, err := env.EvalBool(sel.Having, rep)
 			if err != nil {
-				env.Overrides = nil
 				return nil, nil, err
 			}
 			if !ok {
@@ -100,20 +104,17 @@ func aggregateAndProject(rel *Relation, sel *sqlparse.SelectStmt, opts Options) 
 		}
 		projected, err := projectRow(sel.Items, rel, env, rep)
 		if err != nil {
-			env.Overrides = nil
 			return nil, nil, err
 		}
 		out.Rows = append(out.Rows, projected)
-		if needKeys {
-			keys, err := computeSortKeys(sel.OrderBy, env, rep, out.Cols, projected)
-			if err != nil {
-				env.Overrides = nil
+		if sorter != nil {
+			sk := make([]types.Value, len(sel.OrderBy))
+			if err := sorter.eval(sk, env, rep, projected); err != nil {
 				return nil, nil, err
 			}
-			sortKeys = append(sortKeys, keys)
+			sortKeys = append(sortKeys, sk)
 		}
 	}
-	env.Overrides = nil
 	return out, sortKeys, nil
 }
 

@@ -2,7 +2,9 @@ package relalg
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,7 +54,7 @@ func ExecuteSelect(from *Relation, sel *sqlparse.SelectStmt, opts Options) (*Rel
 		projected, sortKeys = distinct(projected, sortKeys)
 	}
 	if len(sel.OrderBy) > 0 {
-		if err := orderBy(projected, sortKeys, sel.OrderBy); err != nil {
+		if err := orderBy(projected, sortKeys, sel.OrderBy, sel.Limit, sel.Offset); err != nil {
 			return nil, err
 		}
 	}
@@ -199,8 +201,12 @@ func projectPlain(rel *Relation, sel *sqlparse.SelectStmt) (*Relation, [][]types
 	slab := make([]types.Value, len(rel.Rows)*width)
 	out.Rows = make([]types.Row, len(rel.Rows))
 	var sortKeys [][]types.Value
+	var order *sortKeyPlan
+	var keySlab []types.Value
 	if len(sel.OrderBy) > 0 {
-		sortKeys = make([][]types.Value, 0, len(rel.Rows))
+		sortKeys = make([][]types.Value, len(rel.Rows))
+		order = newSortKeyPlan(sel.OrderBy, out.Cols)
+		keySlab = make([]types.Value, len(rel.Rows)*len(sel.OrderBy))
 	}
 	for ri, row := range rel.Rows {
 		projected := types.Row(slab[:width:width])
@@ -220,34 +226,61 @@ func projectPlain(rel *Relation, sel *sqlparse.SelectStmt) (*Relation, [][]types
 			}
 		}
 		out.Rows[ri] = projected
-		if sortKeys != nil {
-			keys, err := computeSortKeys(sel.OrderBy, env, row, out.Cols, projected)
-			if err != nil {
+		if order != nil {
+			keys := keySlab[ri*len(sel.OrderBy) : (ri+1)*len(sel.OrderBy)]
+			if err := order.eval(keys, env, row, projected); err != nil {
 				return nil, nil, err
 			}
-			sortKeys = append(sortKeys, keys)
+			sortKeys[ri] = keys
 		}
 	}
 	return out, sortKeys, nil
 }
 
-// computeSortKeys evaluates ORDER BY expressions. Each expression is evaluated
-// against the projected output when it only references output columns (or is
-// an output position literal); otherwise it is evaluated against the input row.
-func computeSortKeys(orderBy []sqlparse.OrderItem, inEnv *expr.Env, inRow types.Row, outCols []expr.InputColumn, outRow types.Row) ([]types.Value, error) {
-	keys := make([]types.Value, len(orderBy))
-	outEnv := expr.NewEnv(outCols)
-	for i, item := range orderBy {
+// sortKeyPlan evaluates ORDER BY expressions, bound to the output columns
+// once per statement. An output position literal, or a bare reference to an
+// output column, reads the projected row; an expression whose column
+// references all resolve against the output is evaluated there first;
+// otherwise (or when that evaluation fails) it is evaluated against the input
+// row.
+type sortKeyPlan struct {
+	items  []sqlparse.OrderItem
+	outEnv *expr.Env
+	outCol []int  // output column of a bare column reference, else -1
+	onOut  []bool // the item's references all resolve against the output
+}
+
+func newSortKeyPlan(items []sqlparse.OrderItem, outCols []expr.InputColumn) *sortKeyPlan {
+	p := &sortKeyPlan{items: items, outEnv: expr.NewEnv(outCols), outCol: make([]int, len(items)), onOut: make([]bool, len(items))}
+	for i, item := range items {
+		p.outCol[i] = -1
+		if ref, ok := item.Expr.(*sqlparse.ColumnRef); ok {
+			if ci, err := p.outEnv.Resolve(ref); err == nil {
+				p.outCol[i] = ci
+			}
+		}
+		p.onOut[i] = refsResolvable(item.Expr, p.outEnv)
+	}
+	return p
+}
+
+// eval writes one row's sort keys into keys (len(items) values).
+func (p *sortKeyPlan) eval(keys []types.Value, inEnv *expr.Env, inRow, outRow types.Row) error {
+	for i, item := range p.items {
 		if lit, ok := item.Expr.(*sqlparse.Literal); ok && lit.Val.Kind == types.KindInt {
 			pos := int(lit.Val.Int)
 			if pos < 1 || pos > len(outRow) {
-				return nil, fmt.Errorf("relalg: ORDER BY position %d out of range", pos)
+				return fmt.Errorf("relalg: ORDER BY position %d out of range", pos)
 			}
 			keys[i] = outRow[pos-1]
 			continue
 		}
-		if refsResolvable(item.Expr, outEnv) {
-			v, err := outEnv.Eval(item.Expr, outRow)
+		if ci := p.outCol[i]; ci >= 0 && ci < len(outRow) {
+			keys[i] = outRow[ci]
+			continue
+		}
+		if p.onOut[i] {
+			v, err := p.outEnv.Eval(item.Expr, outRow)
 			if err == nil {
 				keys[i] = v
 				continue
@@ -255,11 +288,11 @@ func computeSortKeys(orderBy []sqlparse.OrderItem, inEnv *expr.Env, inRow types.
 		}
 		v, err := inEnv.Eval(item.Expr, inRow)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		keys[i] = v
 	}
-	return keys, nil
+	return nil
 }
 
 func refsResolvable(e sqlparse.Expr, env *expr.Env) bool {
@@ -303,34 +336,44 @@ func appendRowKey(buf []byte, row types.Row) []byte {
 	return buf
 }
 
-func orderBy(rel *Relation, sortKeys [][]types.Value, items []sqlparse.OrderItem) error {
+// orderBy sorts rel by its sort keys, stably. When LIMIT keeps fewer rows
+// than there are and every key column is totally ordered, only the first
+// LIMIT+OFFSET rows are selected, through a bounded heap; the result equals
+// the full stable sort's prefix. Otherwise the full sort runs, so a
+// comparison error surfaces as it always has.
+func orderBy(rel *Relation, sortKeys [][]types.Value, items []sqlparse.OrderItem, limit, offset int64) error {
 	if len(sortKeys) != len(rel.Rows) {
 		return fmt.Errorf("relalg: internal error: %d sort keys for %d rows", len(sortKeys), len(rel.Rows))
 	}
+	n := int64(len(rel.Rows))
+	offset = max(offset, 0)
+	if limit >= 0 && limit < n && offset < n-limit && keysTotallyOrdered(sortKeys, len(items)) {
+		idx := topK(len(rel.Rows), int(limit+offset), func(a, b int) int {
+			c, _ := compareKeys(sortKeys[a], sortKeys[b], items)
+			if c == 0 {
+				c = a - b // input position breaks ties, like a stable sort
+			}
+			return c
+		})
+		rows := make([]types.Row, len(idx))
+		for i, ri := range idx {
+			rows[i] = rel.Rows[ri]
+		}
+		rel.Rows = rows
+		return nil
+	}
+
 	indices := make([]int, len(rel.Rows))
 	for i := range indices {
 		indices[i] = i
 	}
 	var sortErr error
 	sort.SliceStable(indices, func(a, b int) bool {
-		ka, kb := sortKeys[indices[a]], sortKeys[indices[b]]
-		for i, item := range items {
-			c, err := types.Compare(ka[i], kb[i])
-			if err != nil {
-				if sortErr == nil {
-					sortErr = err
-				}
-				return false
-			}
-			if c == 0 {
-				continue
-			}
-			if item.Desc {
-				return c > 0
-			}
-			return c < 0
+		c, err := compareKeys(sortKeys[indices[a]], sortKeys[indices[b]], items)
+		if err != nil && sortErr == nil {
+			sortErr = err
 		}
-		return false
+		return c < 0
 	})
 	if sortErr != nil {
 		return sortErr
@@ -341,6 +384,99 @@ func orderBy(rel *Relation, sortKeys [][]types.Value, items []sqlparse.OrderItem
 	}
 	rel.Rows = newRows
 	return nil
+}
+
+// compareKeys orders two rows by their sort keys under the ORDER BY
+// directions; the first comparison error stops it.
+func compareKeys(ka, kb []types.Value, items []sqlparse.OrderItem) (int, error) {
+	for i, item := range items {
+		c, err := types.Compare(ka[i], kb[i])
+		if err != nil {
+			return 0, err
+		}
+		if c != 0 {
+			if item.Desc {
+				return -c, nil
+			}
+			return c, nil
+		}
+	}
+	return 0, nil
+}
+
+// keysTotallyOrdered reports whether types.Compare totally orders every sort
+// key column: its non-NULL values are all numeric (no NaN), all strings or
+// all booleans. Only then can no comparison fail.
+func keysTotallyOrdered(sortKeys [][]types.Value, ncols int) bool {
+	for c := 0; c < ncols; c++ {
+		class := types.KindNull
+		for _, keys := range sortKeys {
+			v := keys[c]
+			k := v.Kind
+			switch k {
+			case types.KindNull:
+				continue
+			case types.KindFloat:
+				if math.IsNaN(v.Float) {
+					return false
+				}
+				k = types.KindInt
+			case types.KindTimestamp:
+				k = types.KindInt
+			case types.KindInt, types.KindString, types.KindBool:
+			default:
+				return false
+			}
+			if class == types.KindNull {
+				class = k
+			} else if k != class {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// topK returns the positions of the k least of n elements under cmp (a strict
+// total order), in ascending order. A max-heap of the k best so far replaces
+// its root whenever a better element arrives: O(n log k) comparisons and k
+// positions of memory.
+func topK(n, k int, cmp func(a, b int) int) []int {
+	h := make([]int, 0, k)
+	for i := 0; i < n && k > 0; i++ {
+		if len(h) < k {
+			h = append(h, i)
+			for c := len(h) - 1; c > 0; {
+				p := (c - 1) / 2
+				if cmp(h[p], h[c]) >= 0 {
+					break
+				}
+				h[p], h[c] = h[c], h[p]
+				c = p
+			}
+			continue
+		}
+		if cmp(i, h[0]) >= 0 {
+			continue
+		}
+		h[0] = i
+		for p := 0; ; {
+			m, l := p, 2*p+1
+			if l < len(h) && cmp(h[l], h[m]) > 0 {
+				m = l
+			}
+			if r := l + 1; r < len(h) && cmp(h[r], h[m]) > 0 {
+				m = r
+			}
+			if m == p {
+				break
+			}
+			h[p], h[m] = h[m], h[p]
+			p = m
+		}
+	}
+	slices.SortFunc(h, cmp)
+	return h
 }
 
 func applyLimit(rel *Relation, limit, offset int64) {

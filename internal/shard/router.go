@@ -113,16 +113,9 @@ type Stats struct {
 	// TwoPhaseAggregates counts SELECTs executed as partial aggregation on the
 	// shards with finalization at the coordinator.
 	TwoPhaseAggregates int64
-	// TwoPhaseFrames counts binary aggregation frames shipped shard ->
-	// coordinator by two-phase statements (one per participating shard).
+	// TwoPhaseFrames counts the partial results two-phase statements handed
+	// to the coordinator: one typed relation per participating shard.
 	TwoPhaseFrames int64
-	// TwoPhaseFrameBytes is the actual wire size of those frames: fixed-width
-	// binary group keys and accumulator states, strings as dictionary codes.
-	TwoPhaseFrameBytes int64
-	// TwoPhaseTextBytes estimates what the same partials would have cost with
-	// the classic encoding (every value re-rendered as text), so the frame
-	// saving is directly measurable as TwoPhaseTextBytes - TwoPhaseFrameBytes.
-	TwoPhaseTextBytes int64
 	// RowsGathered counts base-table rows shipped from shards to the
 	// coordinator by scatter-gather queries.
 	RowsGathered int64
@@ -355,8 +348,6 @@ func (r *Router) ShardingStats() Stats {
 		QueriesPruned:             atomic.LoadInt64(&r.stats.QueriesPruned),
 		TwoPhaseAggregates:        atomic.LoadInt64(&r.stats.TwoPhaseAggregates),
 		TwoPhaseFrames:            atomic.LoadInt64(&r.stats.TwoPhaseFrames),
-		TwoPhaseFrameBytes:        atomic.LoadInt64(&r.stats.TwoPhaseFrameBytes),
-		TwoPhaseTextBytes:         atomic.LoadInt64(&r.stats.TwoPhaseTextBytes),
 		RowsGathered:              atomic.LoadInt64(&r.stats.RowsGathered),
 		ColocatedJoins:            atomic.LoadInt64(&r.stats.ColocatedJoins),
 		BroadcastJoins:            atomic.LoadInt64(&r.stats.BroadcastJoins),

@@ -401,66 +401,49 @@ func fanOut(n int, fn func(i int) error) (int, error) {
 }
 
 // scatterPartials runs the partial-aggregate statement on the given members
-// concurrently and ships each shard's result to the coordinator as a binary
-// aggregation frame (frame.go): fixed-width tagged group keys and accumulator
-// states, with repeated strings collapsed to int32 codes into per-column
-// mini-dictionaries. The coordinator decodes the frames and concatenates them
-// in member order — the union of the members' result relations, at a
-// fraction of the wire bytes of re-rendered text rows. The frame/byte
-// counters record both the actual frame size and the estimated classic text
-// size, so the saving is observable per statement.
-func (r *Router) scatterPartials(txnID int64, sel *sqlparse.SelectStmt, ms []*accel.Accelerator, snaps []*accel.Snapshot, members []int, sp *obs.Span) (*relalg.Relation, error) {
+// concurrently and returns each member's result relation as it is, in member
+// order: partials cross the goroutine boundary by pointer, typed, and the
+// coordinator merges them (mergePartials).
+func (r *Router) scatterPartials(txnID int64, sel *sqlparse.SelectStmt, ms []*accel.Accelerator, snaps []*accel.Snapshot, members []int, sp *obs.Span) ([]*relalg.Relation, error) {
 	ssp := sp.Child("scatter")
 	ssp.Add(obs.KeyShards, int64(len(members)))
 	defer ssp.Finish()
-	frames := make([][]byte, len(members))
-	textBytes := make([]int64, len(members))
+	parts := make([]*relalg.Relation, len(members))
 	spans := make([]*obs.Span, len(members))
 	for i, p := range members {
 		spans[i] = ssp.Child("shard")
 		spans[i].Label(obs.LabelShard, ms[p].Name())
 	}
-	failed, err := fanOut(len(members), func(i int) error {
+	failed, err := fanOut(len(members), func(i int) (err error) {
 		defer spans[i].Finish()
-		rel, err := ms[members[i]].QueryAtTraced(txnID, snaps[members[i]], sel, spans[i])
-		if err != nil {
-			return err
-		}
-		frames[i] = encodeAggFrame(rel)
-		textBytes[i] = textWireBytes(rel)
-		return nil
+		parts[i], err = ms[members[i]].QueryAtTraced(txnID, snaps[members[i]], sel, spans[i])
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", ms[members[failed]].Name(), err)
 	}
-	union := &relalg.Relation{}
-	var frameTotal, textTotal int64
-	for i := range members {
-		part, err := decodeAggFrame(frames[i])
-		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", ms[members[i]].Name(), err)
-		}
-		frameTotal += int64(len(frames[i]))
-		textTotal += textBytes[i]
-		if union.Cols == nil {
-			union.Cols = part.Cols
-		}
-		union.Rows = append(union.Rows, part.Rows...)
+	rows := 0
+	for _, p := range parts {
+		rows += len(p.Rows)
 	}
 	atomic.AddInt64(&r.stats.TwoPhaseFrames, int64(len(members)))
-	atomic.AddInt64(&r.stats.TwoPhaseFrameBytes, frameTotal)
-	atomic.AddInt64(&r.stats.TwoPhaseTextBytes, textTotal)
-	atomic.AddInt64(&r.stats.RowsGathered, int64(len(union.Rows)))
-	return union, nil
+	atomic.AddInt64(&r.stats.RowsGathered, int64(rows))
+	return parts, nil
 }
 
+// executeTwoPhaseOn scatters the plan's partial aggregation, merges the
+// partials into one row per group and runs the plain final statement over
+// them.
 func (r *Router) executeTwoPhaseOn(txnID int64, plan *twoPhasePlan, ms []*accel.Accelerator, snaps []*accel.Snapshot, members []int, sp *obs.Span) (*relalg.Relation, error) {
-	union, err := r.scatterPartials(txnID, plan.shardSel, ms, snaps, members, sp)
+	parts, err := r.scatterPartials(txnID, plan.shardSel, ms, snaps, members, sp)
 	if err != nil {
 		return nil, err
 	}
 	fsp := sp.Child("finalize")
-	rel, err := relalg.ExecuteSelect(union, plan.finalSel, relalg.Options{Parallelism: r.Slices()})
-	fsp.Finish()
-	return rel, err
+	defer fsp.Finish()
+	merged, err := mergePartials(parts, plan.merge)
+	if err != nil {
+		return nil, err
+	}
+	return relalg.ExecuteSelect(merged, plan.finalSel, relalg.Options{Parallelism: r.Slices()})
 }

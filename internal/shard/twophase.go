@@ -5,16 +5,19 @@ import (
 	"strings"
 
 	"idaax/internal/expr"
+	"idaax/internal/relalg"
 	"idaax/internal/sqlparse"
 	"idaax/internal/types"
 )
 
-// twoPhasePlan is a grouped/aggregate SELECT split into the statement each
-// shard runs (grouping keys plus partial aggregates) and the statement the
-// coordinator runs over the union of the shard results (re-grouping on the
-// keys, merging the partials, then HAVING, projection, ORDER BY and LIMIT).
+// twoPhasePlan is a grouped/aggregate SELECT split into three steps: the
+// statement each shard runs (grouping keys plus partial aggregates), the
+// merge that folds the shards' partial rows into one row per group
+// (mergePartials), and the plain statement the coordinator runs over the
+// merged rows (HAVING as WHERE, projection, DISTINCT, ORDER BY and LIMIT).
 type twoPhasePlan struct {
 	shardSel *sqlparse.SelectStmt
+	merge    mergeSpec
 	finalSel *sqlparse.SelectStmt
 }
 
@@ -29,6 +32,7 @@ const partialPrefix = "__A"
 type twoPhaseBuilder struct {
 	groupKeys  []string // canonical forms of the GROUP BY expressions
 	shardItems []sqlparse.SelectItem
+	mergeFns   []string // merge aggregate of each partial column, in order
 	// partials maps the canonical form of an aggregate call to the aliases of
 	// its partial columns (one for COUNT/SUM/MIN/MAX, two for AVG), so the
 	// same aggregate appearing in the select list and in HAVING/ORDER BY is
@@ -49,12 +53,10 @@ func planTwoPhase(sel *sqlparse.SelectStmt) (*twoPhasePlan, bool) {
 		}
 	}
 	b := &twoPhaseBuilder{partials: make(map[string][]string)}
-	finalGroupBy := make([]sqlparse.Expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
 		alias := fmt.Sprintf("%s%d", groupPrefix, i)
 		b.groupKeys = append(b.groupKeys, formatExpr(g))
 		b.shardItems = append(b.shardItems, sqlparse.SelectItem{Expr: g, Alias: alias})
-		finalGroupBy[i] = &sqlparse.ColumnRef{Name: alias}
 	}
 
 	finalItems := make([]sqlparse.SelectItem, len(sel.Items))
@@ -94,18 +96,18 @@ func planTwoPhase(sel *sqlparse.SelectStmt) (*twoPhasePlan, bool) {
 	finalSel := &sqlparse.SelectStmt{
 		Distinct: sel.Distinct,
 		Items:    finalItems,
-		GroupBy:  finalGroupBy,
-		Having:   having,
+		Where:    having,
 		OrderBy:  finalOrder,
 		Limit:    sel.Limit,
 		Offset:   sel.Offset,
 	}
-	return &twoPhasePlan{shardSel: shardSel, finalSel: finalSel}, true
+	merge := mergeSpec{groups: len(sel.GroupBy), fns: b.mergeFns}
+	return &twoPhasePlan{shardSel: shardSel, merge: merge, finalSel: finalSel}, true
 }
 
-// rewrite maps an expression of the original statement onto the shard-output
+// rewrite maps an expression of the original statement onto the merged
 // columns: occurrences of GROUP BY expressions become references to the
-// grouping columns, aggregate calls become merge aggregates over the partial
+// grouping columns, aggregate calls become references to their merged partial
 // columns, and scalar structure is rebuilt around the rewritten children. A
 // bare column reference that is neither a grouping expression nor inside an
 // aggregate argument makes the rewrite fail.
@@ -232,16 +234,17 @@ func (b *twoPhaseBuilder) rewrite(e sqlparse.Expr) (sqlparse.Expr, bool) {
 	}
 }
 
-// rewriteAggregate turns one aggregate call into its merge form:
+// rewriteAggregate turns one aggregate call into an expression over its
+// merged partial columns, registering the partials and how they merge:
 //
-//	COUNT(x)/COUNT(*) -> SUM(partial counts)   (SUM of ints stays integral)
-//	SUM(x)            -> SUM(partial sums)
-//	MIN(x)/MAX(x)     -> MIN/MAX of partial extremes
-//	AVG(x)            -> CAST(SUM(partial sums) AS DOUBLE) / SUM(partial counts)
+//	COUNT(x)/COUNT(*) -> __Ak, merged by SUM   (SUM of ints stays integral)
+//	SUM(x)            -> __Ak, merged by SUM
+//	MIN(x)/MAX(x)     -> __Ak, merged by MIN/MAX
+//	AVG(x)            -> CAST(__AkS AS DOUBLE) / __AkC, both merged by SUM
 //
-// The AVG division yields NULL for all-NULL groups because SUM of the NULL
-// partial sums is NULL, matching single-node AVG semantics; the CAST keeps the
-// result DOUBLE like the single-node accumulator.
+// The AVG division yields NULL for all-NULL groups because the merged SUM of
+// NULL partial sums is NULL, matching single-node AVG semantics; the CAST
+// keeps the result DOUBLE like the single-node accumulator.
 func (b *twoPhaseBuilder) rewriteAggregate(fc *sqlparse.FuncCall, key string) (sqlparse.Expr, bool) {
 	if fc.Distinct {
 		return nil, false
@@ -251,39 +254,26 @@ func (b *twoPhaseBuilder) rewriteAggregate(fc *sqlparse.FuncCall, key string) (s
 	case "COUNT", "SUM", "MIN", "MAX":
 		aliases, ok := b.partials[key]
 		if !ok {
-			alias := fmt.Sprintf("%s%d", partialPrefix, len(b.shardItems))
-			b.shardItems = append(b.shardItems, sqlparse.SelectItem{Expr: copyAggregate(fc), Alias: alias})
-			aliases = []string{alias}
+			merge := "SUM"
+			if name == "MIN" || name == "MAX" {
+				merge = name
+			}
+			aliases = []string{b.addPartial("", copyAggregate(fc), merge)}
 			b.partials[key] = aliases
 		}
-		merge := "SUM"
-		if name == "MIN" || name == "MAX" {
-			merge = name
-		}
-		return &sqlparse.FuncCall{Name: merge, Args: []sqlparse.Expr{&sqlparse.ColumnRef{Name: aliases[0]}}}, true
+		return &sqlparse.ColumnRef{Name: aliases[0]}, true
 	case "AVG":
 		aliases, ok := b.partials[key]
 		if !ok {
-			sumAlias := fmt.Sprintf("%s%dS", partialPrefix, len(b.shardItems))
-			b.shardItems = append(b.shardItems, sqlparse.SelectItem{
-				Expr:  &sqlparse.FuncCall{Name: "SUM", Args: append([]sqlparse.Expr(nil), fc.Args...)},
-				Alias: sumAlias,
-			})
-			cntAlias := fmt.Sprintf("%s%dC", partialPrefix, len(b.shardItems))
-			b.shardItems = append(b.shardItems, sqlparse.SelectItem{
-				Expr:  &sqlparse.FuncCall{Name: "COUNT", Args: append([]sqlparse.Expr(nil), fc.Args...)},
-				Alias: cntAlias,
-			})
-			aliases = []string{sumAlias, cntAlias}
+			sum := b.addPartial("S", &sqlparse.FuncCall{Name: "SUM", Args: append([]sqlparse.Expr(nil), fc.Args...)}, "SUM")
+			cnt := b.addPartial("C", &sqlparse.FuncCall{Name: "COUNT", Args: append([]sqlparse.Expr(nil), fc.Args...)}, "SUM")
+			aliases = []string{sum, cnt}
 			b.partials[key] = aliases
 		}
 		return &sqlparse.BinaryExpr{
-			Op: sqlparse.OpDiv,
-			Left: &sqlparse.CastExpr{
-				Operand: &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{&sqlparse.ColumnRef{Name: aliases[0]}}},
-				To:      types.KindFloat,
-			},
-			Right: &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{&sqlparse.ColumnRef{Name: aliases[1]}}},
+			Op:    sqlparse.OpDiv,
+			Left:  &sqlparse.CastExpr{Operand: &sqlparse.ColumnRef{Name: aliases[0]}, To: types.KindFloat},
+			Right: &sqlparse.ColumnRef{Name: aliases[1]},
 		}, true
 	default:
 		// STDDEV/VARIANCE need sum-of-squares partials; the scatter-gather
@@ -292,8 +282,17 @@ func (b *twoPhaseBuilder) rewriteAggregate(fc *sqlparse.FuncCall, key string) (s
 	}
 }
 
+// addPartial appends one partial-aggregate column to the shard statement and
+// records the aggregate that merges it; it returns the column's alias.
+func (b *twoPhaseBuilder) addPartial(suffix string, call *sqlparse.FuncCall, merge string) string {
+	alias := fmt.Sprintf("%s%d%s", partialPrefix, len(b.shardItems), suffix)
+	b.shardItems = append(b.shardItems, sqlparse.SelectItem{Expr: call, Alias: alias})
+	b.mergeFns = append(b.mergeFns, merge)
+	return alias
+}
+
 // rewriteOrderExpr rewrites an ORDER BY expression. Besides the regular
-// rewrite it admits two forms the final ExecuteSelect resolves against the
+// rewrite it admits two forms the final statement resolves against the
 // projected output: ordinal positions (ORDER BY 2) and bare references to a
 // select-item alias.
 func (b *twoPhaseBuilder) rewriteOrderExpr(e sqlparse.Expr, finalItems []sqlparse.SelectItem) (sqlparse.Expr, bool) {
@@ -323,4 +322,78 @@ func copyAggregate(fc *sqlparse.FuncCall) *sqlparse.FuncCall {
 		Star:     fc.Star,
 		Distinct: fc.Distinct,
 	}
+}
+
+// mergeSpec describes the shard statement's output for the merge: its first
+// groups columns are the grouping keys, and each following column is a
+// partial aggregate folded by fns[i] (SUM, MIN or MAX).
+type mergeSpec struct {
+	groups int
+	fns    []string
+}
+
+// mergePartials folds the members' partial relations into one row per group,
+// in one pass over the partial rows. Groups are keyed by
+// types.Value.AppendGroupKey over the grouping columns — the key relalg's
+// GROUP BY uses — and come out in first-occurrence order across the
+// partials, taken in member order; a group's key values are those of its
+// first partial row. Every partial column folds through expr.AggState.Add, so
+// NULL handling and SUM's Int/Float result rule are the single-node
+// accumulator's. A global aggregate over no partial rows still yields one
+// row. The merged relation keeps the partials' columns.
+func mergePartials(parts []*relalg.Relation, spec mergeSpec) (*relalg.Relation, error) {
+	ng, na := spec.groups, len(spec.fns)
+	tmpl := make([]expr.AggState, na)
+	for i, fn := range spec.fns {
+		st, err := expr.NewAggState(&sqlparse.FuncCall{Name: fn})
+		if err != nil {
+			return nil, err
+		}
+		tmpl[i] = *st
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p.Rows)
+	}
+	index := make(map[string]int, total)
+	firsts := make([]types.Row, 0, total) // each group's first partial row
+	accs := make([]expr.AggState, 0, total*na)
+	var key []byte
+	for _, p := range parts {
+		for _, row := range p.Rows {
+			key = key[:0]
+			for _, v := range row[:ng] {
+				key = append(v.AppendGroupKey(key), 0x1f)
+			}
+			g, ok := index[string(key)]
+			if !ok {
+				g = len(firsts)
+				index[string(key)] = g
+				firsts = append(firsts, row)
+				accs = append(accs, tmpl...)
+			}
+			for i, a := range row[ng:] {
+				if err := accs[g*na+i].Add(a); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	if ng == 0 && len(firsts) == 0 {
+		firsts = append(firsts, nil)
+		accs = append(accs, tmpl...)
+	}
+
+	width := ng + na
+	slab := make([]types.Value, len(firsts)*width)
+	out := &relalg.Relation{Cols: parts[0].Cols, Rows: make([]types.Row, len(firsts))}
+	for g, first := range firsts {
+		row := types.Row(slab[g*width : (g+1)*width : (g+1)*width])
+		copy(row, first[:ng])
+		for i := range na {
+			row[ng+i] = accs[g*na+i].Result()
+		}
+		out.Rows[g] = row
+	}
+	return out, nil
 }

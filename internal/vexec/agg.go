@@ -358,25 +358,86 @@ type group struct {
 	accs []acc
 }
 
-// workerAgg is one scan worker's aggregation state.
+// workerAgg is one scan worker's aggregation state. Its groups, their
+// accumulators, key values and key strings are carved from chunked slabs, so
+// a high-cardinality aggregate allocates per chunk rather than per group.
 type workerAgg struct {
 	groups map[string]*group
 	order  []*group
 	env    *expr.Env
 	keyBuf []byte
 	gids   []*group
+
+	groupSlab []group
+	accSlab   []acc
+	valSlab   []types.Value
+	keyArena  strings.Builder
+}
+
+// maxGroupChunk caps how many groups one slab allocation serves. Chunks
+// start small and grow with the worker's group count, so a low-cardinality
+// aggregate does not zero slabs it never uses.
+const maxGroupChunk = 512
+
+func newWorkerAggs(n int, residualCols []expr.InputColumn) []*workerAgg {
+	workers := make([]*workerAgg, n)
+	for i := range workers {
+		workers[i] = &workerAgg{groups: make(map[string]*group)}
+		if residualCols != nil {
+			workers[i].env = expr.NewEnv(residualCols)
+		}
+	}
+	return workers
+}
+
+// newGroup registers a group under a copy of key, with naggs zeroed
+// accumulators and nkeys key values for the caller to fill.
+func (w *workerAgg) newGroup(key []byte, nkeys, naggs int) *group {
+	chunk := min(max(len(w.order), 8), maxGroupChunk)
+	g := &carve(&w.groupSlab, 1, chunk)[0]
+	g.key = w.internKey(key, chunk)
+	g.accs = carve(&w.accSlab, naggs, chunk)
+	if nkeys > 0 {
+		g.keys = carve(&w.valSlab, nkeys, chunk)
+	}
+	w.groups[g.key] = g
+	w.order = append(w.order, g)
+	return g
+}
+
+// internKey copies key into the worker's key arena. A strings.Builder never
+// rewrites bytes it has already handed out through String, so each key stays
+// valid while later keys append to the same chunk; a full chunk is dropped
+// (its keys keep it alive) and a fresh one of about chunk keys started.
+func (w *workerAgg) internKey(key []byte, chunk int) string {
+	a := &w.keyArena
+	if a.Cap()-a.Len() < len(key) {
+		a.Reset()
+		a.Grow(chunk * max(16, len(key)))
+	}
+	start := a.Len()
+	a.Write(key)
+	return a.String()[start:]
+}
+
+// carve takes the next n elements of a chunked slab, refilling it with room
+// for chunk groups' worth when short.
+func carve[T any](slab *[]T, n, chunk int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, n*chunk)
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
 }
 
 func (p *Plan) runAggregate(t *colstore.Table, slices int, vis colstore.Visibility) (*relalg.Relation, colstore.ScanStats, error) {
 	ap := p.agg
-	nw := max(slices, 1)
-	workers := make([]*workerAgg, nw)
-	for i := range workers {
-		workers[i] = &workerAgg{groups: make(map[string]*group)}
-		if p.residual != nil {
-			workers[i].env = expr.NewEnv(p.cols)
-		}
+	var residualCols []expr.InputColumn
+	if p.residual != nil {
+		residualCols = p.cols
 	}
+	workers := newWorkerAggs(max(slices, 1), residualCols)
 
 	stats, err := t.ScanBatches(slices, vis, p.preds, func(wi int, b *colstore.Batch) error {
 		w := workers[wi]
@@ -409,15 +470,10 @@ func (p *Plan) runAggregate(t *colstore.Table, slices int, vis colstore.Visibili
 			w.keyBuf = key
 			g, ok := w.groups[string(key)]
 			if !ok {
-				g = &group{key: string(key), accs: make([]acc, len(ap.aggs))}
-				if len(ap.groupIdxs) > 0 {
-					g.keys = make([]types.Value, len(ap.groupIdxs))
-					for k, ci := range ap.groupIdxs {
-						g.keys[k] = b.Cols[ci].Value(off)
-					}
+				g = w.newGroup(key, len(ap.groupIdxs), len(ap.aggs))
+				for k, ci := range ap.groupIdxs {
+					g.keys[k] = b.Cols[ci].Value(off)
 				}
-				w.groups[g.key] = g
-				w.order = append(w.order, g)
 			}
 			gids = append(gids, g)
 		}
@@ -441,8 +497,14 @@ func (p *Plan) runAggregate(t *colstore.Table, slices int, vis colstore.Visibili
 // and projects the output relation with LIMIT/OFFSET applied. Shared by the
 // single-table and join probes.
 func finalizeGroups(ap *aggPlan, workers []*workerAgg) *relalg.Relation {
-	merged := make(map[string]*group)
-	var order []*group
+	total := 0
+	for _, w := range workers {
+		if w != nil {
+			total += len(w.order)
+		}
+	}
+	merged := make(map[string]*group, total)
+	order := make([]*group, 0, total)
 	for _, w := range workers {
 		if w == nil {
 			continue
@@ -465,10 +527,11 @@ func finalizeGroups(ap *aggPlan, workers []*workerAgg) *relalg.Relation {
 		order = append(order, &group{accs: make([]acc, len(ap.aggs))})
 	}
 
-	out := &relalg.Relation{Cols: ap.outCols}
-	out.Rows = make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, len(ap.items))
+	width := len(ap.items)
+	slab := make([]types.Value, len(order)*width)
+	out := &relalg.Relation{Cols: ap.outCols, Rows: make([]types.Row, len(order))}
+	for gi, g := range order {
+		row := types.Row(slab[gi*width : (gi+1)*width : (gi+1)*width])
 		for i, it := range ap.items {
 			switch it.kind {
 			case itemGroupRef:
@@ -479,7 +542,7 @@ func finalizeGroups(ap *aggPlan, workers []*workerAgg) *relalg.Relation {
 				row[i] = it.lit
 			}
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[gi] = row
 	}
 	applyLimit(out, ap.limit, ap.offset)
 	return out

@@ -737,14 +737,11 @@ func (jp *JoinPlan) probeMaterialize(t *colstore.Table, bt *hashTable, slices in
 func (jp *JoinPlan) probeAggregate(t *colstore.Table, bt *hashTable, slices int, vis colstore.Visibility) (*relalg.Relation, colstore.ScanStats, error) {
 	ap := jp.agg
 	nl := len(jp.left.schema.Columns)
-	nw := max(slices, 1)
-	workers := make([]*workerAgg, nw)
-	for i := range workers {
-		workers[i] = &workerAgg{groups: make(map[string]*group)}
-		if jp.residual != nil {
-			workers[i].env = expr.NewEnv(jp.cols)
-		}
+	var residualCols []expr.InputColumn
+	if jp.residual != nil {
+		residualCols = jp.cols
 	}
+	workers := newWorkerAggs(max(slices, 1), residualCols)
 	stats, err := jp.probe(t, bt, slices, vis, func(wi int, b *colstore.Batch, off, slot int) error {
 		w := workers[wi]
 		if jp.residual != nil {
@@ -765,22 +762,17 @@ func (jp *JoinPlan) probeAggregate(t *colstore.Table, bt *hashTable, slices int,
 		w.keyBuf = key
 		g, ok := w.groups[string(key)]
 		if !ok {
-			g = &group{key: string(key), accs: make([]acc, len(ap.aggs))}
-			if len(ap.groupIdxs) > 0 {
-				g.keys = make([]types.Value, len(ap.groupIdxs))
-				for k, ci := range ap.groupIdxs {
-					switch {
-					case ci < nl:
-						g.keys[k] = b.Cols[ci].Value(off)
-					case slot < 0:
-						g.keys[k] = types.Null()
-					default:
-						g.keys[k] = bt.cols[ci-nl].value(slot)
-					}
+			g = w.newGroup(key, len(ap.groupIdxs), len(ap.aggs))
+			for k, ci := range ap.groupIdxs {
+				switch {
+				case ci < nl:
+					g.keys[k] = b.Cols[ci].Value(off)
+				case slot < 0:
+					g.keys[k] = types.Null()
+				default:
+					g.keys[k] = bt.cols[ci-nl].value(slot)
 				}
 			}
-			w.groups[g.key] = g
-			w.order = append(w.order, g)
 		}
 
 		for ai := range ap.aggs {

@@ -244,53 +244,3 @@ func TestJoinDuringRebalance(t *testing.T) {
 			resultFingerprint(vec), resultFingerprint(row))
 	}
 }
-
-// TestTwoPhaseFrameShipping pins tentpole (c) end to end: a dictionary-keyed
-// grouped aggregate over a sharded table executes as two-phase partials whose
-// shard->coordinator wire is binary frames, and those frames measure smaller
-// than the re-encoded-text baseline they replaced. The accumulator values are
-// deliberately non-terminating decimals — the shape where text re-encoding
-// balloons (17+ digits per float) and fixed-width payloads pay off.
-func TestTwoPhaseFrameShipping(t *testing.T) {
-	sys := newShardedSystem(t, 3)
-	defer sys.Close()
-	s := sys.AdminSession()
-	if _, err := s.Exec("CREATE TABLE wire (k BIGINT NOT NULL, seg VARCHAR(24), x DOUBLE) IN ACCELERATOR SHARDS DISTRIBUTE BY HASH(k)"); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO wire VALUES ")
-	for i := 0; i < 3000; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, 'SEGMENT%02d', %.17g)", i, i%24, (float64(i)+0.1)/3)
-	}
-	if _, err := s.Exec(sb.String()); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 5; i++ {
-		if _, err := s.Query("SELECT seg, COUNT(*), SUM(x), AVG(x), MIN(x), MAX(x) FROM wire GROUP BY seg"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, err := sys.ShardGroupStats("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TwoPhaseAggregates == 0 {
-		t.Fatal("grouped aggregate did not execute two-phase")
-	}
-	if stats.TwoPhaseFrames == 0 {
-		t.Fatal("two-phase aggregation shipped no binary frames")
-	}
-	if stats.TwoPhaseFrameBytes <= 0 || stats.TwoPhaseTextBytes <= 0 {
-		t.Fatalf("frame byte counters not populated: frame=%d text=%d",
-			stats.TwoPhaseFrameBytes, stats.TwoPhaseTextBytes)
-	}
-	if stats.TwoPhaseFrameBytes >= stats.TwoPhaseTextBytes {
-		t.Fatalf("binary frames (%d bytes) did not undercut the text baseline (%d bytes)",
-			stats.TwoPhaseFrameBytes, stats.TwoPhaseTextBytes)
-	}
-}

@@ -249,15 +249,13 @@ type ShardGroupStats struct {
 	// TwoPhaseAggregates counts SELECTs executed as shard-local partial
 	// aggregation finalised at the coordinator.
 	TwoPhaseAggregates int64
-	// TwoPhaseFrames counts binary aggregation frames shipped shard ->
-	// coordinator by those statements (one per participating shard).
+	// TwoPhaseFrames counts the partial results those statements handed to
+	// the coordinator: one typed relation per participating shard.
 	TwoPhaseFrames int64
-	// TwoPhaseFrameBytes is the actual wire size of the frames (fixed-width
-	// binary keys and accumulator states, strings as dictionary codes);
-	// TwoPhaseTextBytes estimates the classic re-rendered-text size of the
-	// same partials, so the difference is the measured wire saving.
+	// TwoPhaseFrameBytes is always 0: partials reach the coordinator as typed
+	// relations, not encoded bytes. The field stays for readers of the byte
+	// counter, such as the benchmark's route oracle.
 	TwoPhaseFrameBytes int64
-	TwoPhaseTextBytes  int64
 	// RowsGathered counts rows shipped shard -> coordinator by queries.
 	RowsGathered int64
 	// ColocatedJoins counts multi-table SELECTs whose joins ran entirely
@@ -325,8 +323,6 @@ func (s *System) ShardGroupStats(name string) (ShardGroupStats, error) {
 		QueriesPruned:             routing.QueriesPruned,
 		TwoPhaseAggregates:        routing.TwoPhaseAggregates,
 		TwoPhaseFrames:            routing.TwoPhaseFrames,
-		TwoPhaseFrameBytes:        routing.TwoPhaseFrameBytes,
-		TwoPhaseTextBytes:         routing.TwoPhaseTextBytes,
 		RowsGathered:              routing.RowsGathered,
 		ColocatedJoins:            routing.ColocatedJoins,
 		BroadcastJoins:            routing.BroadcastJoins,
