@@ -10,6 +10,9 @@ import (
 
 	"idaax"
 	"idaax/internal/analytics"
+	"idaax/internal/expr"
+	"idaax/internal/relalg"
+	"idaax/internal/types"
 )
 
 // seedChurnLike creates a labelled training table and fills it with a
@@ -81,6 +84,8 @@ func withinRel(t *testing.T, what string, got, want, tol float64) {
 // and produces the same model a single backend computes over identical rows —
 // exactly (to floating-point summation order) for linear/logistic regression
 // and naive Bayes, without gathering a single base row to the coordinator.
+// The single system is pinned too: its one partition runs the single-backend
+// trainers bit for bit.
 func TestDistributedTrainingDifferential(t *testing.T) {
 	const rows = 3000
 	sharded := newShardedSystem(t, 3)
@@ -90,45 +95,54 @@ func TestDistributedTrainingDifferential(t *testing.T) {
 	seedChurnLike(t, sharded, "SHARDS", rows)
 	seedChurnLike(t, single, "IDAA1", rows)
 
-	before, err := sharded.ShardGroupStats("")
-	if err != nil {
-		t.Fatal(err)
+	// Each CALL must scatter exactly once under its own name (KMEANS once
+	// more, unnamed, for the shard-local assignment write), move no base row
+	// to the coordinator, and save the partition trainer's model kind with N
+	// and the contributing shard count.
+	calls := []struct {
+		proc, sql, model, kind string
+		scatters               int64
+	}{
+		{"IDAX.LINEAR_REGRESSION", "CALL IDAX.LINEAR_REGRESSION('TRAIN', 'Y', 'F1,F2', 'M_LIN', 0.000001)", "M_LIN", analytics.ModelKindLinear, 1},
+		{"IDAX.LOGISTIC_REGRESSION", "CALL IDAX.LOGISTIC_REGRESSION('TRAIN', 'FLAG', 'F1,F2', 'M_LOG', 80, 0.3)", "M_LOG", analytics.ModelKindLogistic, 1},
+		{"IDAX.NAIVE_BAYES", "CALL IDAX.NAIVE_BAYES('TRAIN', 'FLAG', 'F1,F2', 'M_NB')", "M_NB", analytics.ModelKindNaiveBayes, 1},
+		{"IDAX.KMEANS", "CALL IDAX.KMEANS('TRAIN', 'F1,F2', 3, 'M_KM', 'KM_ASSIGN', 'CID', 25, 7)", "M_KM", analytics.ModelKindKMeans, 2},
+		{"IDAX.DECISION_TREE", "CALL IDAX.DECISION_TREE('TRAIN', 'FLAG', 'F1,F2', 'M_DT', 6)", "M_DT", analytics.ModelKindForest, 1},
 	}
-
-	calls := []string{
-		"CALL IDAX.LINEAR_REGRESSION('TRAIN', 'Y', 'F1,F2', 'M_LIN', 0.000001)",
-		"CALL IDAX.LOGISTIC_REGRESSION('TRAIN', 'FLAG', 'F1,F2', 'M_LOG', 80, 0.3)",
-		"CALL IDAX.NAIVE_BAYES('TRAIN', 'FLAG', 'F1,F2', 'M_NB')",
-	}
-	for _, call := range calls {
-		res, err := sharded.AdminSession().Exec(call)
+	for _, c := range calls {
+		before, err := sharded.ShardGroupStats("")
 		if err != nil {
-			t.Fatalf("sharded %s: %v", call, err)
+			t.Fatal(err)
+		}
+		res, err := sharded.AdminSession().Exec(c.sql)
+		if err != nil {
+			t.Fatalf("sharded %s: %v", c.sql, err)
 		}
 		if res.RowsAffected != rows {
-			t.Fatalf("sharded %s trained on %d rows, want %d", call, res.RowsAffected, rows)
+			t.Fatalf("sharded %s trained on %d rows, want %d", c.sql, res.RowsAffected, rows)
 		}
-		if !strings.Contains(res.Message, "shard-local") {
-			t.Fatalf("sharded %s did not scatter: %q", call, res.Message)
+		after, err := sharded.ShardGroupStats("")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := single.AdminSession().Exec(call); err != nil {
-			t.Fatalf("single %s: %v", call, err)
+		if got := after.DistributedProcCalls[c.proc] - before.DistributedProcCalls[c.proc]; got != 1 {
+			t.Fatalf("sharded %s: %d scatters counted under %s, want 1", c.sql, got, c.proc)
 		}
-	}
-
-	after, err := sharded.ShardGroupStats("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.AnalyticsScatters-before.AnalyticsScatters < 3 {
-		t.Fatalf("expected >= 3 analytics scatters, got %d", after.AnalyticsScatters-before.AnalyticsScatters)
-	}
-	if after.DistributedProcCalls["IDAX.LINEAR_REGRESSION"] == 0 {
-		t.Fatalf("per-procedure counters missing: %v", after.DistributedProcCalls)
-	}
-	if after.RowsGathered != before.RowsGathered {
-		t.Fatalf("training gathered %d base rows to the coordinator; the scatter path must move none",
-			after.RowsGathered-before.RowsGathered)
+		if got := after.AnalyticsScatters - before.AnalyticsScatters; got != c.scatters {
+			t.Fatalf("sharded %s: %d analytics scatters, want %d", c.sql, got, c.scatters)
+		}
+		if after.RowsGathered != before.RowsGathered {
+			t.Fatalf("sharded %s gathered %d base rows to the coordinator; the scatter path must move none",
+				c.sql, after.RowsGathered-before.RowsGathered)
+		}
+		kind, metrics := modelMetrics(t, sharded, c.model)
+		if kind != c.kind || metrics["N"] != fmt.Sprint(rows) || metrics["SHARDS"] != "3" {
+			t.Fatalf("sharded %s: model kind %s, N %s, SHARDS %s; want %s, %d, 3",
+				c.sql, kind, metrics["N"], metrics["SHARDS"], c.kind, rows)
+		}
+		if _, err := single.AdminSession().Exec(c.sql); err != nil {
+			t.Fatalf("single %s: %v", c.sql, err)
+		}
 	}
 
 	// Linear model: coefficients merge exactly (Gram matrices are row sums).
@@ -207,6 +221,125 @@ func TestDistributedTrainingDifferential(t *testing.T) {
 			withinRel(t, "summary "+sumS.Columns[c], dv, sv, 1e-9)
 		}
 	}
+
+	pinSingleTrainers(t, single, sumS)
+}
+
+// pinSingleTrainers checks that a single accelerator — one partition — still
+// runs the single-backend trainers bit for bit: each model table holds exactly
+// the payload and metric rows the trainer produces directly over Extract of
+// the same rows, and SUMMARY returns exactly Summarize's statistics.
+func pinSingleTrainers(t *testing.T, single *idaax.System, summary *idaax.Result) {
+	t.Helper()
+	rel := readRelation(t, single, "SELECT * FROM train")
+	extract := func(target string, categorical bool, id string) *analytics.Dataset {
+		ds, err := analytics.Extract(rel, analytics.ExtractOptions{
+			Features: []string{"F1", "F2"}, Target: target, TargetCategorical: categorical, ID: id, SkipIncomplete: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	lin, err := analytics.TrainLinearRegression(extract("Y", false, ""), 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logit, err := analytics.TrainLogisticRegression(extract("FLAG", false, ""), 80, 0.3, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelled := extract("FLAG", true, "")
+	nb, err := analytics.TrainNaiveBayes(labelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Parallelism is IDAA1's slice count, as the procedure passes it.
+	km, _, err := analytics.TrainKMeans(extract("", false, "CID"), analytics.KMeansOptions{K: 3, MaxIterations: 25, Seed: 7, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt, err := analytics.TrainDecisionTree(labelled, analytics.DecisionTreeOptions{MaxDepth: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := []struct {
+		table, kind string
+		model       any
+		metrics     map[string]float64
+	}{
+		{"M_LIN", analytics.ModelKindLinear, lin, map[string]float64{"RMSE": lin.RMSE, "R2": lin.R2, "N": float64(lin.N)}},
+		{"M_LOG", analytics.ModelKindLogistic, logit, map[string]float64{"ACCURACY": logit.TrainAccuracy, "LOGLOSS": logit.TrainLogLoss, "N": float64(logit.N)}},
+		{"M_NB", analytics.ModelKindNaiveBayes, nb, map[string]float64{"ACCURACY": nb.Accuracy(labelled), "CLASSES": float64(len(nb.Classes)), "N": float64(nb.N)}},
+		{"M_KM", analytics.ModelKindKMeans, km, map[string]float64{"INERTIA": km.Inertia, "ITERATIONS": float64(km.Iterations), "K": 3, "N": float64(km.N)}},
+		{"M_DT", analytics.ModelKindDecisionTree, dt, map[string]float64{"ACCURACY": dt.Accuracy(labelled), "NODES": float64(dt.Nodes), "DEPTH": float64(dt.Depth()), "N": float64(dt.N)}},
+	}
+	for _, p := range pins {
+		want, err := analytics.ModelRows(p.kind, p.model, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(modelPayload(t, single, p.table)); got != want[0][3].AsString() {
+			t.Fatalf("single %s payload differs from the single-backend trainer:\n got %s\nwant %s", p.table, got, want[0][3].AsString())
+		}
+		kind, metrics := modelMetrics(t, single, p.table)
+		if kind != p.kind || len(metrics) != len(p.metrics) {
+			t.Fatalf("single %s: kind %s, metrics %v; want %s, %v", p.table, kind, metrics, p.kind, p.metrics)
+		}
+		for name, v := range p.metrics {
+			if metrics[name] != types.NewFloat(v).String() {
+				t.Fatalf("single %s metric %s = %s, want %v", p.table, name, metrics[name], v)
+			}
+		}
+	}
+
+	stats, err := analytics.Summarize(rel, []string{"F1", "F2", "Y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(summary.Rows) != len(stats) {
+		t.Fatalf("single summary: %d rows, want %d", len(summary.Rows), len(stats))
+	}
+	for i, st := range stats {
+		want := []string{st.Name, fmt.Sprint(st.Count), fmt.Sprint(st.Nulls),
+			types.NewFloat(st.Mean).String(), types.NewFloat(st.StdDev).String(),
+			types.NewFloat(st.Min).String(), types.NewFloat(st.Max).String()}
+		if strings.Join(summary.Rows[i], "|") != strings.Join(want, "|") {
+			t.Fatalf("single summary row %d: %v, want %v", i, summary.Rows[i], want)
+		}
+	}
+}
+
+// readRelation runs a query and returns its typed result as a relation.
+func readRelation(t *testing.T, sys *idaax.System, sql string) *relalg.Relation {
+	t.Helper()
+	res, err := sys.Coordinator().Session(sys.AdminSession().User()).Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatalf("%s: no rows", sql)
+	}
+	rel := &relalg.Relation{Rows: res.Rows}
+	for i, name := range res.Columns {
+		rel.Cols = append(rel.Cols, expr.InputColumn{Name: name, Kind: res.Rows[0][i].Kind})
+	}
+	return rel
+}
+
+// modelMetrics returns a model table's kind and its metric rows, rendered.
+func modelMetrics(t *testing.T, sys *idaax.System, table string) (string, map[string]string) {
+	t.Helper()
+	res, err := sys.AdminSession().Query("SELECT MODEL_KIND, PARAM, VALUE FROM " + table + " WHERE PARAM <> 'JSON'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind := ""
+	metrics := make(map[string]string, len(res.Rows))
+	for _, r := range res.Rows {
+		kind = r[0]
+		metrics[r[1]] = r[2]
+	}
+	return kind, metrics
 }
 
 // TestDistributedScoringShardLocal checks the scoring half: PREDICT on a

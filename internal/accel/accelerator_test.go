@@ -188,33 +188,6 @@ func TestQueryPushdownAndJoins(t *testing.T) {
 	}
 }
 
-func TestMaterializeQuery(t *testing.T) {
-	a := newAccel(t)
-	insertRows(t, a, 1, 20)
-	a.CommitTxn(1)
-	if err := a.CreateTable("OUT", types.NewSchema(
-		types.Column{Name: "ID", Kind: types.KindInt},
-		types.Column{Name: "DOUBLED", Kind: types.KindFloat},
-	), ""); err != nil {
-		t.Fatal(err)
-	}
-	n, err := a.MaterializeQuery(5, "OUT", nil, selectStmt(t, "SELECT id, v * 2 FROM t WHERE id < 5"))
-	if err != nil || n != 5 {
-		t.Fatalf("materialize: %d, %v", n, err)
-	}
-	// Own transaction sees it before commit; nobody else does.
-	if cnt, _ := a.RowCount(5, "OUT"); cnt != 5 {
-		t.Fatalf("own count = %d", cnt)
-	}
-	if cnt, _ := a.RowCount(0, "OUT"); cnt != 0 {
-		t.Fatalf("foreign count = %d", cnt)
-	}
-	a.CommitTxn(5)
-	if cnt, _ := a.RowCount(0, "OUT"); cnt != 5 {
-		t.Fatalf("committed count = %d", cnt)
-	}
-}
-
 func TestReplicatedApplyPaths(t *testing.T) {
 	a := newAccel(t)
 	rows := []types.Row{

@@ -602,52 +602,3 @@ func (a *Accelerator) pushdownPredicates(sel *sqlparse.SelectStmt, item sqlparse
 	visit(sel.Where)
 	return preds
 }
-
-// MaterializeQuery executes a SELECT and inserts its result into the target
-// accelerator table under the same DB2 transaction. It implements the
-// accelerator side of INSERT INTO <aot> SELECT ..., the core operation of
-// multi-stage transformations running entirely inside the accelerator.
-func (a *Accelerator) MaterializeQuery(txnID int64, target string, columns []string, sel *sqlparse.SelectStmt) (int, error) {
-	rel, err := a.Query(txnID, sel)
-	if err != nil {
-		return 0, err
-	}
-	t, err := a.Table(target)
-	if err != nil {
-		return 0, err
-	}
-	rows, err := mapRowsToSchema(columns, rel.Rows, t.Schema())
-	if err != nil {
-		return 0, err
-	}
-	return a.Insert(txnID, target, rows)
-}
-
-func mapRowsToSchema(columns []string, rows []types.Row, schema types.Schema) ([]types.Row, error) {
-	if len(columns) == 0 {
-		return rows, nil
-	}
-	positions := make([]int, len(columns))
-	for i, c := range columns {
-		idx := schema.IndexOf(c)
-		if idx < 0 {
-			return nil, fmt.Errorf("accel: INSERT references unknown column %s", c)
-		}
-		positions[i] = idx
-	}
-	out := make([]types.Row, len(rows))
-	for ri, src := range rows {
-		if len(src) != len(positions) {
-			return nil, fmt.Errorf("accel: SELECT produced %d columns for %d target columns", len(src), len(positions))
-		}
-		row := make(types.Row, schema.Len())
-		for i := range row {
-			row[i] = types.Null()
-		}
-		for i, v := range src {
-			row[positions[i]] = v
-		}
-		out[ri] = row
-	}
-	return out, nil
-}

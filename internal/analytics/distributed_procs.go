@@ -7,15 +7,19 @@ import (
 	"idaax/internal/core"
 	"idaax/internal/obs"
 	"idaax/internal/planner"
+	"idaax/internal/relalg"
 	"idaax/internal/types"
 )
 
-// This file routes the IDAX.* procedures through the shard-local analytics
-// seam. When a CALL's input table lives on a sharded backend, training and
-// scoring scatter over the members that own the rows (accel.MultiShard.
-// CallShardLocal) and only partials — sufficient statistics, local models,
-// completion counts — return to the coordinator for merging. Scoring writes
-// its predictions shard-local, next to the partition they were computed from.
+// This file is how the IDAX.* procedures read their input as partitions.
+// Every training and summary procedure has one body: readPartitions turns the
+// input table into one partial per partition, and the partition count picks
+// the trainer. A table on a sharded backend scatters over the members that
+// own its rows (accel.MultiShard.CallShardLocal), so only partials —
+// sufficient statistics, local models, completion counts — return to the
+// coordinator for merging; any other table is one partition, read whole.
+// PREDICT keeps a fleet route of its own (distPredict), which writes each
+// prediction shard-local, next to the partition it was computed from.
 
 // scatterTarget decides whether a procedure on the given input table should
 // run shard-local: the table's backend must partition it over at least two
@@ -47,19 +51,6 @@ func scatterStream(ctx *core.ProcContext, be accel.MultiShard, table, proc strin
 	return err
 }
 
-// scatterCall is scatterStream collecting every partial, in shard order, for
-// callers that need them all at once — the multi-round trainers iterating
-// over retained per-shard feature matrices. Merge runs in ordinal order, so
-// a plain append keeps the order.
-func scatterCall(ctx *core.ProcContext, be accel.MultiShard, table, proc string, fn accel.ShardLocalFunc) ([]any, error) {
-	var partials []any
-	err := scatterStream(ctx, be, table, proc, fn, func(_ int, partial any) error {
-		partials = append(partials, partial)
-		return nil
-	})
-	return partials, err
-}
-
 // plannerInfo asks the backend's planner catalog about a table — the same
 // placement metadata (distribution key, member set, migration state) the
 // query planner consults.
@@ -71,35 +62,69 @@ func plannerInfo(be accel.Backend, table string) (planner.TableInfo, bool) {
 	return prov.PlannerCatalog()(types.NormalizeName(table))
 }
 
-// scatterExtract runs one shard-local scatter that reduces every partition of
-// the input table to a Dataset. Partitions with no usable rows come back nil;
-// at least one row fleet-wide is required.
-func scatterExtract(ctx *core.ProcContext, be accel.MultiShard, table, proc string, opts ExtractOptions) ([]*Dataset, int, error) {
-	if err := ctx.CheckSelect(table); err != nil {
-		return nil, 0, err
-	}
-	opts.AllowEmpty = true
-	partials, err := scatterCall(ctx, be, table, proc, func(p *accel.ShardPartition) (any, error) {
-		if len(p.Rows.Rows) == 0 {
-			return (*Dataset)(nil), nil
+// readPartitions reads a procedure's input table as partitions and reduces
+// each one where its rows are. A table on a shard group of two or more members
+// yields one partial per member, computed shard-local through CallShardLocal
+// after the SELECT privilege check that routing would otherwise apply. Any
+// other table yields one partial of the whole table, read through
+// ctx.QuerySQL. reduce is told which kind of relation it is given; the shard
+// group is returned for callers that write shard-local (nil for a whole-table
+// read).
+func readPartitions[T any](ctx *core.ProcContext, table, proc string, reduce func(rel *relalg.Relation, scattered bool) (T, error)) ([]T, accel.MultiShard, error) {
+	be, ok := scatterTarget(ctx, table)
+	if !ok {
+		rel, err := readTable(ctx, table)
+		if err != nil {
+			return nil, nil, err
 		}
-		return Extract(p.Rows, opts)
+		part, err := reduce(rel, false)
+		if err != nil {
+			return nil, nil, err
+		}
+		return []T{part}, nil, nil
+	}
+	if err := ctx.CheckSelect(table); err != nil {
+		return nil, nil, err
+	}
+	var parts []T
+	err := scatterStream(ctx, be, table, proc, func(p *accel.ShardPartition) (any, error) {
+		return reduce(p.Rows, true)
+	}, func(_ int, partial any) error {
+		parts = append(parts, partial.(T))
+		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	parts := make([]*Dataset, len(partials))
-	total := 0
-	for i, p := range partials {
-		if ds, ok := p.(*Dataset); ok && ds != nil && ds.Rows() > 0 {
-			parts[i] = ds
-			total += ds.Rows()
+	return parts, be, nil
+}
+
+// readDatasets reads a training input as one Dataset per partition. A whole
+// table must yield usable rows (Extract's errors). A scattered read leaves nil
+// for the partitions with none and needs at least one row fleet-wide.
+func readDatasets(ctx *core.ProcContext, table, proc string, opts ExtractOptions) ([]*Dataset, accel.MultiShard, error) {
+	partOpts := opts
+	partOpts.AllowEmpty = true
+	parts, be, err := readPartitions(ctx, table, proc, func(rel *relalg.Relation, scattered bool) (*Dataset, error) {
+		if !scattered {
+			return Extract(rel, opts)
 		}
+		if len(rel.Rows) == 0 {
+			return nil, nil
+		}
+		ds, err := Extract(rel, partOpts)
+		if err != nil || ds.Rows() == 0 {
+			return nil, err
+		}
+		return ds, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if total == 0 {
-		return nil, 0, fmt.Errorf("analytics: table %s has no usable rows on any shard", types.NormalizeName(table))
+	if be != nil && shardsUsed(parts) == 0 {
+		return nil, nil, fmt.Errorf("analytics: table %s has no usable rows on any shard", types.NormalizeName(table))
 	}
-	return parts, total, nil
+	return parts, be, nil
 }
 
 // shardsUsed counts the partitions that contributed rows.
@@ -163,152 +188,20 @@ func materializeTarget(ctx *core.ProcContext, outTable, accName string, schema t
 	return outTable, nil
 }
 
-// ---------------------------------------------------------------------------
-// Distributed training
-// ---------------------------------------------------------------------------
-
-func distLinearRegression(ctx *core.ProcContext, be accel.MultiShard, table, target, features, modelTable string, ridge float64) (*core.ProcResult, error) {
-	parts, _, err := scatterExtract(ctx, be, table, "IDAX.LINEAR_REGRESSION",
-		ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	model, err := TrainLinearRegressionDistributed(parts, ridge)
-	if err != nil {
-		return nil, err
-	}
-	metrics := map[string]float64{"RMSE": model.RMSE, "R2": model.R2, "N": float64(model.N), "SHARDS": float64(shardsUsed(parts))}
-	if err := saveModel(ctx, modelTable, ModelKindLinear, model, metrics); err != nil {
-		return nil, err
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: []string{types.NormalizeName(modelTable)},
-		Message:      fmt.Sprintf("linear regression trained shard-local on %d rows across %d shards (RMSE=%.4f R2=%.4f)", model.N, shardsUsed(parts), model.RMSE, model.R2),
-	}, nil
-}
-
-func distLogisticRegression(ctx *core.ProcContext, be accel.MultiShard, table, target, features, modelTable string, iterations int, learningRate float64) (*core.ProcResult, error) {
-	parts, _, err := scatterExtract(ctx, be, table, "IDAX.LOGISTIC_REGRESSION",
-		ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	model, err := TrainLogisticRegressionDistributed(parts, iterations, learningRate, 1e-4)
-	if err != nil {
-		return nil, err
-	}
-	metrics := map[string]float64{"ACCURACY": model.TrainAccuracy, "LOGLOSS": model.TrainLogLoss, "N": float64(model.N), "SHARDS": float64(shardsUsed(parts))}
-	if err := saveModel(ctx, modelTable, ModelKindLogistic, model, metrics); err != nil {
-		return nil, err
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: []string{types.NormalizeName(modelTable)},
-		Message:      fmt.Sprintf("logistic regression trained shard-local on %d rows across %d shards (accuracy=%.4f)", model.N, shardsUsed(parts), model.TrainAccuracy),
-	}, nil
-}
-
-func distNaiveBayes(ctx *core.ProcContext, be accel.MultiShard, table, target, features, modelTable string) (*core.ProcResult, error) {
-	parts, _, err := scatterExtract(ctx, be, table, "IDAX.NAIVE_BAYES",
-		ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	model, err := TrainNaiveBayesDistributed(parts)
-	if err != nil {
-		return nil, err
-	}
-	acc, err := classifierAccuracy(func(f []float64) string { c, _ := model.PredictClass(f); return c }, parts)
-	if err != nil {
-		return nil, err
-	}
-	metrics := map[string]float64{"ACCURACY": acc, "N": float64(model.N), "CLASSES": float64(len(model.Classes)), "SHARDS": float64(shardsUsed(parts))}
-	if err := saveModel(ctx, modelTable, ModelKindNaiveBayes, model, metrics); err != nil {
-		return nil, err
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: []string{types.NormalizeName(modelTable)},
-		Message:      fmt.Sprintf("naive bayes trained shard-local on %d rows across %d shards, %d classes (accuracy=%.4f)", model.N, shardsUsed(parts), len(model.Classes), acc),
-	}, nil
-}
-
-func distDecisionTree(ctx *core.ProcContext, be accel.MultiShard, table, target, features, modelTable string, maxDepth int) (*core.ProcResult, error) {
-	parts, _, err := scatterExtract(ctx, be, table, "IDAX.DECISION_TREE",
-		ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	model, err := TrainDecisionForestDistributed(parts, DecisionTreeOptions{MaxDepth: maxDepth})
-	if err != nil {
-		return nil, err
-	}
-	acc, err := classifierAccuracy(model.PredictClass, parts)
-	if err != nil {
-		return nil, err
-	}
-	metrics := map[string]float64{"ACCURACY": acc, "NODES": float64(model.Nodes()), "DEPTH": float64(model.Depth()), "N": float64(model.N), "TREES": float64(len(model.Trees)), "SHARDS": float64(shardsUsed(parts))}
-	if err := saveModel(ctx, modelTable, ModelKindForest, model, metrics); err != nil {
-		return nil, err
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: []string{types.NormalizeName(modelTable)},
-		Message:      fmt.Sprintf("decision forest of %d shard-local trees, %d nodes (depth %d, accuracy=%.4f)", len(model.Trees), model.Nodes(), model.Depth(), acc),
-	}, nil
-}
-
-func distKMeans(ctx *core.ProcContext, be accel.MultiShard, table, features string, k int, modelTable, assignTable, idColumn string, iterations int, seed int64) (*core.ProcResult, error) {
-	parts, _, err := scatterExtract(ctx, be, table, "IDAX.KMEANS",
-		ExtractOptions{Features: core.SplitList(features), ID: idColumn, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	model, assignments, err := TrainKMeansDistributed(parts, KMeansOptions{K: k, MaxIterations: iterations, Seed: seed, Parallelism: be.Slices()})
-	if err != nil {
-		return nil, err
-	}
-	metrics := map[string]float64{"INERTIA": model.Inertia, "ITERATIONS": float64(model.Iterations), "K": float64(k), "N": float64(model.N), "SHARDS": float64(shardsUsed(parts))}
-	if err := saveModel(ctx, modelTable, ModelKindKMeans, model, metrics); err != nil {
-		return nil, err
-	}
-	outputs := []string{types.NormalizeName(modelTable)}
-	if assignTable != "" {
-		n, err := writeAssignmentsShardLocal(ctx, be, assignTable, parts, assignments, idColumn == "")
-		if err != nil {
-			return nil, err
-		}
-		if n != model.N {
-			return nil, fmt.Errorf("analytics: wrote %d of %d cluster assignments", n, model.N)
-		}
-		outputs = append(outputs, types.NormalizeName(assignTable))
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: outputs,
-		Message:      fmt.Sprintf("k-means (k=%d) trained shard-local across %d shards (consolidated centers, inertia %.2f)", k, shardsUsed(parts), model.Inertia),
-	}, nil
-}
-
-// writeAssignmentsShardLocal materialises per-shard cluster assignments next
-// to the partition they were computed from: the assignment AOT is created on
-// the input table's backend and each shard's batch is written through
-// WriteLocal. When the CALL gave no id column (syntheticIDs), each partition's
-// IDs are local row numbers that would collide across shards, so they are
-// renumbered to a dense global 0..N-1 like the single-backend path produces.
-// Batches for shard ordinals that disappeared between the two scatters (a
-// concurrent membership change) fall back to the routed insert path, so no
-// assignment is ever dropped.
-func writeAssignmentsShardLocal(ctx *core.ProcContext, be accel.MultiShard, assignTable string, parts []*Dataset, assignments [][]int, syntheticIDs bool) (int, error) {
-	schema := types.NewSchema(
+// assignmentSchema is the schema of a k-means assignment table.
+func assignmentSchema() types.Schema {
+	return types.NewSchema(
 		types.Column{Name: "ID", Kind: types.KindString},
 		types.Column{Name: "CLUSTER", Kind: types.KindInt},
 	)
-	outTable, err := materializeTarget(ctx, assignTable, be.Name(), schema, "")
-	if err != nil {
-		return 0, err
-	}
+}
+
+// assignmentRows turns per-partition cluster assignments into assignment-table
+// rows, one batch per partition. When the CALL gave no id column
+// (syntheticIDs), each partition's IDs are local row numbers that would
+// collide across shards, so they are renumbered to the dense 0..N-1 a
+// whole-table read produces.
+func assignmentRows(parts []*Dataset, assignments [][]int, syntheticIDs bool) [][]types.Row {
 	batches := make([][]types.Row, len(parts))
 	base := 0
 	for i, ds := range parts {
@@ -326,24 +219,35 @@ func writeAssignmentsShardLocal(ctx *core.ProcContext, be accel.MultiShard, assi
 		base += ds.Rows()
 		batches[i] = rows
 	}
+	return batches
+}
+
+// writeAssignmentsShardLocal materialises per-shard cluster assignment batches
+// next to the partition they were computed from: the assignment AOT is created
+// on the input table's backend and each shard's batch is written through
+// WriteLocal. Batches for shard ordinals that disappeared between the two
+// scatters (a concurrent membership change) fall back to the routed insert
+// path, so no assignment is ever dropped.
+func writeAssignmentsShardLocal(ctx *core.ProcContext, be accel.MultiShard, assignTable string, batches [][]types.Row) error {
+	outTable, err := materializeTarget(ctx, assignTable, be.Name(), assignmentSchema(), "")
+	if err != nil {
+		return err
+	}
 	// proc is empty: this is the second scatter of one CALL IDAX.KMEANS, and
 	// the per-procedure counters count CALLs, not scatter operations.
-	written := 0
-	covered := 0
-	partials, err := scatterCall(ctx, be, outTable, "", func(p *accel.ShardPartition) (any, error) {
+	written, covered := 0, 0
+	err = scatterStream(ctx, be, outTable, "", func(p *accel.ShardPartition) (any, error) {
 		if p.Ordinal >= len(batches) || len(batches[p.Ordinal]) == 0 {
 			return 0, nil
 		}
 		return p.WriteLocal(outTable, batches[p.Ordinal])
+	}, func(_ int, partial any) error {
+		covered++
+		written += partial.(int)
+		return nil
 	})
 	if err != nil {
-		return 0, err
-	}
-	covered = len(partials)
-	for _, p := range partials {
-		if n, ok := p.(int); ok {
-			written += n
-		}
+		return err
 	}
 	for i := covered; i < len(batches); i++ {
 		if len(batches[i]) == 0 {
@@ -352,55 +256,22 @@ func writeAssignmentsShardLocal(ctx *core.ProcContext, be accel.MultiShard, assi
 		n, err := ctx.InsertRows(outTable, batches[i])
 		written += n
 		if err != nil {
-			return written, err
+			return err
 		}
 	}
-	return written, nil
+	want := 0
+	for _, b := range batches {
+		want += len(b)
+	}
+	if written != want {
+		return fmt.Errorf("analytics: wrote %d of %d cluster assignments", written, want)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
-// Distributed summary and scoring
+// Distributed scoring
 // ---------------------------------------------------------------------------
-
-func distSummary(ctx *core.ProcContext, be accel.MultiShard, table, cols string) (*core.ProcResult, error) {
-	if err := ctx.CheckSelect(table); err != nil {
-		return nil, err
-	}
-	columns := core.SplitList(cols)
-	// Streaming merge: each shard's moment set folds into the accumulator as
-	// it arrives, so the coordinator never holds one moment slice per shard.
-	var acc []ColumnMoments
-	shards := 0
-	err := scatterStream(ctx, be, table, "IDAX.SUMMARY", func(p *accel.ShardPartition) (any, error) {
-		return SummarizePartial(p.Rows, columns)
-	}, func(_ int, partial any) error {
-		shards++
-		m, ok := partial.([]ColumnMoments)
-		if !ok {
-			return nil
-		}
-		var err error
-		acc, err = MergeColumnMomentsInto(acc, m)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats, err := FinalizeColumnMoments(acc)
-	if err != nil {
-		return nil, err
-	}
-	rows := 0
-	for _, st := range stats {
-		if st.Count+st.Nulls > rows {
-			rows = st.Count + st.Nulls
-		}
-	}
-	return &core.ProcResult{
-		Relation: statsRelation(stats),
-		Message:  fmt.Sprintf("summarised %d columns over %d rows across %d shards (moment merge)", len(stats), rows, shards),
-	}, nil
-}
 
 func distPredict(ctx *core.ProcContext, be accel.MultiShard, kind string, model any, table, idColumn, outTable string) (*core.ProcResult, error) {
 	if err := ctx.CheckSelect(table); err != nil {

@@ -2,7 +2,9 @@ package analytics
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -177,13 +179,16 @@ func majorityAndGini(ds *Dataset, indices []int) (string, float64) {
 	return best, giniOfCounts(counts, len(indices))
 }
 
+// giniOfCounts sums the class terms in sorted class order: map order would
+// vary the last bit of the impurity, and with it the trained tree, from one
+// run to the next.
 func giniOfCounts(counts map[string]int, total int) float64 {
 	if total == 0 {
 		return 0
 	}
 	g := 1.0
-	for _, c := range counts {
-		p := float64(c) / float64(total)
+	for _, class := range slices.Sorted(maps.Keys(counts)) {
+		p := float64(counts[class]) / float64(total)
 		g -= p * p
 	}
 	return g

@@ -3,6 +3,7 @@ package analytics
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"idaax/internal/core"
 	"idaax/internal/expr"
@@ -99,6 +100,28 @@ func saveModel(ctx *core.ProcContext, modelTable, kind string, model any, metric
 	return err
 }
 
+// saveTrained saves a model trained on n rows of parts, with N and the given
+// metrics, and reports the CALL. A model trained over several partitions
+// also records SHARDS, the number of partitions that contributed rows.
+func saveTrained(ctx *core.ProcContext, parts []*Dataset, modelTable, kind string, model any, n int, metrics map[string]float64, msg string) (*core.ProcResult, error) {
+	metrics["N"] = float64(n)
+	if len(parts) > 1 {
+		metrics["SHARDS"] = float64(shardsUsed(parts))
+	}
+	if err := saveModel(ctx, modelTable, kind, model, metrics); err != nil {
+		return nil, err
+	}
+	return &core.ProcResult{RowsAffected: n, OutputTables: []string{types.NormalizeName(modelTable)}, Message: msg}, nil
+}
+
+// trainedOn words the rows a model was trained on for the CALL message.
+func trainedOn(parts []*Dataset, n int) string {
+	if len(parts) > 1 {
+		return fmt.Sprintf("shard-local on %d rows across %d shards", n, shardsUsed(parts))
+	}
+	return fmt.Sprintf("on %d rows", n)
+}
+
 func loadModelFromTable(ctx *core.ProcContext, modelTable string) (string, any, error) {
 	rel, err := readTable(ctx, modelTable)
 	if err != nil {
@@ -120,18 +143,25 @@ func procSummary(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	if err != nil {
 		return nil, err
 	}
-	if be, ok := scatterTarget(ctx, table); ok {
-		return distSummary(ctx, be, table, cols)
-	}
-	rel, err := readTable(ctx, table)
+	columns := core.SplitList(cols)
+	var rows atomic.Int64
+	parts, _, err := readPartitions(ctx, table, "IDAX.SUMMARY", func(rel *relalg.Relation, _ bool) ([]ColumnMoments, error) {
+		rows.Add(int64(len(rel.Rows)))
+		return SummarizePartial(rel, columns)
+	})
 	if err != nil {
 		return nil, err
 	}
-	stats, err := Summarize(rel, core.SplitList(cols))
+	// Over one partition this is Summarize; over several, the moment merge.
+	stats, err := MergeColumnMoments(parts)
 	if err != nil {
 		return nil, err
 	}
-	return &core.ProcResult{Relation: statsRelation(stats), Message: fmt.Sprintf("summarised %d columns over %d rows", len(stats), len(rel.Rows))}, nil
+	msg := fmt.Sprintf("summarised %d columns over %d rows", len(stats), rows.Load())
+	if len(parts) > 1 {
+		msg += fmt.Sprintf(" across %d shards (moment merge)", len(parts))
+	}
+	return &core.ProcResult{Relation: statsRelation(stats), Message: msg}, nil
 }
 
 func procStandardize(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
@@ -286,6 +316,11 @@ func procSplitData(ctx *core.ProcContext, args []types.Value) (*core.ProcResult,
 
 // ---------------------------------------------------------------------------
 // Training procedures
+//
+// One body each: readDatasets yields one Dataset per partition of the input
+// table, and the partition count picks the trainer — the single-backend
+// trainer for one, the partition trainer (merged partials, a forest,
+// consolidated centers) for several.
 // ---------------------------------------------------------------------------
 
 func procLinearRegression(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
@@ -307,30 +342,23 @@ func procLinearRegression(ctx *core.ProcContext, args []types.Value) (*core.Proc
 	}
 	ridge := core.ArgFloat(args, 4, 1e-6)
 
-	if be, ok := scatterTarget(ctx, table); ok {
-		return distLinearRegression(ctx, be, table, target, features, modelTable, ridge)
-	}
-	rel, err := readTable(ctx, table)
+	parts, _, err := readDatasets(ctx, table, "IDAX.LINEAR_REGRESSION",
+		ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	ds, err := Extract(rel, ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
+	var model *LinearModel
+	if len(parts) == 1 {
+		model, err = TrainLinearRegression(parts[0], ridge)
+	} else {
+		model, err = TrainLinearRegressionDistributed(parts, ridge)
+	}
 	if err != nil {
 		return nil, err
 	}
-	model, err := TrainLinearRegression(ds, ridge)
-	if err != nil {
-		return nil, err
-	}
-	metrics := map[string]float64{"RMSE": model.RMSE, "R2": model.R2, "N": float64(model.N)}
-	if err := saveModel(ctx, modelTable, ModelKindLinear, model, metrics); err != nil {
-		return nil, err
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: []string{types.NormalizeName(modelTable)},
-		Message:      fmt.Sprintf("linear regression trained on %d rows (RMSE=%.4f R2=%.4f)", model.N, model.RMSE, model.R2),
-	}, nil
+	return saveTrained(ctx, parts, modelTable, ModelKindLinear, model, model.N,
+		map[string]float64{"RMSE": model.RMSE, "R2": model.R2},
+		fmt.Sprintf("linear regression trained %s (RMSE=%.4f R2=%.4f)", trainedOn(parts, model.N), model.RMSE, model.R2))
 }
 
 func procLogisticRegression(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
@@ -353,30 +381,23 @@ func procLogisticRegression(ctx *core.ProcContext, args []types.Value) (*core.Pr
 	iterations := int(core.ArgInt(args, 4, 200))
 	learningRate := core.ArgFloat(args, 5, 0.1)
 
-	if be, ok := scatterTarget(ctx, table); ok {
-		return distLogisticRegression(ctx, be, table, target, features, modelTable, iterations, learningRate)
-	}
-	rel, err := readTable(ctx, table)
+	parts, _, err := readDatasets(ctx, table, "IDAX.LOGISTIC_REGRESSION",
+		ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	ds, err := Extract(rel, ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
+	var model *LogisticModel
+	if len(parts) == 1 {
+		model, err = TrainLogisticRegression(parts[0], iterations, learningRate, 1e-4)
+	} else {
+		model, err = TrainLogisticRegressionDistributed(parts, iterations, learningRate, 1e-4)
+	}
 	if err != nil {
 		return nil, err
 	}
-	model, err := TrainLogisticRegression(ds, iterations, learningRate, 1e-4)
-	if err != nil {
-		return nil, err
-	}
-	metrics := map[string]float64{"ACCURACY": model.TrainAccuracy, "LOGLOSS": model.TrainLogLoss, "N": float64(model.N)}
-	if err := saveModel(ctx, modelTable, ModelKindLogistic, model, metrics); err != nil {
-		return nil, err
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: []string{types.NormalizeName(modelTable)},
-		Message:      fmt.Sprintf("logistic regression trained on %d rows (accuracy=%.4f)", model.N, model.TrainAccuracy),
-	}, nil
+	return saveTrained(ctx, parts, modelTable, ModelKindLogistic, model, model.N,
+		map[string]float64{"ACCURACY": model.TrainAccuracy, "LOGLOSS": model.TrainLogLoss},
+		fmt.Sprintf("logistic regression trained %s (accuracy=%.4f)", trainedOn(parts, model.N), model.TrainAccuracy))
 }
 
 func procKMeans(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
@@ -398,45 +419,47 @@ func procKMeans(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, er
 	iterations := int(core.ArgInt(args, 6, 50))
 	seed := core.ArgInt(args, 7, 7)
 
-	if be, ok := scatterTarget(ctx, table); ok {
-		return distKMeans(ctx, be, table, features, k, modelTable, assignTable, idColumn, iterations, seed)
-	}
-	rel, err := readTable(ctx, table)
+	parts, fleet, err := readDatasets(ctx, table, "IDAX.KMEANS",
+		ExtractOptions{Features: core.SplitList(features), ID: idColumn, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	ds, err := Extract(rel, ExtractOptions{Features: core.SplitList(features), ID: idColumn, SkipIncomplete: true})
+	opts := KMeansOptions{K: k, MaxIterations: iterations, Seed: seed, Parallelism: ctx.Accelerator.Slices()}
+	if fleet != nil {
+		opts.Parallelism = fleet.Slices()
+	}
+	var model *KMeansModel
+	assignments := make([][]int, 1)
+	if len(parts) == 1 {
+		model, assignments[0], err = TrainKMeans(parts[0], opts)
+	} else {
+		model, assignments, err = TrainKMeansDistributed(parts, opts)
+	}
 	if err != nil {
 		return nil, err
 	}
-	model, assignments, err := TrainKMeans(ds, KMeansOptions{K: k, MaxIterations: iterations, Seed: seed, Parallelism: ctx.Accelerator.Slices()})
+	msg := fmt.Sprintf("k-means (k=%d) converged after %d iterations, inertia %.2f", k, model.Iterations, model.Inertia)
+	if len(parts) > 1 {
+		msg = fmt.Sprintf("k-means (k=%d) trained shard-local across %d shards (consolidated centers, inertia %.2f)", k, shardsUsed(parts), model.Inertia)
+	}
+	res, err := saveTrained(ctx, parts, modelTable, ModelKindKMeans, model, model.N,
+		map[string]float64{"INERTIA": model.Inertia, "ITERATIONS": float64(model.Iterations), "K": float64(k)}, msg)
+	if err != nil || assignTable == "" {
+		return res, err
+	}
+	// Assignments are written where their partition was read: shard-local on
+	// a shard group, through the routed insert path otherwise.
+	batches := assignmentRows(parts, assignments, idColumn == "")
+	if fleet != nil {
+		err = writeAssignmentsShardLocal(ctx, fleet, assignTable, batches)
+	} else {
+		_, err = materializeRows(ctx, assignTable, assignmentSchema(), batches[0])
+	}
 	if err != nil {
 		return nil, err
 	}
-	metrics := map[string]float64{"INERTIA": model.Inertia, "ITERATIONS": float64(model.Iterations), "K": float64(k), "N": float64(model.N)}
-	if err := saveModel(ctx, modelTable, ModelKindKMeans, model, metrics); err != nil {
-		return nil, err
-	}
-	outputs := []string{types.NormalizeName(modelTable)}
-	if assignTable != "" {
-		schema := types.NewSchema(
-			types.Column{Name: "ID", Kind: types.KindString},
-			types.Column{Name: "CLUSTER", Kind: types.KindInt},
-		)
-		rows := make([]types.Row, len(assignments))
-		for i, c := range assignments {
-			rows[i] = types.Row{types.NewString(ds.IDs[i].AsString()), types.NewInt(int64(c))}
-		}
-		if _, err := materializeRows(ctx, assignTable, schema, rows); err != nil {
-			return nil, err
-		}
-		outputs = append(outputs, types.NormalizeName(assignTable))
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: outputs,
-		Message:      fmt.Sprintf("k-means (k=%d) converged after %d iterations, inertia %.2f", k, model.Iterations, model.Inertia),
-	}, nil
+	res.OutputTables = append(res.OutputTables, types.NormalizeName(assignTable))
+	return res, nil
 }
 
 func procNaiveBayes(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
@@ -456,30 +479,27 @@ func procNaiveBayes(ctx *core.ProcContext, args []types.Value) (*core.ProcResult
 	if err != nil {
 		return nil, err
 	}
-	if be, ok := scatterTarget(ctx, table); ok {
-		return distNaiveBayes(ctx, be, table, target, features, modelTable)
-	}
-	rel, err := readTable(ctx, table)
+	parts, _, err := readDatasets(ctx, table, "IDAX.NAIVE_BAYES",
+		ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	ds, err := Extract(rel, ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
+	var model *NaiveBayesModel
+	if len(parts) == 1 {
+		model, err = TrainNaiveBayes(parts[0])
+	} else {
+		model, err = TrainNaiveBayesDistributed(parts)
+	}
 	if err != nil {
 		return nil, err
 	}
-	model, err := TrainNaiveBayes(ds)
+	acc, err := classifierAccuracy(func(f []float64) string { c, _ := model.PredictClass(f); return c }, parts)
 	if err != nil {
 		return nil, err
 	}
-	acc := model.Accuracy(ds)
-	if err := saveModel(ctx, modelTable, ModelKindNaiveBayes, model, map[string]float64{"ACCURACY": acc, "N": float64(model.N), "CLASSES": float64(len(model.Classes))}); err != nil {
-		return nil, err
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: []string{types.NormalizeName(modelTable)},
-		Message:      fmt.Sprintf("naive bayes trained on %d rows, %d classes (accuracy=%.4f)", model.N, len(model.Classes), acc),
-	}, nil
+	return saveTrained(ctx, parts, modelTable, ModelKindNaiveBayes, model, model.N,
+		map[string]float64{"ACCURACY": acc, "CLASSES": float64(len(model.Classes))},
+		fmt.Sprintf("naive bayes trained %s, %d classes (accuracy=%.4f)", trainedOn(parts, model.N), len(model.Classes), acc))
 }
 
 func procDecisionTree(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
@@ -500,30 +520,35 @@ func procDecisionTree(ctx *core.ProcContext, args []types.Value) (*core.ProcResu
 		return nil, err
 	}
 	maxDepth := int(core.ArgInt(args, 4, 6))
-	if be, ok := scatterTarget(ctx, table); ok {
-		return distDecisionTree(ctx, be, table, target, features, modelTable, maxDepth)
-	}
-	rel, err := readTable(ctx, table)
+
+	parts, _, err := readDatasets(ctx, table, "IDAX.DECISION_TREE",
+		ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	ds, err := Extract(rel, ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
+	opts := DecisionTreeOptions{MaxDepth: maxDepth}
+	if len(parts) == 1 {
+		tree, err := TrainDecisionTree(parts[0], opts)
+		if err != nil {
+			return nil, err
+		}
+		acc := tree.Accuracy(parts[0])
+		return saveTrained(ctx, parts, modelTable, ModelKindDecisionTree, tree, tree.N,
+			map[string]float64{"ACCURACY": acc, "NODES": float64(tree.Nodes), "DEPTH": float64(tree.Depth())},
+			fmt.Sprintf("decision tree with %d nodes (depth %d, accuracy=%.4f)", tree.Nodes, tree.Depth(), acc))
+	}
+	// Several partitions grow one tree each; the model is their voting forest.
+	forest, err := TrainDecisionForestDistributed(parts, opts)
 	if err != nil {
 		return nil, err
 	}
-	model, err := TrainDecisionTree(ds, DecisionTreeOptions{MaxDepth: maxDepth})
+	acc, err := classifierAccuracy(forest.PredictClass, parts)
 	if err != nil {
 		return nil, err
 	}
-	acc := model.Accuracy(ds)
-	if err := saveModel(ctx, modelTable, ModelKindDecisionTree, model, map[string]float64{"ACCURACY": acc, "NODES": float64(model.Nodes), "DEPTH": float64(model.Depth()), "N": float64(model.N)}); err != nil {
-		return nil, err
-	}
-	return &core.ProcResult{
-		RowsAffected: model.N,
-		OutputTables: []string{types.NormalizeName(modelTable)},
-		Message:      fmt.Sprintf("decision tree with %d nodes (depth %d, accuracy=%.4f)", model.Nodes, model.Depth(), acc),
-	}, nil
+	return saveTrained(ctx, parts, modelTable, ModelKindForest, forest, forest.N,
+		map[string]float64{"ACCURACY": acc, "NODES": float64(forest.Nodes()), "DEPTH": float64(forest.Depth()), "TREES": float64(len(forest.Trees))},
+		fmt.Sprintf("decision forest of %d shard-local trees, %d nodes (depth %d, accuracy=%.4f)", len(forest.Trees), forest.Nodes(), forest.Depth(), acc))
 }
 
 // ---------------------------------------------------------------------------

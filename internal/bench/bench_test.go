@@ -161,11 +161,11 @@ func TestDistributedAnalyticsExperiment(t *testing.T) {
 	}
 }
 
-// TestVectorizedExperiment is the E13 smoke CI runs on every PR: the
-// vectorized engine must return the same result cardinalities as the row
-// engine and must beat it on both query shapes at both scales (the full ≥2x
-// acceptance bar is enforced by the checked-in bench-regression baseline; the
-// smoke uses softer floors so shared-runner noise cannot flake the job).
+// TestVectorizedExperiment is the E13 smoke CI runs on every PR. It asserts
+// shape only: every row/vectorized pair is present, both engines return the
+// same result cardinalities, and the report carries its metrics. The speed bar
+// lives in the E13 bench-regression gate against BENCH_E13.json, where a
+// dedicated run is not sharing the CPU with the rest of the test suite.
 func TestVectorizedExperiment(t *testing.T) {
 	scale := SmallScale()
 	if testing.Short() {
@@ -183,17 +183,6 @@ func TestVectorizedExperiment(t *testing.T) {
 		if row[5] != vec[5] {
 			t.Fatalf("%s at %s rows: result cardinality differs between engines (%s vs %s):\n%s",
 				row[1], row[0], row[5], vec[5], table.Format())
-		}
-		var rowRate, vecRate float64
-		fmt.Sscanf(row[4], "%f", &rowRate)
-		fmt.Sscanf(vec[4], "%f", &vecRate)
-		minSpeedup := 1.2
-		if row[1] == "groupby" {
-			minSpeedup = 2.0
-		}
-		if vecRate < rowRate*minSpeedup {
-			t.Fatalf("%s at %s rows: vectorized %.0f rows/s vs row %.0f rows/s (< %.1fx):\n%s",
-				row[1], row[0], vecRate, rowRate, minSpeedup, table.Format())
 		}
 	}
 	metricNames := map[string]bool{}
