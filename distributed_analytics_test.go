@@ -84,8 +84,8 @@ func withinRel(t *testing.T, what string, got, want, tol float64) {
 // and produces the same model a single backend computes over identical rows —
 // exactly (to floating-point summation order) for linear/logistic regression
 // and naive Bayes, without gathering a single base row to the coordinator.
-// The single system is pinned too: its one partition runs the single-backend
-// trainers bit for bit.
+// The single system is pinned too: its one partition yields, bit for bit,
+// the models of direct trainer calls.
 func TestDistributedTrainingDifferential(t *testing.T) {
 	const rows = 3000
 	sharded := newShardedSystem(t, 3)
@@ -225,10 +225,12 @@ func TestDistributedTrainingDifferential(t *testing.T) {
 	pinSingleTrainers(t, single, sumS)
 }
 
-// pinSingleTrainers checks that a single accelerator — one partition — still
-// runs the single-backend trainers bit for bit: each model table holds exactly
-// the payload and metric rows the trainer produces directly over Extract of
-// the same rows, and SUMMARY returns exactly Summarize's statistics.
+// pinSingleTrainers checks that a single accelerator — one partition — runs
+// each trainer bit for bit as a direct call over Extract of the same rows
+// does: the linear, logistic and naive Bayes trainers on that one partition,
+// TrainKMeans and TrainDecisionTree on the dataset. Each model table holds
+// exactly the payload and metric rows of the direct call, and SUMMARY returns
+// exactly Summarize's statistics.
 func pinSingleTrainers(t *testing.T, single *idaax.System, summary *idaax.Result) {
 	t.Helper()
 	rel := readRelation(t, single, "SELECT * FROM train")
@@ -240,16 +242,16 @@ func pinSingleTrainers(t *testing.T, single *idaax.System, summary *idaax.Result
 		}
 		return ds
 	}
-	lin, err := analytics.TrainLinearRegression(extract("Y", false, ""), 1e-6)
+	lin, err := analytics.TrainLinearRegression([]*analytics.Dataset{extract("Y", false, "")}, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	logit, err := analytics.TrainLogisticRegression(extract("FLAG", false, ""), 80, 0.3, 1e-4)
+	logit, err := analytics.TrainLogisticRegression([]*analytics.Dataset{extract("FLAG", false, "")}, 80, 0.3, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	labelled := extract("FLAG", true, "")
-	nb, err := analytics.TrainNaiveBayes(labelled)
+	nb, err := analytics.TrainNaiveBayes([]*analytics.Dataset{labelled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func pinSingleTrainers(t *testing.T, single *idaax.System, summary *idaax.Result
 			t.Fatal(err)
 		}
 		if got := string(modelPayload(t, single, p.table)); got != want[0][3].AsString() {
-			t.Fatalf("single %s payload differs from the single-backend trainer:\n got %s\nwant %s", p.table, got, want[0][3].AsString())
+			t.Fatalf("single %s payload differs from the direct trainer call:\n got %s\nwant %s", p.table, got, want[0][3].AsString())
 		}
 		kind, metrics := modelMetrics(t, single, p.table)
 		if kind != p.kind || len(metrics) != len(p.metrics) {

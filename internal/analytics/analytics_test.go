@@ -73,7 +73,7 @@ func TestExtractAndSummarize(t *testing.T) {
 
 func TestLinearRegressionRecoversCoefficients(t *testing.T) {
 	ds := extractXY(t, syntheticRelation(2000), false)
-	model, err := TrainLinearRegression(ds, 0)
+	model, err := TrainLinearRegression([]*Dataset{ds}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,17 @@ func TestLinearRegressionRecoversCoefficients(t *testing.T) {
 	if math.Abs(pred-4) > 0.02 {
 		t.Fatalf("prediction = %v", pred)
 	}
-	if _, err := TrainLinearRegression(&Dataset{}, 0); err == nil {
-		t.Fatal("empty dataset should fail")
+	// Empty input fails with the kind's own message, whatever the partition
+	// list looks like.
+	for _, parts := range [][]*Dataset{nil, {&Dataset{}}, {nil, &Dataset{}}} {
+		_, linErr := TrainLinearRegression(parts, 0)
+		_, logitErr := TrainLogisticRegression(parts, 10, 0.1, 0)
+		_, nbErr := TrainNaiveBayes(parts)
+		for kind, err := range map[string]error{"linear regression": linErr, "logistic regression": logitErr, "naive bayes": nbErr} {
+			if want := "analytics: " + kind + " requires at least one row"; err == nil || err.Error() != want {
+				t.Fatalf("%d empty partitions: %s error = %v, want %q", len(parts), kind, err, want)
+			}
+		}
 	}
 }
 
@@ -111,7 +120,7 @@ func TestLogisticRegressionSeparatesClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := TrainLogisticRegression(ds, 300, 0.5, 0)
+	model, err := TrainLogisticRegression([]*Dataset{ds}, 300, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestKMeansFindsSeparatedClusters(t *testing.T) {
 
 func TestNaiveBayesAndDecisionTree(t *testing.T) {
 	ds := extractXY(t, syntheticRelation(1500), true)
-	nb, err := TrainNaiveBayes(ds)
+	nb, err := TrainNaiveBayes([]*Dataset{ds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +247,7 @@ func TestTransformations(t *testing.T) {
 
 func TestModelSerializationRoundTrip(t *testing.T) {
 	ds := extractXY(t, syntheticRelation(400), false)
-	model, err := TrainLinearRegression(ds, 1e-9)
+	model, err := TrainLinearRegression([]*Dataset{ds}, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}

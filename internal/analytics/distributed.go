@@ -9,15 +9,17 @@ import (
 	"idaax/internal/par"
 )
 
-// This file implements the merge half of shard-local ("distributed") training:
-// every shard reduces its partition of the input table to a partial —
+// This file implements partition training: every partition of the input
+// table (one per shard, or one for a table read whole) reduces to a partial —
 // sufficient statistics where the algorithm's math is a sum over rows, a
 // locally trained model where it is not — and the coordinator folds the
 // partials into one model. Linear and logistic regression, naive Bayes and
 // column summaries merge exactly (their estimators are sums of per-row
-// terms); k-means and decision trees merge by consolidation (weighted
-// reclustering of the shards' centers, a voting ensemble of the shards'
-// trees) and agree with single-backend training up to local-optima tolerance.
+// terms), so their trainers here serve every partition count. K-means and
+// decision trees merge by consolidation (weighted reclustering of the shards'
+// centers, a voting ensemble of the shards' trees), agree with single-backend
+// training up to local-optima tolerance, and so run only for several
+// partitions.
 
 // forEachPart runs fn(i, parts[i]) concurrently for every non-empty partition
 // and returns the first error.
@@ -31,8 +33,9 @@ func forEachPart(parts []*Dataset, fn func(i int, ds *Dataset) error) error {
 }
 
 // partStats validates a partition list and returns the shared feature names
-// and total row count. Partitions may be nil/empty (shards holding no rows).
-func partStats(parts []*Dataset) (featureNames []string, total int, err error) {
+// and total row count. Partitions may be nil/empty (shards holding no rows);
+// when all are, the error names the model kind being trained.
+func partStats(parts []*Dataset, kind string) (featureNames []string, total int, err error) {
 	for _, ds := range parts {
 		if ds == nil || ds.Rows() == 0 {
 			continue
@@ -52,7 +55,7 @@ func partStats(parts []*Dataset) (featureNames []string, total int, err error) {
 		}
 	}
 	if total == 0 {
-		return nil, 0, fmt.Errorf("analytics: no rows in any partition")
+		return nil, 0, fmt.Errorf("analytics: %s requires at least one row", kind)
 	}
 	return featureNames, total, nil
 }
@@ -82,23 +85,25 @@ func LinRegPartialFromDataset(ds *Dataset) (*LinRegPartial, error) {
 	for i := range p.XtX {
 		p.XtX[i] = make([]float64, d)
 	}
+	xtx, xty := p.XtX, p.XtY
 	xrow := make([]float64, d)
 	for i := 0; i < n; i++ {
 		xrow[0] = 1
 		copy(xrow[1:], ds.Features[i])
 		for a := 0; a < d; a++ {
 			for b := 0; b < d; b++ {
-				p.XtX[a][b] += xrow[a] * xrow[b]
+				xtx[a][b] += xrow[a] * xrow[b]
 			}
-			p.XtY[a] += xrow[a] * ds.Target[i]
+			xty[a] += xrow[a] * ds.Target[i]
 		}
 	}
 	return p, nil
 }
 
-// MergeLinRegPartials sums per-shard Gram matrices and solves the merged
-// normal equations — the exact estimator a single backend computes over all
-// rows, because matrix sums commute with row grouping.
+// MergeLinRegPartials sums per-shard Gram matrices, adds ridge (which must
+// be non-negative) to the non-intercept diagonal and solves the merged normal
+// equations — the exact estimator one pass over all rows computes, because
+// matrix sums commute with row grouping.
 func MergeLinRegPartials(parts []*LinRegPartial, ridge float64) (beta []float64, n int, err error) {
 	var xtx [][]float64
 	var xty []float64
@@ -130,9 +135,6 @@ func MergeLinRegPartials(parts []*LinRegPartial, ridge float64) (beta []float64,
 	if xtx == nil || n == 0 {
 		return nil, 0, fmt.Errorf("analytics: linear regression requires at least one row")
 	}
-	if ridge < 0 {
-		ridge = 0
-	}
 	for a := 1; a < len(xtx); a++ {
 		xtx[a][a] += ridge
 	}
@@ -143,15 +145,20 @@ func MergeLinRegPartials(parts []*LinRegPartial, ridge float64) (beta []float64,
 	return beta, n, nil
 }
 
-// TrainLinearRegressionDistributed fits the same least-squares model as
-// TrainLinearRegression, but from per-shard partitions: shards reduce to
-// Gram-matrix partials, the coordinator merges and solves, and a second
-// scatter of per-row residual sums finalises RMSE/R² with the single-backend
-// formulas.
-func TrainLinearRegressionDistributed(parts []*Dataset, ridge float64) (*LinearModel, error) {
-	featureNames, total, err := partStats(parts)
+// TrainLinearRegression fits a linear regression with the normal equations
+// (X'X + ridge*I) beta = X'y, solved by Gaussian elimination with partial
+// pivoting; it is exact for the modest feature counts analytics pipelines
+// use. Each partition reduces to a Gram-matrix partial, the partials merge
+// and solve, and a second pass of per-partition residual sums finalises
+// RMSE/R². One partition and many give the same model up to floating-point
+// summation order.
+func TrainLinearRegression(parts []*Dataset, ridge float64) (*LinearModel, error) {
+	featureNames, total, err := partStats(parts, "linear regression")
 	if err != nil {
-		return nil, fmt.Errorf("analytics: linear regression requires at least one row (%w)", err)
+		return nil, err
+	}
+	if ridge < 0 {
+		ridge = 0
 	}
 	partials := make([]*LinRegPartial, len(parts))
 	if err := forEachPart(parts, func(i int, ds *Dataset) error {
@@ -164,9 +171,6 @@ func TrainLinearRegressionDistributed(parts []*Dataset, ridge float64) (*LinearM
 	beta, n, err := MergeLinRegPartials(partials, ridge)
 	if err != nil {
 		return nil, err
-	}
-	if ridge < 0 {
-		ridge = 0
 	}
 	model := &LinearModel{
 		FeatureNames: append([]string(nil), featureNames...),
@@ -188,12 +192,14 @@ func TrainLinearRegressionDistributed(parts []*Dataset, ridge float64) (*LinearM
 	ssRes := make([]float64, len(parts))
 	ssTot := make([]float64, len(parts))
 	if err := forEachPart(parts, func(i int, ds *Dataset) error {
-		for r := 0; r < ds.Rows(); r++ {
-			diff := ds.Target[r] - model.Predict(ds.Features[r])
-			ssRes[i] += diff * diff
+		var res, tot float64
+		for r, features := range ds.Features {
+			diff := ds.Target[r] - model.Predict(features)
+			res += diff * diff
 			dt := ds.Target[r] - mean
-			ssTot[i] += dt * dt
+			tot += dt * dt
 		}
+		ssRes[i], ssTot[i] = res, tot
 		return nil
 	}); err != nil {
 		return nil, err
@@ -214,15 +220,17 @@ func TrainLinearRegressionDistributed(parts []*Dataset, ridge float64) (*LinearM
 // Logistic regression: per-iteration gradient sums merge exactly.
 // ---------------------------------------------------------------------------
 
-// TrainLogisticRegressionDistributed fits the same batch-gradient-descent
-// model as TrainLogisticRegression from per-shard partitions: feature
-// standardisation comes from merged moments, every iteration scatters the
-// gradient computation (each shard sums its own rows) and merges the per-
-// shard sums — only 2(p+1) floats per shard per round travel, never rows.
-func TrainLogisticRegressionDistributed(parts []*Dataset, iterations int, learningRate, l2 float64) (*LogisticModel, error) {
-	featureNames, n, err := partStats(parts)
+// TrainLogisticRegression fits a binary logistic regression with batch
+// gradient descent. The target must be 0/1 (values > 0.5 are the positive
+// class). Features are standardised with moments merged across partitions
+// for stable gradients, and the coefficients are transformed back to the
+// original scale. Every iteration has each partition sum the gradient over
+// its own rows and merges the per-partition sums — only 2(p+1) floats per
+// partition per round travel, never rows.
+func TrainLogisticRegression(parts []*Dataset, iterations int, learningRate, l2 float64) (*LogisticModel, error) {
+	featureNames, n, err := partStats(parts, "logistic regression")
 	if err != nil {
-		return nil, fmt.Errorf("analytics: logistic regression requires at least one row (%w)", err)
+		return nil, err
 	}
 	for _, ds := range parts {
 		if ds != nil && ds.Rows() > 0 && len(ds.Target) != ds.Rows() {
@@ -275,8 +283,8 @@ func TrainLogisticRegressionDistributed(parts []*Dataset, iterations int, learni
 		stds[j] = math.Sqrt(variance)
 	}
 
-	// Standardize each partition once, like the single-backend trainer does,
-	// instead of re-deriving every cell on every iteration.
+	// Standardize each partition once instead of re-deriving every cell on
+	// every iteration.
 	stdParts := make([][][]float64, len(parts))
 	yParts := make([][]float64, len(parts))
 	if err := forEachPart(parts, func(i int, ds *Dataset) error {
@@ -304,10 +312,9 @@ func TrainLogisticRegressionDistributed(parts []*Dataset, iterations int, learni
 	// at frame[i*(p+1) : (i+1)*(p+1)] — p weight gradients followed by the
 	// bias gradient. In a networked deployment this stripe is exactly the
 	// fixed-width binary payload each shard ships back per iteration; here it
-	// also means the round allocates nothing (the frame is zeroed and reused),
-	// where the old shape built a fresh gw slice per shard per round. The
-	// merge still folds stripes in shard-ordinal order, so the floating-point
-	// summation order — and therefore the trained model — is unchanged.
+	// also means the round allocates nothing (the frame is zeroed and reused).
+	// The merge folds stripes in shard-ordinal order, so the floating-point
+	// summation order, and therefore the model, is fixed for a partitioning.
 	stripe := p + 1
 	frame := make([]float64, len(parts)*stripe)
 	mergedW := make([]float64, p)
@@ -316,23 +323,28 @@ func TrainLogisticRegressionDistributed(parts []*Dataset, iterations int, learni
 			frame[k] = 0
 		}
 		// Scatter: each shard sums gradients over its own standardized rows
-		// directly into its stripe of the shared frame.
-		if err := forEachPart(parts, func(i int, ds *Dataset) error {
+		// into its stripe of the shared frame. The row loop reads and sums
+		// through locals (the bias, the row, the bias gradient) rather than
+		// the captured b and the frame; the additions and their order are
+		// the same.
+		bias := b
+		if err := forEachPart(parts, func(i int, _ *Dataset) error {
 			g := frame[i*stripe : (i+1)*stripe]
-			std := stdParts[i]
 			y := yParts[i]
-			for r := 0; r < ds.Rows(); r++ {
-				z := b
+			gb := 0.0
+			for r, row := range stdParts[i] {
+				z := bias
 				for j := 0; j < p; j++ {
-					z += w[j] * std[r][j]
+					z += w[j] * row[j]
 				}
 				pred := sigmoid(z)
 				errTerm := pred - y[r]
 				for j := 0; j < p; j++ {
-					g[j] += errTerm * std[r][j]
+					g[j] += errTerm * row[j]
 				}
-				g[p] += errTerm
+				gb += errTerm
 			}
+			g[p] = gb
 			return nil
 		}); err != nil {
 			return nil, err
@@ -375,18 +387,20 @@ func TrainLogisticRegressionDistributed(parts []*Dataset, iterations int, learni
 	correct := make([]int, len(parts))
 	logLoss := make([]float64, len(parts))
 	if err := forEachPart(parts, func(i int, ds *Dataset) error {
-		for r := 0; r < ds.Rows(); r++ {
-			prob := model.PredictProbability(ds.Features[r])
+		hits, loss := 0, 0.0
+		for r, features := range ds.Features {
+			prob := model.PredictProbability(features)
 			y := 0.0
 			if ds.Target[r] > 0.5 {
 				y = 1
 			}
 			if (prob >= 0.5) == (y == 1) {
-				correct[i]++
+				hits++
 			}
 			eps := 1e-12
-			logLoss[i] += -(y*math.Log(prob+eps) + (1-y)*math.Log(1-prob+eps))
+			loss += -(y*math.Log(prob+eps) + (1-y)*math.Log(1-prob+eps))
 		}
+		correct[i], logLoss[i] = hits, loss
 		return nil
 	}); err != nil {
 		return nil, err
@@ -447,7 +461,7 @@ func NaiveBayesPartialFromDataset(ds *Dataset) (*NaiveBayesPartial, error) {
 }
 
 // MergeNaiveBayesPartials folds per-shard class moments and finalises the
-// gaussian parameters with the single-backend formulas.
+// per-class priors, means and (smoothed) variances.
 func MergeNaiveBayesPartials(featureNames []string, parts []*NaiveBayesPartial) (*NaiveBayesModel, error) {
 	p := len(featureNames)
 	counts := make(map[string]int)
@@ -504,12 +518,13 @@ func MergeNaiveBayesPartials(featureNames []string, parts []*NaiveBayesPartial) 
 	return model, nil
 }
 
-// TrainNaiveBayesDistributed fits the same gaussian naive Bayes model as
-// TrainNaiveBayes from per-shard partitions.
-func TrainNaiveBayesDistributed(parts []*Dataset) (*NaiveBayesModel, error) {
-	featureNames, _, err := partStats(parts)
+// TrainNaiveBayes fits a gaussian naive Bayes model over labelled
+// partitions: each partition reduces to per-class count/sum/sum-of-squares
+// moments, which merge exactly.
+func TrainNaiveBayes(parts []*Dataset) (*NaiveBayesModel, error) {
+	featureNames, _, err := partStats(parts, "naive bayes")
 	if err != nil {
-		return nil, fmt.Errorf("analytics: naive bayes requires at least one row (%w)", err)
+		return nil, err
 	}
 	partials := make([]*NaiveBayesPartial, len(parts))
 	if err := forEachPart(parts, func(i int, ds *Dataset) error {
@@ -542,9 +557,9 @@ type KMeansPartial struct {
 // partitions). Results agree with single-backend k-means up to local-optima
 // tolerance, not bit-exactly.
 func TrainKMeansDistributed(parts []*Dataset, opts KMeansOptions) (*KMeansModel, [][]int, error) {
-	featureNames, total, err := partStats(parts)
+	featureNames, total, err := partStats(parts, "k-means")
 	if err != nil {
-		return nil, nil, fmt.Errorf("analytics: k-means requires at least one row (%w)", err)
+		return nil, nil, err
 	}
 	if opts.K <= 0 {
 		return nil, nil, fmt.Errorf("analytics: k-means requires K > 0")

@@ -13,11 +13,13 @@ import (
 
 // This file is how the IDAX.* procedures read their input as partitions.
 // Every training and summary procedure has one body: readPartitions turns the
-// input table into one partial per partition, and the partition count picks
-// the trainer. A table on a sharded backend scatters over the members that
-// own its rows (accel.MultiShard.CallShardLocal), so only partials —
-// sufficient statistics, local models, completion counts — return to the
-// coordinator for merging; any other table is one partition, read whole.
+// input table into one partial per partition. Linear and logistic regression
+// and naive Bayes train the same way on any partition count; only KMEANS and
+// DECISION_TREE switch trainer when there are several. A table on a sharded
+// backend scatters over the members that own its rows
+// (accel.MultiShard.CallShardLocal), so only partials — sufficient
+// statistics, local models, completion counts — return to the coordinator for
+// merging; any other table is one partition, read whole.
 // PREDICT keeps a fleet route of its own (distPredict), which writes each
 // prediction shard-local, next to the partition it was computed from.
 

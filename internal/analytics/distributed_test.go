@@ -47,12 +47,12 @@ func relClose(t *testing.T, name string, got, want, tol float64) {
 
 func TestDistributedLinearRegressionMatchesSingle(t *testing.T) {
 	ds := extractXY(t, syntheticRelation(2000), false)
-	single, err := TrainLinearRegression(ds, 1e-6)
+	single, err := linearRegressionOracle(ds, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 4, 7} {
-		dist, err := TrainLinearRegressionDistributed(splitDataset(ds, shards), 1e-6)
+		dist, err := TrainLinearRegression(splitDataset(ds, shards), 1e-6)
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
@@ -69,7 +69,7 @@ func TestDistributedLinearRegressionMatchesSingle(t *testing.T) {
 	// A partition list where one shard is empty still trains on the total.
 	parts := splitDataset(ds, 3)
 	parts = append(parts, nil, &Dataset{FeatureNames: ds.FeatureNames})
-	dist, err := TrainLinearRegressionDistributed(parts, 1e-6)
+	dist, err := TrainLinearRegression(parts, 1e-6)
 	if err != nil || dist.N != single.N {
 		t.Fatalf("empty shards: N=%d err=%v", dist.N, err)
 	}
@@ -91,11 +91,11 @@ func TestDistributedLogisticRegressionMatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := TrainLogisticRegression(ds, 120, 0.3, 1e-4)
+	single, err := logisticRegressionOracle(ds, 120, 0.3, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := TrainLogisticRegressionDistributed(splitDataset(ds, 4), 120, 0.3, 1e-4)
+	dist, err := TrainLogisticRegression(splitDataset(ds, 4), 120, 0.3, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestDistributedLogisticRegressionMatchesSingle(t *testing.T) {
 
 func TestDistributedNaiveBayesMatchesSingle(t *testing.T) {
 	ds := extractXY(t, syntheticRelation(1500), true)
-	single, err := TrainNaiveBayes(ds)
+	single, err := naiveBayesOracle(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := TrainNaiveBayesDistributed(splitDataset(ds, 5))
+	dist, err := TrainNaiveBayes(splitDataset(ds, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestExtractAndSummarizeEmptyInputErrors(t *testing.T) {
 	// the per-shard variant tolerates a partition whose every row is
 	// incomplete (other shards may still hold scoreable rows).
 	trainDS := extractXY(t, syntheticRelation(200), false)
-	model, err := TrainLinearRegression(trainDS, 1e-6)
+	model, err := TrainLinearRegression([]*Dataset{trainDS}, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@ type ForestModel struct {
 
 // TrainDecisionForestDistributed grows one tree per non-empty partition.
 func TrainDecisionForestDistributed(parts []*Dataset, opts DecisionTreeOptions) (*ForestModel, error) {
-	featureNames, total, err := partStats(parts)
+	featureNames, total, err := partStats(parts, "decision tree")
 	if err != nil {
-		return nil, fmt.Errorf("analytics: decision tree requires at least one row (%w)", err)
+		return nil, err
 	}
 	trees := make([]*DecisionTreeModel, len(parts))
 	if err := forEachPart(parts, func(i int, ds *Dataset) error {

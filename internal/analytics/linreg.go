@@ -19,77 +19,6 @@ type LinearModel struct {
 	N    int
 }
 
-// TrainLinearRegression fits a linear regression with the normal equations
-// (X'X + ridge*I) beta = X'y solved by Gaussian elimination with partial
-// pivoting. It is exact for the modest feature counts analytics pipelines use.
-func TrainLinearRegression(ds *Dataset, ridge float64) (*LinearModel, error) {
-	n := ds.Rows()
-	p := ds.Cols()
-	if n == 0 {
-		return nil, fmt.Errorf("analytics: linear regression requires at least one row")
-	}
-	if len(ds.Target) != n {
-		return nil, fmt.Errorf("analytics: linear regression requires a numeric target")
-	}
-	if ridge < 0 {
-		ridge = 0
-	}
-	d := p + 1 // intercept term
-
-	// Build the normal equations.
-	xtx := make([][]float64, d)
-	for i := range xtx {
-		xtx[i] = make([]float64, d)
-	}
-	xty := make([]float64, d)
-	xrow := make([]float64, d)
-	for i := 0; i < n; i++ {
-		xrow[0] = 1
-		copy(xrow[1:], ds.Features[i])
-		for a := 0; a < d; a++ {
-			for b := 0; b < d; b++ {
-				xtx[a][b] += xrow[a] * xrow[b]
-			}
-			xty[a] += xrow[a] * ds.Target[i]
-		}
-	}
-	for a := 1; a < d; a++ {
-		xtx[a][a] += ridge
-	}
-
-	beta, err := solveLinearSystem(xtx, xty)
-	if err != nil {
-		return nil, err
-	}
-
-	model := &LinearModel{
-		FeatureNames: append([]string(nil), ds.FeatureNames...),
-		Intercept:    beta[0],
-		Coefficients: beta[1:],
-		Ridge:        ridge,
-		N:            n,
-	}
-
-	// Training metrics.
-	var ssRes, ssTot, mean float64
-	for _, y := range ds.Target {
-		mean += y
-	}
-	mean /= float64(n)
-	for i := 0; i < n; i++ {
-		pred := model.Predict(ds.Features[i])
-		diff := ds.Target[i] - pred
-		ssRes += diff * diff
-		dt := ds.Target[i] - mean
-		ssTot += dt * dt
-	}
-	model.RMSE = math.Sqrt(ssRes / float64(n))
-	if ssTot > 0 {
-		model.R2 = 1 - ssRes/ssTot
-	}
-	return model, nil
-}
-
 // Predict returns the model's prediction for one feature vector.
 func (m *LinearModel) Predict(features []float64) float64 {
 	y := m.Intercept

@@ -1,9 +1,6 @@
 package analytics
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LogisticModel is a binary logistic regression model trained with batch
 // gradient descent.
@@ -17,115 +14,6 @@ type LogisticModel struct {
 	TrainAccuracy float64
 	TrainLogLoss  float64
 	N             int
-}
-
-// TrainLogisticRegression fits a binary logistic regression. The target must
-// be 0/1 (values > 0.5 are treated as the positive class). Features are
-// standardised internally for stable gradients and the coefficients are
-// transformed back to the original scale.
-func TrainLogisticRegression(ds *Dataset, iterations int, learningRate, l2 float64) (*LogisticModel, error) {
-	n := ds.Rows()
-	p := ds.Cols()
-	if n == 0 {
-		return nil, fmt.Errorf("analytics: logistic regression requires at least one row")
-	}
-	if len(ds.Target) != n {
-		return nil, fmt.Errorf("analytics: logistic regression requires a numeric 0/1 target")
-	}
-	if iterations <= 0 {
-		iterations = 200
-	}
-	if learningRate <= 0 {
-		learningRate = 0.1
-	}
-	if l2 < 0 {
-		l2 = 0
-	}
-
-	// Standardise features.
-	means := make([]float64, p)
-	stds := make([]float64, p)
-	for j := 0; j < p; j++ {
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			v := ds.Features[i][j]
-			sum += v
-			sumSq += v * v
-		}
-		means[j] = sum / float64(n)
-		variance := sumSq/float64(n) - means[j]*means[j]
-		if variance < 1e-12 {
-			variance = 1
-		}
-		stds[j] = math.Sqrt(variance)
-	}
-	std := make([][]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		std[i] = make([]float64, p)
-		for j := 0; j < p; j++ {
-			std[i][j] = (ds.Features[i][j] - means[j]) / stds[j]
-		}
-		if ds.Target[i] > 0.5 {
-			y[i] = 1
-		}
-	}
-
-	w := make([]float64, p)
-	b := 0.0
-	for iter := 0; iter < iterations; iter++ {
-		gradW := make([]float64, p)
-		gradB := 0.0
-		for i := 0; i < n; i++ {
-			z := b
-			for j := 0; j < p; j++ {
-				z += w[j] * std[i][j]
-			}
-			pred := sigmoid(z)
-			err := pred - y[i]
-			for j := 0; j < p; j++ {
-				gradW[j] += err * std[i][j]
-			}
-			gradB += err
-		}
-		scale := learningRate / float64(n)
-		for j := 0; j < p; j++ {
-			w[j] -= scale * (gradW[j] + l2*w[j])
-		}
-		b -= scale * gradB
-	}
-
-	// Transform coefficients back to the original feature scale.
-	coeffs := make([]float64, p)
-	intercept := b
-	for j := 0; j < p; j++ {
-		coeffs[j] = w[j] / stds[j]
-		intercept -= w[j] * means[j] / stds[j]
-	}
-
-	model := &LogisticModel{
-		FeatureNames: append([]string(nil), ds.FeatureNames...),
-		Intercept:    intercept,
-		Coefficients: coeffs,
-		Iterations:   iterations,
-		LearningRate: learningRate,
-		N:            n,
-	}
-
-	// Training metrics.
-	correct := 0
-	logLoss := 0.0
-	for i := 0; i < n; i++ {
-		prob := model.PredictProbability(ds.Features[i])
-		if (prob >= 0.5) == (y[i] == 1) {
-			correct++
-		}
-		eps := 1e-12
-		logLoss += -(y[i]*math.Log(prob+eps) + (1-y[i])*math.Log(1-prob+eps))
-	}
-	model.TrainAccuracy = float64(correct) / float64(n)
-	model.TrainLogLoss = logLoss / float64(n)
-	return model, nil
 }
 
 // PredictProbability returns P(class = 1 | features).

@@ -1,10 +1,6 @@
 package analytics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // NaiveBayesModel is a Gaussian naive Bayes classifier over numeric features
 // with categorical class labels.
@@ -17,62 +13,6 @@ type NaiveBayesModel struct {
 	Means     map[string][]float64
 	Variances map[string][]float64
 	N         int
-}
-
-// TrainNaiveBayes fits a Gaussian naive Bayes model. The dataset must carry
-// categorical labels.
-func TrainNaiveBayes(ds *Dataset) (*NaiveBayesModel, error) {
-	n := ds.Rows()
-	p := ds.Cols()
-	if n == 0 {
-		return nil, fmt.Errorf("analytics: naive bayes requires at least one row")
-	}
-	if len(ds.Labels) != n {
-		return nil, fmt.Errorf("analytics: naive bayes requires a categorical target")
-	}
-
-	counts := make(map[string]int)
-	sums := make(map[string][]float64)
-	sumSqs := make(map[string][]float64)
-	for i := 0; i < n; i++ {
-		label := ds.Labels[i]
-		if _, ok := counts[label]; !ok {
-			sums[label] = make([]float64, p)
-			sumSqs[label] = make([]float64, p)
-		}
-		counts[label]++
-		for j := 0; j < p; j++ {
-			v := ds.Features[i][j]
-			sums[label][j] += v
-			sumSqs[label][j] += v * v
-		}
-	}
-
-	model := &NaiveBayesModel{
-		FeatureNames: append([]string(nil), ds.FeatureNames...),
-		Priors:       make(map[string]float64),
-		Means:        make(map[string][]float64),
-		Variances:    make(map[string][]float64),
-		N:            n,
-	}
-	for label, c := range counts {
-		model.Classes = append(model.Classes, label)
-		model.Priors[label] = float64(c) / float64(n)
-		means := make([]float64, p)
-		variances := make([]float64, p)
-		for j := 0; j < p; j++ {
-			means[j] = sums[label][j] / float64(c)
-			v := sumSqs[label][j]/float64(c) - means[j]*means[j]
-			if v < 1e-9 {
-				v = 1e-9 // variance smoothing
-			}
-			variances[j] = v
-		}
-		model.Means[label] = means
-		model.Variances[label] = variances
-	}
-	sort.Strings(model.Classes)
-	return model, nil
 }
 
 // PredictClass returns the most probable class and its log-probability score.

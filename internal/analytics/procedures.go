@@ -318,9 +318,10 @@ func procSplitData(ctx *core.ProcContext, args []types.Value) (*core.ProcResult,
 // Training procedures
 //
 // One body each: readDatasets yields one Dataset per partition of the input
-// table, and the partition count picks the trainer — the single-backend
-// trainer for one, the partition trainer (merged partials, a forest,
-// consolidated centers) for several.
+// table. Linear and logistic regression and naive Bayes run one partition
+// trainer (merged partials) for any partition count. KMEANS and
+// DECISION_TREE let the count pick: the single-backend trainer for one,
+// consolidated centers or a forest for several.
 // ---------------------------------------------------------------------------
 
 func procLinearRegression(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
@@ -347,12 +348,7 @@ func procLinearRegression(ctx *core.ProcContext, args []types.Value) (*core.Proc
 	if err != nil {
 		return nil, err
 	}
-	var model *LinearModel
-	if len(parts) == 1 {
-		model, err = TrainLinearRegression(parts[0], ridge)
-	} else {
-		model, err = TrainLinearRegressionDistributed(parts, ridge)
-	}
+	model, err := TrainLinearRegression(parts, ridge)
 	if err != nil {
 		return nil, err
 	}
@@ -386,12 +382,7 @@ func procLogisticRegression(ctx *core.ProcContext, args []types.Value) (*core.Pr
 	if err != nil {
 		return nil, err
 	}
-	var model *LogisticModel
-	if len(parts) == 1 {
-		model, err = TrainLogisticRegression(parts[0], iterations, learningRate, 1e-4)
-	} else {
-		model, err = TrainLogisticRegressionDistributed(parts, iterations, learningRate, 1e-4)
-	}
+	model, err := TrainLogisticRegression(parts, iterations, learningRate, 1e-4)
 	if err != nil {
 		return nil, err
 	}
@@ -484,12 +475,7 @@ func procNaiveBayes(ctx *core.ProcContext, args []types.Value) (*core.ProcResult
 	if err != nil {
 		return nil, err
 	}
-	var model *NaiveBayesModel
-	if len(parts) == 1 {
-		model, err = TrainNaiveBayes(parts[0])
-	} else {
-		model, err = TrainNaiveBayesDistributed(parts)
-	}
+	model, err := TrainNaiveBayes(parts)
 	if err != nil {
 		return nil, err
 	}
