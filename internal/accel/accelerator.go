@@ -394,31 +394,10 @@ func (a *Accelerator) TruncateReplicated(table string) (int, error) {
 	return n, nil
 }
 
-// ExportRows streams every committed-visible row of a table to fn, together
-// with the DB2 source row id mirrored by the row (-1 for native accelerator
-// rows). It is the bulk read half of the rebalancer's and re-load tooling's
-// data path. Iteration stops at the first error, which is returned.
-func (a *Accelerator) ExportRows(table string, fn func(row types.Row, srcID int64) error) error {
-	t, err := a.Table(table)
-	if err != nil {
-		return err
-	}
-	snap := a.Registry.Snapshot(0)
-	created, deleted, srcIDs := t.VersionMeta()
-	for i := range created {
-		if !snap.Visible(created[i], deleted[i]) {
-			continue
-		}
-		if err := fn(t.ReadRow(i), srcIDs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ImportRows bulk-appends rows under an internal, immediately committed
-// transaction — the write half of the bulk data path. srcIDs may be nil (no
-// row mirrors a DB2 row) or align with rows, with -1 marking native rows.
+// transaction; shard-local analytics write their output tables through it
+// (ShardPartition.WriteLocal). srcIDs may be nil (no row mirrors a DB2 row)
+// or align with rows, with -1 marking native rows.
 func (a *Accelerator) ImportRows(table string, rows []types.Row, srcIDs []int64) (int, error) {
 	t, err := a.Table(table)
 	if err != nil {

@@ -76,15 +76,6 @@ type Backend interface {
 	ApplyReplicatedDelete(table string, srcID int64) (bool, error)
 	ApplyReplicatedUpdate(table string, srcID int64, row types.Row) error
 	TruncateReplicated(table string) (int, error)
-
-	// Bulk row movement, the data path of re-load tooling and the shard
-	// rebalancer. ExportRows streams every committed-visible row (srcID -1 for
-	// rows that mirror no DB2 row; a sharded backend streams shard by shard in
-	// shard order). ImportRows appends rows under an internal, immediately
-	// committed transaction (a sharded backend partitions them by the table's
-	// live distribution map first); srcIDs may be nil or align with rows.
-	ExportRows(table string, fn func(row types.Row, srcID int64) error) error
-	ImportRows(table string, rows []types.Row, srcIDs []int64) (int, error)
 }
 
 var _ Backend = (*Accelerator)(nil)

@@ -483,10 +483,9 @@ func (a *Accelerator) scanTable(t *colstore.Table, snap *Snapshot, sel *sqlparse
 }
 
 // pushdownPredicates extracts the WHERE conjuncts that can drive zone-map
-// block skipping for the given FROM item: "col <op> literal" comparisons,
-// BETWEEN ranges (two bound predicates), and IN lists (collapsed to their
-// min/max range). The full WHERE clause is re-applied after the joins, so a
-// pushed predicate may be a superset filter without changing results.
+// block skipping for the given FROM item (vexec.ScanPredicates decides which
+// and how). The full WHERE clause is re-applied after the joins, so a pushed
+// predicate may be a superset filter without changing results.
 func (a *Accelerator) pushdownPredicates(sel *sqlparse.SelectStmt, item sqlparse.FromItem, t *colstore.Table) []colstore.SimplePredicate {
 	if sel.Where == nil {
 		return nil
@@ -523,82 +522,12 @@ func (a *Accelerator) pushdownPredicates(sel *sqlparse.SelectStmt, item sqlparse
 		return colIdx
 	}
 
-	var visit func(e sqlparse.Expr)
-	visit = func(e sqlparse.Expr) {
-		switch n := e.(type) {
-		case *sqlparse.BinaryExpr:
-			if n.Op == sqlparse.OpAnd {
-				visit(n.Left)
-				visit(n.Right)
-				return
-			}
-			ref, lit, op, ok := vexec.SimpleComparison(n)
-			if !ok {
-				return
-			}
-			if colIdx := resolve(ref); colIdx >= 0 {
-				preds = append(preds, colstore.NewSimplePredicate(colIdx, op, lit))
-			}
-		case *sqlparse.BetweenExpr:
-			if n.Negate {
-				return
-			}
-			ref, ok := n.Operand.(*sqlparse.ColumnRef)
-			if !ok {
-				return
-			}
-			lo, okLo := n.Low.(*sqlparse.Literal)
-			hi, okHi := n.High.(*sqlparse.Literal)
-			if !okLo || !okHi || lo.Val.IsNull() || hi.Val.IsNull() {
-				return
-			}
-			if colIdx := resolve(ref); colIdx >= 0 {
-				preds = append(preds,
-					colstore.NewSimplePredicate(colIdx, colstore.CmpGe, lo.Val),
-					colstore.NewSimplePredicate(colIdx, colstore.CmpLe, hi.Val))
-			}
-		case *sqlparse.InExpr:
-			if n.Negate || len(n.List) == 0 {
-				return
-			}
-			ref, ok := n.Operand.(*sqlparse.ColumnRef)
-			if !ok {
-				return
-			}
-			var min, max types.Value
-			for _, e := range n.List {
-				lit, ok := e.(*sqlparse.Literal)
-				if !ok {
-					return
-				}
-				if lit.Val.IsNull() {
-					continue // IN (NULL, ...) never matches on NULL
-				}
-				if min.IsNull() {
-					min, max = lit.Val, lit.Val
-					continue
-				}
-				if c, err := types.Compare(lit.Val, min); err != nil {
-					return
-				} else if c < 0 {
-					min = lit.Val
-				}
-				if c, err := types.Compare(lit.Val, max); err != nil {
-					return
-				} else if c > 0 {
-					max = lit.Val
-				}
-			}
-			if min.IsNull() {
-				return
-			}
-			if colIdx := resolve(ref); colIdx >= 0 {
-				preds = append(preds,
-					colstore.NewSimplePredicate(colIdx, colstore.CmpGe, min),
-					colstore.NewSimplePredicate(colIdx, colstore.CmpLe, max))
+	for _, c := range sqlparse.Conjuncts(sel.Where) {
+		if s, ok := sqlparse.Sargable(c); ok {
+			if colIdx := resolve(s.Col); colIdx >= 0 {
+				preds, _ = vexec.ScanPredicates(preds, &s, colIdx)
 			}
 		}
 	}
-	visit(sel.Where)
 	return preds
 }

@@ -84,13 +84,13 @@ func analyze(sel *sqlparse.SelectStmt, cat Catalog) *analysis {
 		if i == 0 || item.On == nil {
 			continue
 		}
-		for _, c := range conjunctsOf(item.On) {
+		for _, c := range sqlparse.Conjuncts(item.On) {
 			oc := a.owned(c)
 			a.onConjuncts = append(a.onConjuncts, oc)
 			a.recordEdge(oc)
 		}
 	}
-	for _, c := range conjunctsOf(sel.Where) {
+	for _, c := range sqlparse.Conjuncts(sel.Where) {
 		oc := a.owned(c)
 		if oc.unknown {
 			continue
@@ -116,17 +116,6 @@ func analyze(sel *sqlparse.SelectStmt, cat Catalog) *analysis {
 		a.estimateScan(scan)
 	}
 	return a
-}
-
-// conjunctsOf flattens the top-level AND tree of an expression.
-func conjunctsOf(e sqlparse.Expr) []sqlparse.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-		return append(conjunctsOf(b.Left), conjunctsOf(b.Right)...)
-	}
-	return []sqlparse.Expr{e}
 }
 
 // refOwner resolves a column reference to the FROM item that provides it,
@@ -180,13 +169,8 @@ func (a *analysis) recordEdge(oc ownedExpr) bool {
 	if oc.unknown {
 		return false
 	}
-	b, ok := oc.e.(*sqlparse.BinaryExpr)
-	if !ok || b.Op != sqlparse.OpEq {
-		return false
-	}
-	lref, lok := b.Left.(*sqlparse.ColumnRef)
-	rref, rok := b.Right.(*sqlparse.ColumnRef)
-	if !lok || !rok {
+	lref, rref, ok := sqlparse.ColumnEquality(oc.e)
+	if !ok {
 		return false
 	}
 	li, ri := a.refOwner(lref), a.refOwner(rref)
@@ -251,6 +235,9 @@ func (a *analysis) column(scan *ScanNode, name string) *stats.ColumnSnapshot {
 // conjunctSelectivity estimates the fraction of the scan's rows satisfying a
 // single-table predicate.
 func (a *analysis) conjunctSelectivity(e sqlparse.Expr, scan *ScanNode) float64 {
+	if s, ok := sqlparse.Sargable(e); ok {
+		return a.sargSelectivity(&s, scan)
+	}
 	switch n := e.(type) {
 	case *sqlparse.BinaryExpr:
 		switch n.Op {
@@ -261,68 +248,9 @@ func (a *analysis) conjunctSelectivity(e sqlparse.Expr, scan *ScanNode) float64 
 			r := a.conjunctSelectivity(n.Right, scan)
 			return l + r - l*r
 		}
-		ref, lit, op, ok := comparisonOperands(n)
-		if !ok {
-			return stats.DefaultRangeSelectivity
-		}
-		col := a.column(scan, ref.Name)
-		switch op {
-		case sqlparse.OpEq:
-			return col.SelectivityEq(lit)
-		case sqlparse.OpNe:
-			return 1 - col.SelectivityEq(lit)
-		case sqlparse.OpLt:
-			return col.SelectivityRange(nil, &lit, false, false)
-		case sqlparse.OpLe:
-			return col.SelectivityRange(nil, &lit, false, true)
-		case sqlparse.OpGt:
-			return col.SelectivityRange(&lit, nil, false, false)
-		case sqlparse.OpGe:
-			return col.SelectivityRange(&lit, nil, true, false)
-		}
-		return stats.DefaultRangeSelectivity
 	case *sqlparse.UnaryExpr:
 		if n.Op == "NOT" {
 			return 1 - a.conjunctSelectivity(n.Operand, scan)
-		}
-	case *sqlparse.InExpr:
-		ref, ok := n.Operand.(*sqlparse.ColumnRef)
-		if !ok {
-			return stats.DefaultRangeSelectivity
-		}
-		vals, ok := literalList(n.List)
-		if !ok {
-			return stats.DefaultRangeSelectivity
-		}
-		col := a.column(scan, ref.Name)
-		s := col.SelectivityIn(vals)
-		if n.Negate {
-			return 1 - s
-		}
-		return s
-	case *sqlparse.BetweenExpr:
-		ref, okRef := n.Operand.(*sqlparse.ColumnRef)
-		lo, okLo := literalValue(n.Low)
-		hi, okHi := literalValue(n.High)
-		if !okRef || !okLo || !okHi {
-			return stats.DefaultRangeSelectivity
-		}
-		col := a.column(scan, ref.Name)
-		s := col.SelectivityRange(&lo, &hi, true, true)
-		if n.Negate {
-			return 1 - s
-		}
-		return s
-	case *sqlparse.IsNullExpr:
-		ref, ok := n.Operand.(*sqlparse.ColumnRef)
-		if !ok {
-			return stats.DefaultRangeSelectivity
-		}
-		if col := a.column(scan, ref.Name); col != nil {
-			if n.Negate {
-				return 1 - col.NullFraction()
-			}
-			return col.NullFraction()
 		}
 	case *sqlparse.LikeExpr:
 		return 0.25
@@ -330,64 +258,51 @@ func (a *analysis) conjunctSelectivity(e sqlparse.Expr, scan *ScanNode) float64 
 	return stats.DefaultRangeSelectivity
 }
 
-// comparisonOperands recognises "col <op> literal" and "literal <op> col",
-// flipping the operator for the latter.
-func comparisonOperands(b *sqlparse.BinaryExpr) (*sqlparse.ColumnRef, types.Value, sqlparse.BinOp, bool) {
-	if ref, ok := b.Left.(*sqlparse.ColumnRef); ok {
-		if v, ok2 := literalValue(b.Right); ok2 {
-			return ref, v, b.Op, true
+// sargSelectivity estimates a sargable conjunct from its column's statistics.
+// NULL literals go to the estimators as they are: "= NULL" and "IN (NULL)"
+// match nothing.
+func (a *analysis) sargSelectivity(s *sqlparse.Sarg, scan *ScanNode) float64 {
+	col := a.column(scan, s.Col.Name)
+	var sel float64
+	switch s.Kind {
+	case sqlparse.SargCompare:
+		switch s.Op {
+		case sqlparse.OpEq:
+			return col.SelectivityEq(s.Lo)
+		case sqlparse.OpNe:
+			return 1 - col.SelectivityEq(s.Lo)
+		case sqlparse.OpLt:
+			return col.SelectivityRange(nil, &s.Lo, false, false)
+		case sqlparse.OpLe:
+			return col.SelectivityRange(nil, &s.Lo, false, true)
+		case sqlparse.OpGt:
+			return col.SelectivityRange(&s.Lo, nil, false, false)
+		default: // OpGe
+			return col.SelectivityRange(&s.Lo, nil, true, false)
 		}
-	}
-	if ref, ok := b.Right.(*sqlparse.ColumnRef); ok {
-		if v, ok2 := literalValue(b.Left); ok2 {
-			return ref, v, flipCompare(b.Op), true
+	case sqlparse.SargBetween:
+		sel = col.SelectivityRange(&s.Lo, &s.Hi, true, true)
+	case sqlparse.SargIn:
+		sel = col.SelectivityIn(inValues(s))
+	default: // SargIsNull
+		if col == nil {
+			return stats.DefaultRangeSelectivity
 		}
+		sel = col.NullFraction()
 	}
-	return nil, types.Null(), 0, false
+	if s.Negate {
+		return 1 - sel
+	}
+	return sel
 }
 
-func flipCompare(op sqlparse.BinOp) sqlparse.BinOp {
-	switch op {
-	case sqlparse.OpLt:
-		return sqlparse.OpGt
-	case sqlparse.OpLe:
-		return sqlparse.OpGe
-	case sqlparse.OpGt:
-		return sqlparse.OpLt
-	case sqlparse.OpGe:
-		return sqlparse.OpLe
-	default:
-		return op
+// inValues copies a SargIn list's literals.
+func inValues(s *sqlparse.Sarg) []types.Value {
+	vals := make([]types.Value, s.Len())
+	for i := range vals {
+		vals[i] = s.Value(i)
 	}
-}
-
-func literalValue(e sqlparse.Expr) (types.Value, bool) {
-	if lit, ok := e.(*sqlparse.Literal); ok {
-		return lit.Val, true
-	}
-	if u, ok := e.(*sqlparse.UnaryExpr); ok && u.Op == "-" {
-		if lit, ok2 := u.Operand.(*sqlparse.Literal); ok2 {
-			switch lit.Val.Kind {
-			case types.KindInt:
-				return types.NewInt(-lit.Val.Int), true
-			case types.KindFloat:
-				return types.NewFloat(-lit.Val.Float), true
-			}
-		}
-	}
-	return types.Null(), false
-}
-
-func literalList(es []sqlparse.Expr) ([]types.Value, bool) {
-	vals := make([]types.Value, 0, len(es))
-	for _, e := range es {
-		v, ok := literalValue(e)
-		if !ok {
-			return nil, false
-		}
-		vals = append(vals, v)
-	}
-	return vals, true
+	return vals
 }
 
 // maxRangeEnumeration caps how many integer distribution-key values a bounded
@@ -474,21 +389,21 @@ func (a *analysis) keyCandidates(scan *ScanNode) {
 	}
 
 	for _, c := range scan.Conjuncts {
-		switch n := c.(type) {
-		case *sqlparse.BinaryExpr:
-			ref, lit, op, ok := comparisonOperands(n)
-			if !ok || types.NormalizeName(ref.Name) != info.DistKey {
-				continue
-			}
-			switch op {
+		sa, ok := sqlparse.Sargable(c)
+		if !ok || sa.Negate || types.NormalizeName(sa.Col.Name) != info.DistKey {
+			continue
+		}
+		switch sa.Kind {
+		case sqlparse.SargCompare:
+			switch sa.Op {
 			case sqlparse.OpEq:
-				mergePlaced([]types.Value{lit})
+				mergePlaced([]types.Value{sa.Lo})
 			case sqlparse.OpGe:
-				if v, ok := intBound(lit); ok {
+				if v, ok := intBound(sa.Lo); ok {
 					tightenLo(v)
 				}
 			case sqlparse.OpGt:
-				if v, ok := intBound(lit); ok {
+				if v, ok := intBound(sa.Lo); ok {
 					if v == math.MaxInt64 {
 						merge(map[int]bool{}) // key > MaxInt64 matches nothing
 					} else {
@@ -496,11 +411,11 @@ func (a *analysis) keyCandidates(scan *ScanNode) {
 					}
 				}
 			case sqlparse.OpLe:
-				if v, ok := intBound(lit); ok {
+				if v, ok := intBound(sa.Lo); ok {
 					tightenHi(v)
 				}
 			case sqlparse.OpLt:
-				if v, ok := intBound(lit); ok {
+				if v, ok := intBound(sa.Lo); ok {
 					if v == math.MinInt64 {
 						merge(map[int]bool{}) // key < MinInt64 matches nothing
 					} else {
@@ -508,32 +423,11 @@ func (a *analysis) keyCandidates(scan *ScanNode) {
 					}
 				}
 			}
-		case *sqlparse.InExpr:
-			if n.Negate {
-				continue
-			}
-			ref, ok := n.Operand.(*sqlparse.ColumnRef)
-			if !ok || types.NormalizeName(ref.Name) != info.DistKey {
-				continue
-			}
-			if vals, ok := literalList(n.List); ok {
-				mergePlaced(vals)
-			}
-		case *sqlparse.BetweenExpr:
-			if n.Negate {
-				continue
-			}
-			ref, ok := n.Operand.(*sqlparse.ColumnRef)
-			if !ok || types.NormalizeName(ref.Name) != info.DistKey {
-				continue
-			}
-			loV, okLo := literalValue(n.Low)
-			hiV, okHi := literalValue(n.High)
-			if !okLo || !okHi {
-				continue
-			}
-			if lv, ok1 := intBound(loV); ok1 {
-				if hv, ok2 := intBound(hiV); ok2 {
+		case sqlparse.SargIn:
+			mergePlaced(inValues(&sa))
+		case sqlparse.SargBetween:
+			if lv, ok1 := intBound(sa.Lo); ok1 {
+				if hv, ok2 := intBound(sa.Hi); ok2 {
 					tightenLo(lv)
 					tightenHi(hv)
 				}

@@ -57,8 +57,8 @@ func JoinWith(left, right *Relation, jt sqlparse.JoinType, on sqlparse.Expr, met
 	out := &Relation{Cols: combinedCols}
 
 	if on != nil && method != MethodNestedLoop {
-		leftIdx, rightIdx, residualOK := extractEquiKeys(on, left, right)
-		if len(leftIdx) > 0 && (jt == sqlparse.JoinInner || jt == sqlparse.JoinLeft) && residualOK {
+		leftIdx, rightIdx := extractEquiKeys(on, left, right)
+		if len(leftIdx) > 0 && (jt == sqlparse.JoinInner || jt == sqlparse.JoinLeft) {
 			return hashJoin(left, right, jt, on, leftIdx, rightIdx, out, workers)
 		}
 	}
@@ -66,30 +66,13 @@ func JoinWith(left, right *Relation, jt sqlparse.JoinType, on sqlparse.Expr, met
 }
 
 // extractEquiKeys pulls column-equality pairs "l.col = r.col" out of a
-// conjunction. residualOK is true when the whole condition is usable (it may
-// still contain extra conjuncts which are re-checked per candidate pair).
-func extractEquiKeys(on sqlparse.Expr, left, right *Relation) (leftIdx, rightIdx []int, residualOK bool) {
+// conjunction; the other conjuncts are re-checked per candidate pair.
+func extractEquiKeys(on sqlparse.Expr, left, right *Relation) (leftIdx, rightIdx []int) {
 	lenv := expr.NewEnv(left.Cols)
 	renv := expr.NewEnv(right.Cols)
-	var conjuncts []sqlparse.Expr
-	var collect func(e sqlparse.Expr)
-	collect = func(e sqlparse.Expr) {
-		if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-			collect(b.Left)
-			collect(b.Right)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	collect(on)
-	for _, c := range conjuncts {
-		b, ok := c.(*sqlparse.BinaryExpr)
-		if !ok || b.Op != sqlparse.OpEq {
-			continue
-		}
-		lref, lok := b.Left.(*sqlparse.ColumnRef)
-		rref, rok := b.Right.(*sqlparse.ColumnRef)
-		if !lok || !rok {
+	for _, c := range sqlparse.Conjuncts(on) {
+		lref, rref, ok := sqlparse.ColumnEquality(c)
+		if !ok {
 			continue
 		}
 		// Try left-side/right-side assignment in both orientations.
@@ -107,7 +90,7 @@ func extractEquiKeys(on sqlparse.Expr, left, right *Relation) (leftIdx, rightIdx
 			}
 		}
 	}
-	return leftIdx, rightIdx, true
+	return leftIdx, rightIdx
 }
 
 func hashJoin(left, right *Relation, jt sqlparse.JoinType, on sqlparse.Expr, leftIdx, rightIdx []int, out *Relation, workers int) (*Relation, error) {

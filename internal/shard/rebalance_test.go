@@ -357,8 +357,8 @@ func TestRebalanceMovesReplicatedSourceIDs(t *testing.T) {
 	}
 }
 
-// TestBulkExportImport exercises the Backend bulk data path on the router:
-// ImportRows partitions by the live map, ExportRows streams back everything.
+// TestBulkExportImport loads rows with mixed source ids through the router:
+// they land partitioned by the live map, each with its source id.
 func TestBulkExportImport(t *testing.T) {
 	members := []*accel.Accelerator{accel.New("S0", 2), accel.New("S1", 2)}
 	router, err := NewRouter("FLEET", members)
@@ -376,24 +376,30 @@ func TestBulkExportImport(t *testing.T) {
 			srcIDs[i] = int64(i + 1)
 		}
 	}
-	n, err := router.ImportRows("T", rows, srcIDs)
+	n, err := router.InsertReplicated("T", rows, srcIDs)
 	if err != nil || n != len(rows) {
-		t.Fatalf("ImportRows = %d, %v", n, err)
+		t.Fatalf("InsertReplicated = %d, %v", n, err)
 	}
 	assertPlacementClean(t, router, "T")
 
-	exported := 0
-	withSrc := 0
-	if err := router.ExportRows("T", func(row types.Row, srcID int64) error {
-		exported++
-		if srcID >= 0 {
-			withSrc++
+	stored, withSrc := 0, 0
+	for _, m := range router.Members() {
+		tab, err := m.Table("T")
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		_, _, ids := tab.VersionMeta()
+		stored += len(ids)
+		for _, id := range ids {
+			if id >= 0 {
+				withSrc++
+				if !m.HasReplicatedSource("T", id) {
+					t.Fatalf("shard %s holds source id %d but does not index it", m.Name(), id)
+				}
+			}
+		}
 	}
-	if exported != len(rows) || withSrc != len(rows)/2 {
-		t.Fatalf("exported %d rows (%d with source ids), want %d (%d)", exported, withSrc, len(rows), len(rows)/2)
+	if stored != len(rows) || withSrc != len(rows)/2 {
+		t.Fatalf("stored %d rows (%d with source ids), want %d (%d)", stored, withSrc, len(rows), len(rows)/2)
 	}
 }

@@ -906,64 +906,4 @@ func (r *Router) TruncateReplicated(table string) (int, error) {
 	return total, nil
 }
 
-// ---------------------------------------------------------------------------
-// Bulk row movement (accel.Backend surface)
-// ---------------------------------------------------------------------------
-
-// ExportRows streams the committed-visible rows of every shard in shard
-// order, under one fenced snapshot set — so a migration batch or fleet-wide
-// commit landing mid-export can never duplicate or drop a row between shards.
-func (r *Router) ExportRows(table string, fn func(row types.Row, srcID int64) error) error {
-	if _, err := r.meta(table); err != nil {
-		return err
-	}
-	ms, snaps := r.snapshotAll(0)
-	for i, m := range ms {
-		t, err := m.Table(table)
-		if err != nil {
-			return fmt.Errorf("shard %s: %w", m.Name(), err)
-		}
-		created, deleted, srcIDs := t.VersionMeta()
-		for idx := range created {
-			if !snaps[i].Visible(created[idx], deleted[idx]) {
-				continue
-			}
-			if err := fn(t.ReadRow(idx), srcIDs[idx]); err != nil {
-				return fmt.Errorf("shard %s: %w", m.Name(), err)
-			}
-		}
-	}
-	return nil
-}
-
-// ImportRows partitions the rows by the table's live distribution map and
-// bulk-appends each batch on its owning shard under internal, immediately
-// committed transactions.
-func (r *Router) ImportRows(table string, rows []types.Row, srcIDs []int64) (int, error) {
-	meta, err := r.meta(table)
-	if err != nil {
-		return 0, err
-	}
-	meta.migMu.RLock()
-	defer meta.migMu.RUnlock()
-	ms := r.Members()
-	batches, srcBatches := partitionRows(meta.partitioner(), len(ms), rows, srcIDs)
-	total := 0
-	for i, batch := range batches {
-		if len(batch) == 0 {
-			continue
-		}
-		var src []int64
-		if srcBatches != nil {
-			src = srcBatches[i]
-		}
-		n, err := ms[i].ImportRows(table, batch, src)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
 var _ accel.MultiShard = (*Router)(nil)

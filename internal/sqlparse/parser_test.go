@@ -379,3 +379,24 @@ func TestParseAlterAccelerator(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeNumbersParseToLiterals pins that the parser folds a unary minus
+// on a numeric literal, parenthesized or spaced, into the literal itself, so
+// no recognizer of "col <op> literal" needs a unary-minus arm.
+func TestNegativeNumbersParseToLiterals(t *testing.T) {
+	for sql, want := range map[string]types.Value{
+		"SELECT * FROM t WHERE x = -5":    types.NewInt(-5),
+		"SELECT * FROM t WHERE x = -(5)":  types.NewInt(-5),
+		"SELECT * FROM t WHERE x = - 2.5": types.NewFloat(-2.5),
+	} {
+		where := parseOne(t, sql).(*SelectStmt).Where.(*BinaryExpr)
+		lit, ok := where.Right.(*Literal)
+		if !ok {
+			t.Errorf("%s: right operand is %T, want *Literal", sql, where.Right)
+			continue
+		}
+		if lit.Val != want {
+			t.Errorf("%s: literal %v, want %v", sql, lit.Val, want)
+		}
+	}
+}

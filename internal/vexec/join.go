@@ -138,14 +138,9 @@ func (jp *JoinPlan) Mode() string {
 // analyzeOn accepts a pure conjunction of column equalities with exactly one
 // column per side and records the key pairs.
 func (jp *JoinPlan) analyzeOn(on sqlparse.Expr) bool {
-	for _, conj := range andConjuncts(on, nil) {
-		b, ok := conj.(*sqlparse.BinaryExpr)
-		if !ok || b.Op != sqlparse.OpEq {
-			return false
-		}
-		lref, lok := b.Left.(*sqlparse.ColumnRef)
-		rref, rok := b.Right.(*sqlparse.ColumnRef)
-		if !lok || !rok {
+	for _, conj := range sqlparse.Conjuncts(on) {
+		lref, rref, ok := sqlparse.ColumnEquality(conj)
+		if !ok {
 			return false
 		}
 		if !jp.addKeyPair(lref, rref) && !jp.addKeyPair(rref, lref) {
@@ -183,112 +178,42 @@ func (jp *JoinPlan) analyzeJoinWhere(where sqlparse.Expr) {
 		return
 	}
 	var residual []sqlparse.Expr
-	for _, conj := range andConjuncts(where, nil) {
+	for _, conj := range sqlparse.Conjuncts(where) {
 		if jp.pushConjunct(conj) {
 			continue
 		}
 		residual = append(residual, conj)
 	}
-	jp.residual = andAll(residual)
+	jp.residual = sqlparse.AndAll(residual)
 }
 
-// pushConjunct pushes one WHERE conjunct into a side's scan. It returns true
-// only when the push is exact (the conjunct need not re-run); a superset push
-// (comparisons on the right side of a LEFT join, IN ranges) still appends
-// scan predicates for zone-map pruning but returns false so the conjunct is
-// re-applied as residual — the same contract as the row path's pushdown.
+// pushConjunct pushes one sargable WHERE conjunct into a side's scan. It
+// returns true only when the push is exact (the conjunct need not re-run); a
+// superset push (predicates on the build side of a LEFT join, IN ranges)
+// still appends scan predicates for zone-map pruning but returns false so the
+// conjunct is re-applied as residual — the same contract as the row path's
+// pushdown.
 func (jp *JoinPlan) pushConjunct(e sqlparse.Expr) bool {
-	switch n := e.(type) {
-	case *sqlparse.BinaryExpr:
-		ref, lit, op, ok := SimpleComparison(n)
-		if !ok {
-			return false
-		}
-		side, ci := jp.sideOf(ref)
-		if side == nil {
-			return false
-		}
-		side.preds = append(side.preds, colstore.NewSimplePredicate(ci, op, lit))
-		return jp.exactSide(side)
-	case *sqlparse.BetweenExpr:
-		if n.Negate {
-			return false
-		}
-		ref, ok := n.Operand.(*sqlparse.ColumnRef)
-		if !ok {
-			return false
-		}
-		lo, okLo := n.Low.(*sqlparse.Literal)
-		hi, okHi := n.High.(*sqlparse.Literal)
-		if !okLo || !okHi || lo.Val.IsNull() || hi.Val.IsNull() {
-			return false
-		}
-		side, ci := jp.sideOf(ref)
-		if side == nil {
-			return false
-		}
-		side.preds = append(side.preds,
-			colstore.NewSimplePredicate(ci, colstore.CmpGe, lo.Val),
-			colstore.NewSimplePredicate(ci, colstore.CmpLe, hi.Val))
-		return jp.exactSide(side)
-	case *sqlparse.IsNullExpr:
-		ref, ok := n.Operand.(*sqlparse.ColumnRef)
-		if !ok {
-			return false
-		}
-		side, ci := jp.sideOf(ref)
-		if side == nil || !jp.exactSide(side) {
+	s, ok := sqlparse.Sargable(e)
+	if !ok {
+		return false
+	}
+	side, ci := jp.sideOf(s.Col)
+	if side == nil {
+		return false
+	}
+	if s.Kind == sqlparse.SargIsNull {
+		if !jp.exactSide(side) {
 			// IS NULL accepts NULL rows, so a push into the padded side of a
 			// LEFT join would not be a superset filter; keep it residual.
 			return false
 		}
-		side.nullChecks = append(side.nullChecks, nullCheck{colIdx: ci, wantNull: !n.Negate})
+		side.nullChecks = append(side.nullChecks, nullCheck{colIdx: ci, wantNull: !s.Negate})
 		return true
-	case *sqlparse.InExpr:
-		if n.Negate || len(n.List) == 0 {
-			return false
-		}
-		ref, ok := n.Operand.(*sqlparse.ColumnRef)
-		if !ok {
-			return false
-		}
-		var lo, hi types.Value
-		for _, e := range n.List {
-			lit, ok := e.(*sqlparse.Literal)
-			if !ok {
-				return false
-			}
-			if lit.Val.IsNull() {
-				continue // IN (NULL, ...) never matches on NULL
-			}
-			if lo.IsNull() {
-				lo, hi = lit.Val, lit.Val
-				continue
-			}
-			if c, err := types.Compare(lit.Val, lo); err != nil {
-				return false
-			} else if c < 0 {
-				lo = lit.Val
-			}
-			if c, err := types.Compare(lit.Val, hi); err != nil {
-				return false
-			} else if c > 0 {
-				hi = lit.Val
-			}
-		}
-		if lo.IsNull() {
-			return false
-		}
-		if side, ci := jp.sideOf(ref); side != nil {
-			// Range collapse is a superset of the IN list; always residual.
-			side.preds = append(side.preds,
-				colstore.NewSimplePredicate(ci, colstore.CmpGe, lo),
-				colstore.NewSimplePredicate(ci, colstore.CmpLe, hi))
-		}
-		return false
-	default:
-		return false
 	}
+	var exact bool
+	side.preds, exact = ScanPredicates(side.preds, &s, ci)
+	return exact && jp.exactSide(side)
 }
 
 // exactSide reports whether predicates pushed into this side filter the join

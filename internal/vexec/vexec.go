@@ -5,9 +5,10 @@
 //	ScanBatches -> vector predicates -> [residual row predicates] ->
 //	    late materialization | vectorized hash aggregation
 //
-// Simple WHERE conjuncts ("col <op> literal", BETWEEN with literal bounds,
-// IS [NOT] NULL) evaluate vector-at-a-time into the scan's selection vector
-// with tight typed loops; remaining conjuncts are evaluated row-at-a-time but
+// Sargable WHERE conjuncts (sqlparse.Sargable: "col <op> literal", BETWEEN
+// with literal bounds, IS [NOT] NULL) evaluate vector-at-a-time into the
+// scan's selection vector with tight typed loops; an IN list narrows the scan
+// to its [min, max] range. Remaining conjuncts are evaluated row-at-a-time but
 // only for rows that already survived the vector filters, and only those rows
 // are ever materialized as types.Row (late materialization). Grouped
 // COUNT/SUM/AVG/MIN/MAX/STDDEV/VARIANCE aggregates accumulate straight off the
@@ -65,8 +66,9 @@ type Plan struct {
 	schema types.Schema
 	cols   []expr.InputColumn
 
-	// preds are the exact vector conjuncts (they are also handed to the scan
-	// for zone-map block pruning).
+	// preds are the vector conjuncts (they are also handed to the scan for
+	// zone-map block pruning); an IN list's range is among them while the IN
+	// itself stays residual.
 	preds      []colstore.SimplePredicate
 	nullChecks []nullCheck
 	// residual is the AND of the WHERE conjuncts that must run row-at-a-time,
@@ -208,91 +210,38 @@ func (p *Plan) analyzeWhere(where sqlparse.Expr) {
 		return
 	}
 	var residual []sqlparse.Expr
-	for _, conj := range andConjuncts(where, nil) {
+	for _, conj := range sqlparse.Conjuncts(where) {
 		if p.vectorizeConjunct(conj) {
 			continue
 		}
 		residual = append(residual, conj)
 	}
-	p.residual = andAll(residual)
+	p.residual = sqlparse.AndAll(residual)
 }
 
-func andConjuncts(e sqlparse.Expr, acc []sqlparse.Expr) []sqlparse.Expr {
-	if b, ok := e.(*sqlparse.BinaryExpr); ok && b.Op == sqlparse.OpAnd {
-		acc = andConjuncts(b.Left, acc)
-		return andConjuncts(b.Right, acc)
-	}
-	return append(acc, e)
-}
-
-func andAll(conjs []sqlparse.Expr) sqlparse.Expr {
-	var out sqlparse.Expr
-	for _, c := range conjs {
-		if out == nil {
-			out = c
-			continue
-		}
-		out = &sqlparse.BinaryExpr{Op: sqlparse.OpAnd, Left: out, Right: c}
-	}
-	return out
-}
-
-// vectorizeConjunct converts one conjunct to vector form when it is an exact
-// filter the predicate machinery can evaluate: a comparison between a column
-// of this table and a non-NULL literal, a non-negated BETWEEN with literal
-// bounds, or IS [NOT] NULL on a column. Kind-incompatible comparisons (e.g. a
-// boolean column against a numeric literal) are pushed too: the vector
-// fallback drops every row exactly like rowMatches, which is also what the
-// row path's scan pushdown does before its WHERE re-evaluation could raise a
-// comparison error — so both engines return the same (empty) result.
+// vectorizeConjunct adds the vector form of a sargable conjunct on a column
+// of this table and reports whether it is exact (see ScanPredicates);
+// IS [NOT] NULL becomes an exact null check. Kind-incompatible comparisons
+// (e.g. a boolean column against a numeric literal) are pushed too: the
+// vector fallback drops every row exactly like rowMatches, which is also what
+// the row path's scan pushdown does before its WHERE re-evaluation could
+// raise a comparison error — so both engines return the same (empty) result.
 func (p *Plan) vectorizeConjunct(e sqlparse.Expr) bool {
-	switch n := e.(type) {
-	case *sqlparse.BinaryExpr:
-		ref, lit, op, ok := SimpleComparison(n)
-		if !ok {
-			return false
-		}
-		ci := p.resolve(ref)
-		if ci < 0 {
-			return false
-		}
-		p.preds = append(p.preds, colstore.NewSimplePredicate(ci, op, lit))
-		return true
-	case *sqlparse.BetweenExpr:
-		if n.Negate {
-			return false
-		}
-		ref, ok := n.Operand.(*sqlparse.ColumnRef)
-		if !ok {
-			return false
-		}
-		lo, okLo := n.Low.(*sqlparse.Literal)
-		hi, okHi := n.High.(*sqlparse.Literal)
-		if !okLo || !okHi || lo.Val.IsNull() || hi.Val.IsNull() {
-			return false
-		}
-		ci := p.resolve(ref)
-		if ci < 0 {
-			return false
-		}
-		p.preds = append(p.preds,
-			colstore.NewSimplePredicate(ci, colstore.CmpGe, lo.Val),
-			colstore.NewSimplePredicate(ci, colstore.CmpLe, hi.Val))
-		return true
-	case *sqlparse.IsNullExpr:
-		ref, ok := n.Operand.(*sqlparse.ColumnRef)
-		if !ok {
-			return false
-		}
-		ci := p.resolve(ref)
-		if ci < 0 {
-			return false
-		}
-		p.nullChecks = append(p.nullChecks, nullCheck{colIdx: ci, wantNull: !n.Negate})
-		return true
-	default:
+	s, ok := sqlparse.Sargable(e)
+	if !ok {
 		return false
 	}
+	ci := p.resolve(s.Col)
+	if ci < 0 {
+		return false
+	}
+	if s.Kind == sqlparse.SargIsNull {
+		p.nullChecks = append(p.nullChecks, nullCheck{colIdx: ci, wantNull: !s.Negate})
+		return true
+	}
+	var exact bool
+	p.preds, exact = ScanPredicates(p.preds, &s, ci)
+	return exact
 }
 
 // resolve maps a column reference onto the table schema (-1 when it does not
@@ -308,61 +257,94 @@ func (p *Plan) resolve(ref *sqlparse.ColumnRef) int {
 func (p *Plan) resolveCol(ref *sqlparse.ColumnRef) int { return p.resolve(ref) }
 func (p *Plan) inputCols() []expr.InputColumn          { return p.cols }
 
+// ScanPredicates appends the scan predicates of a sargable conjunct on
+// column ci and reports whether they are exact, i.e. the conjunct need not
+// run again: one predicate for a comparison with a non-NULL literal and a
+// [lo, hi] pair for a non-negated BETWEEN with non-NULL bounds (both exact),
+// and the [min, max] range of a non-negated IN list's non-NULL values (a
+// superset, so not exact). Any other conjunct — NULL literals, negations,
+// an IN list whose values do not compare, IS [NOT] NULL — appends nothing.
+// The vectorized scan and join plans and the row path's zone-map pushdown
+// all push through here.
+func ScanPredicates(dst []colstore.SimplePredicate, s *sqlparse.Sarg, ci int) ([]colstore.SimplePredicate, bool) {
+	switch s.Kind {
+	case sqlparse.SargCompare:
+		if s.Lo.IsNull() {
+			return dst, false
+		}
+		return append(dst, colstore.NewSimplePredicate(ci, scanOp(s.Op), s.Lo)), true
+	case sqlparse.SargBetween:
+		if s.Negate || s.Lo.IsNull() || s.Hi.IsNull() {
+			return dst, false
+		}
+		return appendRange(dst, ci, s.Lo, s.Hi), true
+	case sqlparse.SargIn:
+		if lo, hi, ok := inRange(s); ok && !s.Negate {
+			return appendRange(dst, ci, lo, hi), false
+		}
+	}
+	return dst, false
+}
+
+func appendRange(dst []colstore.SimplePredicate, ci int, lo, hi types.Value) []colstore.SimplePredicate {
+	return append(dst,
+		colstore.NewSimplePredicate(ci, colstore.CmpGe, lo),
+		colstore.NewSimplePredicate(ci, colstore.CmpLe, hi))
+}
+
+// inRange is the [min, max] of an IN list's non-NULL values (IN (NULL, ...)
+// never matches on NULL); ok is false when there is none or two values do
+// not compare.
+func inRange(s *sqlparse.Sarg) (lo, hi types.Value, ok bool) {
+	for i := 0; i < s.Len(); i++ {
+		v := s.Value(i)
+		if v.IsNull() {
+			continue
+		}
+		if lo.IsNull() {
+			lo, hi = v, v
+			continue
+		}
+		if c, err := types.Compare(v, lo); err != nil {
+			return lo, hi, false
+		} else if c < 0 {
+			lo = v
+		}
+		if c, err := types.Compare(v, hi); err != nil {
+			return lo, hi, false
+		} else if c > 0 {
+			hi = v
+		}
+	}
+	return lo, hi, !lo.IsNull()
+}
+
 // SimpleComparison recognises "col <op> literal" and "literal <op> col"
 // comparisons with a non-NULL literal, normalising the latter by flipping the
-// operator. It is the shared recognizer behind both this engine's vector
-// conjuncts and the accelerator's scan pushdown.
+// operator (sqlparse.Sargable decides the shape).
 func SimpleComparison(b *sqlparse.BinaryExpr) (*sqlparse.ColumnRef, types.Value, colstore.CompareOp, bool) {
-	op, ok := CompareOpFor(b.Op)
-	if !ok {
+	s, ok := sqlparse.Sargable(b)
+	if !ok || s.Lo.IsNull() {
 		return nil, types.Null(), 0, false
 	}
-	if ref, isRef := b.Left.(*sqlparse.ColumnRef); isRef {
-		if lit, isLit := b.Right.(*sqlparse.Literal); isLit && !lit.Val.IsNull() {
-			return ref, lit.Val, op, true
-		}
-	}
-	if ref, isRef := b.Right.(*sqlparse.ColumnRef); isRef {
-		if lit, isLit := b.Left.(*sqlparse.Literal); isLit && !lit.Val.IsNull() {
-			return ref, lit.Val, FlipOp(op), true
-		}
-	}
-	return nil, types.Null(), 0, false
+	return s.Col, s.Lo, scanOp(s.Op), true
 }
 
-// CompareOpFor maps a comparison AST operator onto the scan predicate op.
-func CompareOpFor(op sqlparse.BinOp) (colstore.CompareOp, bool) {
+// scanOp maps a SargCompare operator onto the scan predicate op.
+func scanOp(op sqlparse.BinOp) colstore.CompareOp {
 	switch op {
 	case sqlparse.OpEq:
-		return colstore.CmpEq, true
+		return colstore.CmpEq
 	case sqlparse.OpNe:
-		return colstore.CmpNe, true
+		return colstore.CmpNe
 	case sqlparse.OpLt:
-		return colstore.CmpLt, true
-	case sqlparse.OpLe:
-		return colstore.CmpLe, true
-	case sqlparse.OpGt:
-		return colstore.CmpGt, true
-	case sqlparse.OpGe:
-		return colstore.CmpGe, true
-	default:
-		return 0, false
-	}
-}
-
-// FlipOp mirrors a comparison operator for "literal <op> col" normalisation.
-func FlipOp(op colstore.CompareOp) colstore.CompareOp {
-	switch op {
-	case colstore.CmpLt:
-		return colstore.CmpGt
-	case colstore.CmpLe:
-		return colstore.CmpGe
-	case colstore.CmpGt:
 		return colstore.CmpLt
-	case colstore.CmpGe:
+	case sqlparse.OpLe:
 		return colstore.CmpLe
-	default:
-		return op
+	case sqlparse.OpGt:
+		return colstore.CmpGt
+	default: // sqlparse.OpGe
+		return colstore.CmpGe
 	}
 }
 
