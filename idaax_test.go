@@ -59,6 +59,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if m.StatementsOffloaded == 0 || m.ReplicationRowsCopied != 3 {
 		t.Fatalf("metrics: %+v", m)
 	}
+	sys.ResetMetrics()
+	if m := sys.Metrics(); m.StatementsOffloaded != 0 || m.ReplicationRowsCopied != 3 {
+		t.Fatalf("metrics after ResetMetrics: %+v", m)
+	}
 }
 
 func TestFacadeAOTTransactions(t *testing.T) {

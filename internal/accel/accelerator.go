@@ -55,8 +55,10 @@ type Accelerator struct {
 	vexecFallbacks    int64
 }
 
-// Stats is a snapshot of accelerator activity counters.
+// Stats is a snapshot of accelerator activity counters. A sharded backend
+// reports the sum of its members' snapshots (see Add) under the group name.
 type Stats struct {
+	Name       string
 	QueriesRun int64
 	// QueryErrors counts statements that failed on this accelerator (scan or
 	// execution errors); the ops watchdog's error-streak rule watches its
@@ -80,6 +82,22 @@ type Stats struct {
 	VexecFallbacks int64
 	Tables         int
 	Slices         int
+}
+
+// Add folds o's counters into s. Tables is left alone: a sharded table lives
+// on every member, so the group's table count is not the members' sum.
+func (s *Stats) Add(o Stats) {
+	s.QueriesRun += o.QueriesRun
+	s.QueryErrors += o.QueryErrors
+	s.RowsScanned += o.RowsScanned
+	s.BlocksPruned += o.BlocksPruned
+	s.RowsIngested += o.RowsIngested
+	s.RowsReturned += o.RowsReturned
+	s.DMLStatements += o.DMLStatements
+	s.VectorizedQueries += o.VectorizedQueries
+	s.VectorizedJoins += o.VectorizedJoins
+	s.VexecFallbacks += o.VexecFallbacks
+	s.Slices += o.Slices
 }
 
 // New creates an accelerator with the given number of worker slices
@@ -109,6 +127,7 @@ func (a *Accelerator) Stats() Stats {
 	tables := len(a.tables)
 	a.mu.RUnlock()
 	return Stats{
+		Name:              a.name,
 		QueriesRun:        atomic.LoadInt64(&a.queriesRun),
 		QueryErrors:       atomic.LoadInt64(&a.queryErrors),
 		RowsScanned:       atomic.LoadInt64(&a.rowsScanned),

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -62,6 +63,40 @@ func TestDDLAndStats(t *testing.T) {
 	}
 	if a.Stats().Slices != 4 {
 		t.Fatal("slice count lost")
+	}
+}
+
+// TestStatsAddFoldsEveryCounter gives every numeric Stats field a distinct
+// value and checks that Add sums each one except Tables and leaves Name alone,
+// so a counter added to Stats but not to Add fails here.
+func TestStatsAddFoldsEveryCounter(t *testing.T) {
+	got, o := Stats{Name: "GROUP"}, Stats{Name: "MEMBER"}
+	gv, ov := reflect.ValueOf(&got).Elem(), reflect.ValueOf(&o).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		switch f := gv.Type().Field(i); f.Type.Kind() {
+		case reflect.Int, reflect.Int64:
+			gv.Field(i).SetInt(int64(1000 * (i + 1)))
+			ov.Field(i).SetInt(int64(i + 1))
+		case reflect.String:
+		default:
+			t.Fatalf("field %s has kind %s: teach Add and this test about it", f.Name, f.Type.Kind())
+		}
+	}
+	want := got
+	got.Add(o)
+	wv := reflect.ValueOf(want)
+	gv = reflect.ValueOf(got)
+	for i := 0; i < gv.NumField(); i++ {
+		name := gv.Type().Field(i).Name
+		if name == "Name" || name == "Tables" {
+			if gv.Field(i).Interface() != wv.Field(i).Interface() {
+				t.Errorf("Add changed %s: %v -> %v", name, wv.Field(i), gv.Field(i))
+			}
+			continue
+		}
+		if sum := wv.Field(i).Int() + ov.Field(i).Int(); gv.Field(i).Int() != sum {
+			t.Errorf("Add left %s at %d, want %d", name, gv.Field(i).Int(), sum)
+		}
 	}
 }
 

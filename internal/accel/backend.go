@@ -57,13 +57,11 @@ type Backend interface {
 	SetVectorizedExecution(enabled bool)
 	VectorizedEnabled() bool
 
-	// Query and DML under a DB2 transaction id. QueryTraced is Query with a
-	// trace span: the backend attaches its execution tree (plan, per-shard
-	// scans, gather/merge) as children of sp, which crosses this seam so a
-	// statement's trace nests identically whether the backend is one
-	// accelerator or a sharded fleet. Query is QueryTraced with tracing off
-	// (a nil span); both return identical results.
-	Query(txnID int64, sel *sqlparse.SelectStmt) (*relalg.Relation, error)
+	// Query and DML under a DB2 transaction id. QueryTraced attaches the
+	// backend's execution tree (plan, per-shard scans, gather/merge) as
+	// children of sp, which crosses this seam so a statement's trace nests
+	// identically whether the backend is one accelerator or a sharded fleet;
+	// a nil sp turns tracing off and returns identical results.
 	QueryTraced(txnID int64, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error)
 	Insert(txnID int64, table string, rows []types.Row) (int, error)
 	Update(txnID int64, table string, assignments []sqlparse.Assignment, where sqlparse.Expr) (int, error)

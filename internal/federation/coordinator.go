@@ -155,12 +155,15 @@ func (c Config) withDefaults() Config {
 // Metrics counts cross-system data movement and routing decisions. They are
 // the quantities experiment E1/E3/E5 report.
 type Metrics struct {
-	RowsMovedToAccel     int64 // rows shipped DB2 -> accelerator by statements
-	RowsMovedToDB2       int64 // rows shipped accelerator -> DB2 by statements
-	RowsReturnedToClient int64
-	StatementsOffloaded  int64
-	StatementsLocal      int64
-	ProcedureCalls       int64
+	RowsMovedToAccelerator int64 // rows shipped DB2 -> accelerator by statements
+	RowsMovedToDB2         int64 // rows shipped accelerator -> DB2 by statements
+	RowsReturnedToClient   int64
+	StatementsOffloaded    int64
+	StatementsLocal        int64
+	ProcedureCalls         int64
+	// ReplicationRowsCopied is the replicator's full-load plus incremental
+	// row count; ResetMetrics leaves it alone.
+	ReplicationRowsCopied int64
 }
 
 // Coordinator wires the DB2 engine, the accelerators, replication, the AOT
@@ -430,19 +433,21 @@ func (c *Coordinator) Accelerators() []string { return c.cat.Accelerators() }
 
 // Metrics returns a snapshot of the movement/routing counters.
 func (c *Coordinator) Metrics() Metrics {
+	r := c.Repl.Stats()
 	return Metrics{
-		RowsMovedToAccel:     atomic.LoadInt64(&c.metrics.RowsMovedToAccel),
-		RowsMovedToDB2:       atomic.LoadInt64(&c.metrics.RowsMovedToDB2),
-		RowsReturnedToClient: atomic.LoadInt64(&c.metrics.RowsReturnedToClient),
-		StatementsOffloaded:  atomic.LoadInt64(&c.metrics.StatementsOffloaded),
-		StatementsLocal:      atomic.LoadInt64(&c.metrics.StatementsLocal),
-		ProcedureCalls:       atomic.LoadInt64(&c.metrics.ProcedureCalls),
+		RowsMovedToAccelerator: atomic.LoadInt64(&c.metrics.RowsMovedToAccelerator),
+		RowsMovedToDB2:         atomic.LoadInt64(&c.metrics.RowsMovedToDB2),
+		RowsReturnedToClient:   atomic.LoadInt64(&c.metrics.RowsReturnedToClient),
+		StatementsOffloaded:    atomic.LoadInt64(&c.metrics.StatementsOffloaded),
+		StatementsLocal:        atomic.LoadInt64(&c.metrics.StatementsLocal),
+		ProcedureCalls:         atomic.LoadInt64(&c.metrics.ProcedureCalls),
+		ReplicationRowsCopied:  r.RowsFullLoaded + r.RowsIncremental,
 	}
 }
 
 // ResetMetrics zeroes the movement/routing counters (benchmark harness use).
 func (c *Coordinator) ResetMetrics() {
-	atomic.StoreInt64(&c.metrics.RowsMovedToAccel, 0)
+	atomic.StoreInt64(&c.metrics.RowsMovedToAccelerator, 0)
 	atomic.StoreInt64(&c.metrics.RowsMovedToDB2, 0)
 	atomic.StoreInt64(&c.metrics.RowsReturnedToClient, 0)
 	atomic.StoreInt64(&c.metrics.StatementsOffloaded, 0)
@@ -455,7 +460,7 @@ func (c *Coordinator) addMoved(toAccel bool, n int) {
 		return
 	}
 	if toAccel {
-		atomic.AddInt64(&c.metrics.RowsMovedToAccel, int64(n))
+		atomic.AddInt64(&c.metrics.RowsMovedToAccelerator, int64(n))
 	} else {
 		atomic.AddInt64(&c.metrics.RowsMovedToDB2, int64(n))
 	}

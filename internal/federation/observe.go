@@ -199,7 +199,7 @@ func actualsFromSpan(root *obs.Span, resultRows int) planner.Actuals {
 func (c *Coordinator) registerObsGauges() {
 	metric := func(name string, fn func() int64) { c.Obs.GaugeFunc(name, fn) }
 
-	metric("fed_rows_moved_to_accel", func() int64 { return c.Metrics().RowsMovedToAccel })
+	metric("fed_rows_moved_to_accel", func() int64 { return c.Metrics().RowsMovedToAccelerator })
 	metric("fed_rows_moved_to_db2", func() int64 { return c.Metrics().RowsMovedToDB2 })
 	metric("fed_rows_returned_to_client", func() int64 { return c.Metrics().RowsReturnedToClient })
 	metric("fed_stmts_offloaded", func() int64 { return c.Metrics().StatementsOffloaded })

@@ -152,8 +152,8 @@ func TestInsertSelectBetweenSystems(t *testing.T) {
 		t.Fatalf("expected 3 rows moved, got %d", res.RowsAffected)
 	}
 	m := c.Metrics()
-	if m.RowsMovedToAccel != 3 {
-		t.Fatalf("expected 3 rows counted as moved to accelerator, got %d", m.RowsMovedToAccel)
+	if m.RowsMovedToAccelerator != 3 {
+		t.Fatalf("expected 3 rows counted as moved to accelerator, got %d", m.RowsMovedToAccelerator)
 	}
 
 	// AOT -> AOT stays on the accelerator: no cross-system movement.
@@ -161,7 +161,7 @@ func TestInsertSelectBetweenSystems(t *testing.T) {
 	c.ResetMetrics()
 	mustExec(t, s, "INSERT INTO tgt2 SELECT id, amount * 2 FROM tgt")
 	m = c.Metrics()
-	if m.RowsMovedToAccel != 0 || m.RowsMovedToDB2 != 0 {
+	if m.RowsMovedToAccelerator != 0 || m.RowsMovedToDB2 != 0 {
 		t.Fatalf("AOT->AOT insert should not move rows across systems, got %+v", m)
 	}
 }
@@ -314,8 +314,8 @@ func TestValuesInsertMovementAccounting(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE aot (id BIGINT, v VARCHAR(8)) IN ACCELERATOR IDAA1")
 	c.ResetMetrics()
 	mustExec(t, s, "INSERT INTO aot VALUES (1,'a'),(2,'b')")
-	if m := c.Metrics(); m.RowsMovedToAccel != 2 {
-		t.Fatalf("VALUES into AOT should count as rows moved to accelerator, got %d", m.RowsMovedToAccel)
+	if m := c.Metrics(); m.RowsMovedToAccelerator != 2 {
+		t.Fatalf("VALUES into AOT should count as rows moved to accelerator, got %d", m.RowsMovedToAccelerator)
 	}
 	res := mustExec(t, s, "SELECT COUNT(*), MIN(v) FROM aot")
 	if n, _ := res.Rows[0][0].AsInt(); n != 2 {

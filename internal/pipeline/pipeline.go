@@ -112,7 +112,6 @@ func (r *Runner) run(stages []Stage, mode Materialization, reloadToAccelerator b
 	report := &Report{Mode: mode}
 	start := time.Now()
 	baselineMetrics := r.coord.Metrics()
-	baselineRepl := r.coord.Repl.Stats()
 
 	for _, stage := range stages {
 		if err := r.dropTarget(stage.Target); err != nil {
@@ -149,7 +148,7 @@ func (r *Runner) run(stages []Stage, mode Materialization, reloadToAccelerator b
 			Target:       types.NormalizeName(stage.Target),
 			Rows:         res.RowsAffected,
 			Elapsed:      time.Since(stageStart),
-			RowsToAccel:  after.RowsMovedToAccel - before.RowsMovedToAccel,
+			RowsToAccel:  after.RowsMovedToAccelerator - before.RowsMovedToAccelerator,
 			RowsFromAcc:  after.RowsMovedToDB2 - before.RowsMovedToDB2,
 			Materialized: mode.String(),
 		})
@@ -157,11 +156,10 @@ func (r *Runner) run(stages []Stage, mode Materialization, reloadToAccelerator b
 	}
 
 	final := r.coord.Metrics()
-	finalRepl := r.coord.Repl.Stats()
 	report.Elapsed = time.Since(start)
-	report.RowsMovedToAcc = final.RowsMovedToAccel - baselineMetrics.RowsMovedToAccel
+	report.RowsMovedToAcc = final.RowsMovedToAccelerator - baselineMetrics.RowsMovedToAccelerator
 	report.RowsMovedToDB2 = final.RowsMovedToDB2 - baselineMetrics.RowsMovedToDB2
-	report.ReplicationRows = (finalRepl.RowsFullLoaded + finalRepl.RowsIncremental) - (baselineRepl.RowsFullLoaded + baselineRepl.RowsIncremental)
+	report.ReplicationRows = final.ReplicationRowsCopied - baselineMetrics.ReplicationRowsCopied
 	return report, nil
 }
 

@@ -225,7 +225,7 @@ func TestPruningShardCounts(t *testing.T) {
 	router, _ := newJoinFleet(t, 3)
 	memberQueries := func() []int64 {
 		out := make([]int64, len(router.members))
-		for i, st := range router.MemberStats() {
+		for i, st := range router.GroupStats().Shards {
 			out[i] = st.QueriesRun
 		}
 		return out

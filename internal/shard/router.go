@@ -128,8 +128,10 @@ type Stats struct {
 	// ShardScansAvoided counts per-table shard scans eliminated by
 	// distribution-key pruning (summed over the statements' base tables).
 	ShardScansAvoided int64
-	// AnalyticsScatters counts shard-local procedure calls (CallShardLocal)
-	// scattered across the fleet.
+	// AnalyticsScatters counts shard-local scatters (CallShardLocal) issued by
+	// analytics procedures instead of gathering the table. One CALL usually
+	// issues one scatter, but may issue more (KMEANS with an assignment
+	// output scatters once to train and once to write).
 	AnalyticsScatters int64
 	// AnalyticsPartials counts per-shard partial computations produced by
 	// scattered procedure calls (one per shard per scatter).
@@ -137,7 +139,8 @@ type Stats struct {
 	// AnalyticsRowsWrittenLocal counts derived rows (predictions, cluster
 	// assignments) written shard-local without passing the coordinator.
 	AnalyticsRowsWrittenLocal int64
-	// RowsMigrated counts rows moved between shards by the rebalancer.
+	// RowsMigrated counts rows moved between shards by the rebalancer
+	// (AddShardMember / RemoveShardMember / ACCEL_REBALANCE).
 	RowsMigrated int64
 	// RebalanceBatches counts committed migration batches.
 	RebalanceBatches int64
@@ -148,6 +151,26 @@ type Stats struct {
 	// draining, member detached); queries use it to detect a fleet view that
 	// changed under them.
 	Epoch int64
+}
+
+// GroupStats is one snapshot of a shard group, the observability surface the
+// sharded-scan benchmark and capacity planning read. Every member is read
+// once, so Group is exactly the sum of Shards.
+type GroupStats struct {
+	// Group aggregates the counters of every shard (accel.Stats.Add).
+	Group accel.Stats
+	// Shards holds each member accelerator's own counters, in shard order,
+	// including members that are still draining.
+	Shards []accel.Stats
+	// Stats holds the router-level routing and rebalance counters.
+	Stats
+	// TwoPhaseFrameBytes is always 0: partials reach the coordinator as typed
+	// relations, not encoded bytes. The field stays for readers of the byte
+	// counter, such as the benchmark's route oracle.
+	TwoPhaseFrameBytes int64
+	// DistributedProcCalls breaks AnalyticsScatters down by procedure name
+	// (e.g. "IDAX.LINEAR_REGRESSION").
+	DistributedProcCalls map[string]int64
 }
 
 // Router spreads tables over a fleet of accelerators and implements
@@ -264,29 +287,28 @@ func (r *Router) Slices() int {
 	return total
 }
 
-// Stats aggregates the activity counters of every shard. Tables is the number
-// of sharded tables (each is present on every member), slices the fleet total.
-func (r *Router) Stats() accel.Stats {
+// Stats aggregates the activity counters of every shard (GroupStats.Group).
+func (r *Router) Stats() accel.Stats { return r.GroupStats().Group }
+
+// GroupStats snapshots every member once, in shard order, and sums those
+// snapshots into Group. Group is named after the router and its Tables is the
+// number of sharded tables (each is present on every member).
+func (r *Router) GroupStats() GroupStats {
 	r.mu.RLock()
-	tables := len(r.tables)
+	group := accel.Stats{Name: r.name, Tables: len(r.tables)}
+	members := r.members
 	r.mu.RUnlock()
-	var out accel.Stats
-	for _, m := range r.Members() {
-		st := m.Stats()
-		out.QueriesRun += st.QueriesRun
-		out.QueryErrors += st.QueryErrors
-		out.RowsScanned += st.RowsScanned
-		out.BlocksPruned += st.BlocksPruned
-		out.RowsIngested += st.RowsIngested
-		out.RowsReturned += st.RowsReturned
-		out.DMLStatements += st.DMLStatements
-		out.VectorizedQueries += st.VectorizedQueries
-		out.VectorizedJoins += st.VectorizedJoins
-		out.VexecFallbacks += st.VexecFallbacks
-		out.Slices += st.Slices
+	shards := make([]accel.Stats, len(members))
+	for i, m := range members {
+		shards[i] = m.Stats()
+		group.Add(shards[i])
 	}
-	out.Tables = tables
-	return out
+	return GroupStats{
+		Group:                group,
+		Shards:               shards,
+		Stats:                r.ShardingStats(),
+		DistributedProcCalls: r.DistributedProcCalls(),
+	}
 }
 
 // Resources aggregates the members' storage footprints into one store view
@@ -329,16 +351,6 @@ func (r *Router) FleetResources() obs.FleetResources {
 		members[i] = m.Resources()
 	}
 	return obs.AggregateFleet(members)
-}
-
-// MemberStats returns each shard's own activity counters, in shard order.
-func (r *Router) MemberStats() []accel.Stats {
-	ms := r.Members()
-	out := make([]accel.Stats, len(ms))
-	for i, m := range ms {
-		out[i] = m.Stats()
-	}
-	return out
 }
 
 // ShardingStats returns the router-level routing counters.

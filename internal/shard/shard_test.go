@@ -261,7 +261,7 @@ func TestShardPruning(t *testing.T) {
 	rows := testRows(100)
 	router, _ := newFleet(t, 3, "ID", rows)
 	before := make([]int64, 3)
-	for i, st := range router.MemberStats() {
+	for i, st := range router.GroupStats().Shards {
 		before[i] = st.QueriesRun
 	}
 	rel, err := router.Query(0, parseSelect(t, "SELECT id, dept FROM t WHERE id = 42"))
@@ -272,7 +272,7 @@ func TestShardPruning(t *testing.T) {
 		t.Fatalf("pruned query returned %d rows", len(rel.Rows))
 	}
 	ran := 0
-	for i, st := range router.MemberStats() {
+	for i, st := range router.GroupStats().Shards {
 		if st.QueriesRun > before[i] {
 			ran++
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"idaax"
 )
@@ -182,6 +184,75 @@ func TestShardGroupStatsAPI(t *testing.T) {
 	// Asking for shard stats of a plain accelerator fails cleanly.
 	if _, err := sys.ShardGroupStats("IDAA1"); err == nil {
 		t.Fatal("ShardGroupStats on a single accelerator must fail")
+	}
+}
+
+// TestShardGroupStatsConsistentUnderLoad takes group snapshots while two
+// sessions keep querying: every snapshot's Group must be exactly the sum of
+// its Shards, so the aggregate and the per-shard view never disagree.
+func TestShardGroupStatsConsistentUnderLoad(t *testing.T) {
+	sys := newShardedSystem(t, 3)
+	defer sys.Close()
+	seedShardedTable(t, sys, "SHARDS")
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := sys.AdminSession()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := s.Query("SELECT region, SUM(amount) FROM metrics GROUP BY region"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+
+	// Keep snapshotting until at least 500 are taken and a query has
+	// completed in between, so the snapshots really raced the queries.
+	const snapshots = 500
+	deadline := time.Now().Add(10 * time.Second)
+	var first int64
+	inconsistent, taken := 0, 0
+	for progressed := false; taken < snapshots || !progressed; taken++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no query completed while the snapshots were taken")
+		}
+		st, err := sys.ShardGroupStats("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum idaax.AcceleratorStats
+		for _, sh := range st.Shards {
+			sum.QueriesRun += sh.QueriesRun
+			sum.RowsScanned += sh.RowsScanned
+			sum.BlocksPruned += sh.BlocksPruned
+			sum.Slices += sh.Slices
+		}
+		g := st.Group
+		if g.QueriesRun != sum.QueriesRun || g.RowsScanned != sum.RowsScanned ||
+			g.BlocksPruned != sum.BlocksPruned || g.Slices != sum.Slices {
+			inconsistent++
+		}
+		if taken == 0 {
+			first = g.QueriesRun
+		}
+		progressed = g.QueriesRun > first
+	}
+	if inconsistent > 0 {
+		t.Fatalf("%d of %d snapshots: Group differs from the sum of Shards", inconsistent, taken)
 	}
 }
 

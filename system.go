@@ -7,6 +7,7 @@ import (
 	"idaax/internal/accel"
 	"idaax/internal/analytics"
 	"idaax/internal/federation"
+	"idaax/internal/shard"
 	"idaax/internal/types"
 )
 
@@ -156,55 +157,18 @@ func (s *System) AddShardGroup(name string, members ...string) error {
 }
 
 // Metrics summarises cross-system data movement and routing since start (or
-// the last ResetMetrics call).
-type Metrics struct {
-	RowsMovedToAccelerator int64
-	RowsMovedToDB2         int64
-	RowsReturnedToClient   int64
-	StatementsOffloaded    int64
-	StatementsLocal        int64
-	ProcedureCalls         int64
-	ReplicationRowsCopied  int64
-}
+// the last ResetMetrics call; ReplicationRowsCopied is never reset).
+type Metrics = federation.Metrics
 
 // Metrics returns the current movement/routing counters.
-func (s *System) Metrics() Metrics {
-	m := s.coord.Metrics()
-	r := s.coord.Repl.Stats()
-	return Metrics{
-		RowsMovedToAccelerator: m.RowsMovedToAccel,
-		RowsMovedToDB2:         m.RowsMovedToDB2,
-		RowsReturnedToClient:   m.RowsReturnedToClient,
-		StatementsOffloaded:    m.StatementsOffloaded,
-		StatementsLocal:        m.StatementsLocal,
-		ProcedureCalls:         m.ProcedureCalls,
-		ReplicationRowsCopied:  r.RowsFullLoaded + r.RowsIncremental,
-	}
-}
+func (s *System) Metrics() Metrics { return s.coord.Metrics() }
 
 // ResetMetrics zeroes the statement-level movement counters.
 func (s *System) ResetMetrics() { s.coord.ResetMetrics() }
 
-// AcceleratorStats describes one accelerator's activity.
-type AcceleratorStats struct {
-	Name          string
-	Slices        int
-	Tables        int
-	QueriesRun    int64
-	RowsScanned   int64
-	BlocksPruned  int64
-	RowsIngested  int64
-	DMLStatements int64
-	// VectorizedQueries counts statements executed by the vectorized batch
-	// engine (see SetVectorizedExecution).
-	VectorizedQueries int64
-	// VectorizedJoins counts the subset of VectorizedQueries that ran a
-	// batch hash join (two-table statements joined from column batches).
-	VectorizedJoins int64
-	// VexecFallbacks counts statements the vectorized engine declined
-	// (unsupported shape) that fell back to the row-at-a-time path.
-	VexecFallbacks int64
-}
+// AcceleratorStats describes one accelerator's activity; a shard group
+// reports the sum over its members.
+type AcceleratorStats = accel.Stats
 
 // AcceleratorStats returns activity counters for the named accelerator (empty
 // name = default accelerator).
@@ -213,88 +177,13 @@ func (s *System) AcceleratorStats(name string) (AcceleratorStats, error) {
 	if err != nil {
 		return AcceleratorStats{}, err
 	}
-	return toAcceleratorStats(a.Name(), a.Stats()), nil
-}
-
-func toAcceleratorStats(name string, st accel.Stats) AcceleratorStats {
-	return AcceleratorStats{
-		Name:              name,
-		Slices:            st.Slices,
-		Tables:            st.Tables,
-		QueriesRun:        st.QueriesRun,
-		RowsScanned:       st.RowsScanned,
-		BlocksPruned:      st.BlocksPruned,
-		RowsIngested:      st.RowsIngested,
-		DMLStatements:     st.DMLStatements,
-		VectorizedQueries: st.VectorizedQueries,
-		VectorizedJoins:   st.VectorizedJoins,
-		VexecFallbacks:    st.VexecFallbacks,
-	}
+	return a.Stats(), nil
 }
 
 // ShardGroupStats describes a sharded backend: the fleet-wide aggregate,
 // every shard's own counters (in shard order), and the router-level routing
-// decisions. It is the observability surface the sharded-scan benchmark and
-// capacity planning read.
-type ShardGroupStats struct {
-	// Group aggregates the counters of every shard.
-	Group AcceleratorStats
-	// Shards holds each member accelerator's own counters.
-	Shards []AcceleratorStats
-	// QueriesRouted counts SELECTs executed through the shard router.
-	QueriesRouted int64
-	// QueriesPruned counts SELECTs answered by a single shard because an
-	// equality predicate covered the distribution key.
-	QueriesPruned int64
-	// TwoPhaseAggregates counts SELECTs executed as shard-local partial
-	// aggregation finalised at the coordinator.
-	TwoPhaseAggregates int64
-	// TwoPhaseFrames counts the partial results those statements handed to
-	// the coordinator: one typed relation per participating shard.
-	TwoPhaseFrames int64
-	// TwoPhaseFrameBytes is always 0: partials reach the coordinator as typed
-	// relations, not encoded bytes. The field stays for readers of the byte
-	// counter, such as the benchmark's route oracle.
-	TwoPhaseFrameBytes int64
-	// RowsGathered counts rows shipped shard -> coordinator by queries.
-	RowsGathered int64
-	// ColocatedJoins counts multi-table SELECTs whose joins ran entirely
-	// shard-local (tables joined on their distribution keys, or with the
-	// smaller side broadcast).
-	ColocatedJoins int64
-	// BroadcastJoins counts the subset of ColocatedJoins that replicated at
-	// least one table to the participating shards.
-	BroadcastJoins int64
-	// ShardScansAvoided counts per-table shard scans eliminated by
-	// distribution-key pruning (equality, IN lists, bounded ranges).
-	ShardScansAvoided int64
-	// AnalyticsScatters counts shard-local scatter operations issued by
-	// analytics procedures instead of gathering the table. One CALL usually
-	// issues one scatter, but may issue more (KMEANS with an assignment
-	// output scatters once to train and once to write); DistributedProcCalls
-	// counts CALLs.
-	AnalyticsScatters int64
-	// AnalyticsPartials counts per-shard partial computations those scatters
-	// produced (one per shard per scatter).
-	AnalyticsPartials int64
-	// AnalyticsRowsWrittenLocal counts predictions and cluster assignments
-	// written on the shard that computed them (never passing the coordinator).
-	AnalyticsRowsWrittenLocal int64
-	// DistributedProcCalls breaks AnalyticsScatters down by procedure name
-	// (e.g. "IDAX.LINEAR_REGRESSION").
-	DistributedProcCalls map[string]int64
-	// RowsMigrated counts rows the online rebalancer moved between shards
-	// (AddShardMember / RemoveShardMember / ACCEL_REBALANCE).
-	RowsMigrated int64
-	// RebalanceBatches counts committed migration batches behind RowsMigrated.
-	RebalanceBatches int64
-	// RebalancesCompleted counts rebalance runs that drove every table back to
-	// a single placement map.
-	RebalancesCompleted int64
-	// Epoch counts membership changes of the group; it advances when a member
-	// is added, starts draining, or is detached.
-	Epoch int64
-}
+// decisions.
+type ShardGroupStats = shard.GroupStats
 
 // ShardGroupStats returns per-shard and aggregate activity counters for the
 // named shard group (empty name = the configured default group).
@@ -306,36 +195,7 @@ func (s *System) ShardGroupStats(name string) (ShardGroupStats, error) {
 	if err != nil {
 		return ShardGroupStats{}, err
 	}
-	group, err := s.AcceleratorStats(name)
-	if err != nil {
-		return ShardGroupStats{}, err
-	}
-	members := router.Members()
-	perShard := make([]AcceleratorStats, len(members))
-	for i, m := range members {
-		perShard[i] = toAcceleratorStats(m.Name(), m.Stats())
-	}
-	routing := router.ShardingStats()
-	return ShardGroupStats{
-		Group:                     group,
-		Shards:                    perShard,
-		QueriesRouted:             routing.QueriesRouted,
-		QueriesPruned:             routing.QueriesPruned,
-		TwoPhaseAggregates:        routing.TwoPhaseAggregates,
-		TwoPhaseFrames:            routing.TwoPhaseFrames,
-		RowsGathered:              routing.RowsGathered,
-		ColocatedJoins:            routing.ColocatedJoins,
-		BroadcastJoins:            routing.BroadcastJoins,
-		ShardScansAvoided:         routing.ShardScansAvoided,
-		AnalyticsScatters:         routing.AnalyticsScatters,
-		AnalyticsPartials:         routing.AnalyticsPartials,
-		AnalyticsRowsWrittenLocal: routing.AnalyticsRowsWrittenLocal,
-		DistributedProcCalls:      router.DistributedProcCalls(),
-		RowsMigrated:              routing.RowsMigrated,
-		RebalanceBatches:          routing.RebalanceBatches,
-		RebalancesCompleted:       routing.RebalancesCompleted,
-		Epoch:                     routing.Epoch,
-	}, nil
+	return router.GroupStats(), nil
 }
 
 // SetVectorizedExecution enables or disables the vectorized batch execution

@@ -163,7 +163,7 @@ func TestTwoPhaseDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := backend.Query(0, sels[qi])
+		rel, err := backend.QueryTraced(0, sels[qi], nil)
 		if err != nil {
 			t.Fatalf("%s (%s): %v", twoPhaseQueries[qi].sql, label, err)
 		}
