@@ -33,9 +33,9 @@ type Accelerator struct {
 	// DB2 transaction ids.
 	internalTxn int64
 
-	// deleters records transactions that set delete markers on this
-	// accelerator, so AbortTxn pays the physical undo sweep only for
-	// transactions that actually deleted something.
+	// deleters records transactions that set delete markers or indexed
+	// replicated source ids on this accelerator, so AbortTxn pays the
+	// physical undo sweep only for transactions that need it.
 	deleteMu sync.Mutex
 	deleters map[int64]bool
 
@@ -302,18 +302,19 @@ func (a *Accelerator) CommitTxn(txnID int64) {
 	a.deleteMu.Unlock()
 }
 
-// noteDeleter records that txnID set delete markers (see deleters).
+// noteDeleter records that txnID needs the abort sweep (see deleters).
 func (a *Accelerator) noteDeleter(txnID int64) {
 	a.deleteMu.Lock()
 	a.deleters[txnID] = true
 	a.deleteMu.Unlock()
 }
 
-// AbortTxn discards a DB2 transaction's accelerator changes. Row versions the
-// transaction created become permanently invisible through the registry;
-// deletion markers it set are physically undone so the victim rows stay
-// deletable by later transactions (and movable by the shard rebalancer). The
-// undo sweep runs only for transactions that actually deleted something.
+// AbortTxn discards a transaction's accelerator changes. Row versions the
+// transaction created become permanently invisible through the registry, and
+// their source ids leave the replication index; deletion markers it set are
+// physically undone so the victim rows stay deletable by later transactions
+// (and movable by the shard rebalancer). The undo sweep runs only for
+// transactions that deleted something or applied a replication batch.
 func (a *Accelerator) AbortTxn(txnID int64) {
 	a.Registry.Abort(txnID)
 	a.deleteMu.Lock()
@@ -351,90 +352,104 @@ func (a *Accelerator) Insert(txnID int64, table string, rows []types.Row) (int, 
 	return n, err
 }
 
-// InsertReplicated appends rows mirroring DB2 rows under an internal,
-// immediately committed transaction (the replication apply path). Source ids
-// that already have a live shadow row are skipped, which makes re-applying a
-// CDC batch after a crash (the replicator's applied position is only durable
-// as of the last checkpoint) converge instead of duplicating rows.
-func (a *Accelerator) InsertReplicated(table string, rows []types.Row, srcIDs []int64) (int, error) {
+// ApplyReplicated applies a replication batch to a shadow table under one
+// internal transaction, committed when every change applied and aborted
+// otherwise (see Backend.ApplyReplicated).
+func (a *Accelerator) ApplyReplicated(table string, changes []ReplChange) (int, error) {
+	return a.inInternalTxn(func(txnID int64) (int, error) { return a.ApplyReplicatedIn(txnID, table, changes) })
+}
+
+// ApplyReplicatedIn applies a replication batch under txnID, an internal
+// transaction from NextInternalTxn, and leaves it open: the shard router
+// applies one batch across several members and commits (or aborts) all of
+// them together. A run of inserts appends as one batch; an insert whose source
+// id already has a live shadow row is skipped, which makes re-applying a batch
+// after a crash (the replicator's applied position is only durable as of the
+// last checkpoint) converge instead of duplicating rows.
+func (a *Accelerator) ApplyReplicatedIn(txnID int64, table string, changes []ReplChange) (int, error) {
 	t, err := a.Table(table)
 	if err != nil {
 		return 0, err
 	}
-	if len(srcIDs) == len(rows) {
-		keptRows := rows[:0:0]
-		keptIDs := srcIDs[:0:0]
-		for i, src := range srcIDs {
-			if src >= 0 && t.HasSource(src) {
-				continue
+	// An abort must sweep: drop the source ids the batch indexed and undo its
+	// delete markers.
+	a.noteDeleter(txnID)
+	n := 0
+	for len(changes) > 0 {
+		ch := changes[0]
+		switch ch.Op {
+		case ReplInsert:
+			run := 1
+			for run < len(changes) && changes[run].Op == ReplInsert {
+				run++
 			}
-			keptRows = append(keptRows, rows[i])
-			keptIDs = append(keptIDs, src)
+			k, err := a.appendReplicated(txnID, t, changes[:run])
+			n += k
+			if err != nil {
+				return n, err
+			}
+			changes = changes[run:]
+			continue
+		case ReplUpdate:
+			if err := t.UpdateBySource(txnID, ch.SrcID, ch.Row); err != nil {
+				return n, err
+			}
+			n++
+		case ReplDelete:
+			if t.DeleteBySource(txnID, ch.SrcID) {
+				n++
+			}
+		case ReplTruncate:
+			n += t.TruncateVisible(txnID, a.Registry.Snapshot(txnID).Visible)
 		}
-		if len(keptRows) == 0 {
-			return 0, nil
-		}
-		rows, srcIDs = keptRows, keptIDs
+		changes = changes[1:]
 	}
-	txnID := a.NextInternalTxn()
+	return n, nil
+}
+
+// appendReplicated appends a run of replicated inserts, skipping source ids
+// that already have a live shadow row.
+func (a *Accelerator) appendReplicated(txnID int64, t *colstore.Table, run []ReplChange) (int, error) {
+	rows := make([]types.Row, 0, len(run))
+	srcIDs := make([]int64, 0, len(run))
+	for _, ch := range run {
+		if ch.SrcID >= 0 && t.HasSource(ch.SrcID) {
+			continue
+		}
+		rows = append(rows, ch.Row)
+		srcIDs = append(srcIDs, ch.SrcID)
+	}
 	n, err := t.InsertWithSource(txnID, rows, srcIDs)
-	if err != nil {
-		a.Registry.Abort(txnID)
-		return n, err
-	}
-	a.Registry.Commit(txnID)
 	atomic.AddInt64(&a.rowsIngested, int64(n))
-	return n, nil
-}
-
-// ApplyReplicatedDelete removes the shadow row mirroring a DB2 row id.
-func (a *Accelerator) ApplyReplicatedDelete(table string, srcID int64) (bool, error) {
-	t, err := a.Table(table)
-	if err != nil {
-		return false, err
-	}
-	txnID := a.NextInternalTxn()
-	ok := t.DeleteBySource(txnID, srcID)
-	a.Registry.Commit(txnID)
-	return ok, nil
-}
-
-// TruncateReplicated removes all committed rows of a table under an internal,
-// immediately committed transaction (the replication full-load/truncate path).
-func (a *Accelerator) TruncateReplicated(table string) (int, error) {
-	t, err := a.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	txnID := a.NextInternalTxn()
-	snap := a.Registry.Snapshot(txnID)
-	n := t.TruncateVisible(txnID, snap.Visible)
-	a.Registry.Commit(txnID)
-	return n, nil
+	return n, err
 }
 
 // ImportRows bulk-appends rows under an internal, immediately committed
 // transaction; shard-local analytics write their output tables through it
-// (ShardPartition.WriteLocal). srcIDs may be nil (no row mirrors a DB2 row)
-// or align with rows, with -1 marking native rows.
-func (a *Accelerator) ImportRows(table string, rows []types.Row, srcIDs []int64) (int, error) {
+// (ShardPartition.WriteLocal).
+func (a *Accelerator) ImportRows(table string, rows []types.Row) (int, error) {
 	t, err := a.Table(table)
 	if err != nil {
 		return 0, err
 	}
-	txnID := a.NextInternalTxn()
-	var n int
-	if srcIDs == nil {
-		n, err = t.Insert(txnID, rows)
-	} else {
-		n, err = t.InsertWithSource(txnID, rows, srcIDs)
-	}
-	if err != nil {
-		a.Registry.Abort(txnID)
+	return a.inInternalTxn(func(txnID int64) (int, error) {
+		n, err := t.Insert(txnID, rows)
+		atomic.AddInt64(&a.rowsIngested, int64(n))
 		return n, err
+	})
+}
+
+// inInternalTxn runs write under a fresh internal transaction, which it
+// commits when write succeeds and aborts (with the sweep of AbortTxn) when it
+// fails; a failed write reports no rows.
+func (a *Accelerator) inInternalTxn(write func(txnID int64) (int, error)) (int, error) {
+	txnID := a.NextInternalTxn()
+	n, err := write(txnID)
+	if err != nil {
+		a.AbortTxn(txnID)
+		return 0, err
 	}
-	a.Registry.Commit(txnID)
-	atomic.AddInt64(&a.rowsIngested, int64(n))
+	a.CommitTxn(txnID)
 	return n, nil
 }
 
@@ -445,24 +460,6 @@ func (a *Accelerator) HasReplicatedSource(table string, srcID int64) bool {
 		return false
 	}
 	return t.HasSource(srcID)
-}
-
-// ApplyReplicatedUpdate replaces the shadow row mirroring a DB2 row id.
-func (a *Accelerator) ApplyReplicatedUpdate(table string, srcID int64, row types.Row) error {
-	t, err := a.Table(table)
-	if err != nil {
-		return err
-	}
-	txnID := a.NextInternalTxn()
-	a.noteDeleter(txnID)
-	if err := t.UpdateBySource(txnID, srcID, row); err != nil {
-		// AbortTxn (not a bare registry abort) so the delete marker the
-		// failed update already set is physically undone.
-		a.AbortTxn(txnID)
-		return err
-	}
-	a.CommitTxn(txnID)
-	return nil
 }
 
 // Update modifies rows matching where under the DB2 transaction txnID using

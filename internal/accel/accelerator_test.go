@@ -229,16 +229,16 @@ func TestReplicatedApplyPaths(t *testing.T) {
 		{types.NewInt(1), types.NewFloat(1), types.NewString("a")},
 		{types.NewInt(2), types.NewFloat(2), types.NewString("b")},
 	}
-	if _, err := a.InsertReplicated("T", rows, []int64{10, 11}); err != nil {
+	if _, err := a.ApplyReplicated("T", []ReplChange{{Op: ReplInsert, SrcID: 10, Row: rows[0]}, {Op: ReplInsert, SrcID: 11, Row: rows[1]}}); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := a.RowCount(0, "T"); n != 2 {
 		t.Fatalf("replicated rows = %d", n)
 	}
-	if err := a.ApplyReplicatedUpdate("T", 10, types.Row{types.NewInt(1), types.NewFloat(99), types.NewString("a")}); err != nil {
+	if _, err := a.ApplyReplicated("T", []ReplChange{{Op: ReplUpdate, SrcID: 10, Row: types.Row{types.NewInt(1), types.NewFloat(99), types.NewString("a")}}}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := a.ApplyReplicatedDelete("T", 11); !ok {
+	if n, _ := a.ApplyReplicated("T", []ReplChange{{Op: ReplDelete, SrcID: 11}}); n != 1 {
 		t.Fatal("replicated delete failed")
 	}
 	rel, _ := a.Query(0, selectStmt(t, "SELECT v FROM t"))
@@ -329,8 +329,8 @@ func TestAbortUndoesDeleteMarkers(t *testing.T) {
 	}
 }
 
-// TestBulkExportImport covers ImportRows with mixed source ids: each row keeps
-// the DB2 source id it was imported with.
+// TestBulkExportImport covers a replicated insert run with mixed source ids:
+// each row keeps the DB2 source id it was applied with.
 func TestBulkExportImport(t *testing.T) {
 	a := newAccel(t)
 	rows := []types.Row{
@@ -338,9 +338,13 @@ func TestBulkExportImport(t *testing.T) {
 		{types.NewInt(2), types.NewFloat(2), types.NewString("b")},
 		{types.NewInt(3), types.NewFloat(3), types.NewString("c")},
 	}
-	n, err := a.ImportRows("T", rows, []int64{10, -1, 30})
+	var batch []ReplChange
+	for i, src := range []int64{10, -1, 30} {
+		batch = append(batch, ReplChange{Op: ReplInsert, SrcID: src, Row: rows[i]})
+	}
+	n, err := a.ApplyReplicated("T", batch)
 	if err != nil || n != 3 {
-		t.Fatalf("ImportRows = %d, %v", n, err)
+		t.Fatalf("ApplyReplicated = %d, %v", n, err)
 	}
 	if !a.HasReplicatedSource("T", 10) || a.HasReplicatedSource("T", -1) {
 		t.Fatal("source-id index wrong after mixed import")
@@ -351,5 +355,31 @@ func TestBulkExportImport(t *testing.T) {
 	}
 	if _, _, got := tab.VersionMeta(); len(got) != 3 || got[0] != 10 || got[1] != -1 || got[2] != 30 {
 		t.Fatalf("imported source ids %v", got)
+	}
+}
+
+// TestAbortedApplyRetry checks that a replication batch that fails midway
+// aborts whole and that a retry of its valid rows lands them: the abort sweep
+// drops the source ids of the aborted versions, so the retry does not skip
+// them as already mirrored.
+func TestAbortedApplyRetry(t *testing.T) {
+	a := newAccel(t)
+	good := []ReplChange{
+		{Op: ReplInsert, SrcID: 1, Row: types.Row{types.NewInt(1), types.NewFloat(1), types.NewString("a")}},
+		{Op: ReplInsert, SrcID: 2, Row: types.Row{types.NewInt(2), types.NewFloat(2), types.NewString("b")}},
+	}
+	bad := append(append([]ReplChange(nil), good...), ReplChange{Op: ReplInsert, SrcID: 3, Row: types.Row{types.NewInt(3)}})
+	if _, err := a.ApplyReplicated("T", bad); err == nil {
+		t.Fatal("a batch with a 1-column row applied")
+	}
+	if n, _ := a.RowCount(0, "T"); n != 0 {
+		t.Fatalf("%d rows visible after the aborted batch, want 0", n)
+	}
+	n, err := a.ApplyReplicated("T", good)
+	if err != nil || n != 2 {
+		t.Fatalf("retry applied %d rows (%v), want 2", n, err)
+	}
+	if n, _ := a.RowCount(0, "T"); n != 2 {
+		t.Fatalf("%d rows visible after the retry, want 2", n)
 	}
 }

@@ -69,11 +69,35 @@ type Backend interface {
 	Truncate(txnID int64, table string) (int, error)
 	RowCount(txnID int64, table string) (int, error)
 
-	// Replication applies (internal, immediately committed transactions).
-	InsertReplicated(table string, rows []types.Row, srcIDs []int64) (int, error)
-	ApplyReplicatedDelete(table string, srcID int64) (bool, error)
-	ApplyReplicatedUpdate(table string, srcID int64, row types.Row) error
-	TruncateReplicated(table string) (int, error)
+	// ApplyReplicated applies a replication batch to a shadow table, in order,
+	// as one internal transaction: queries see the whole batch or none of it,
+	// and an error aborts all of it. It returns the number of shadow rows the
+	// batch inserted, updated or deleted.
+	ApplyReplicated(table string, changes []ReplChange) (int, error)
 }
 
 var _ Backend = (*Accelerator)(nil)
+
+// ReplOp is the kind of one replication change.
+type ReplOp uint8
+
+const (
+	// ReplInsert mirrors a new DB2 row. It is skipped when a live shadow row
+	// already mirrors SrcID, so a batch re-sent after a crash converges.
+	ReplInsert ReplOp = iota
+	// ReplUpdate replaces the shadow row of SrcID with Row (inserting it when
+	// there is none).
+	ReplUpdate
+	// ReplDelete removes the shadow row of SrcID, if there is one.
+	ReplDelete
+	// ReplTruncate removes every shadow row.
+	ReplTruncate
+)
+
+// ReplChange is one change of a replication batch. SrcID is the DB2 row id a
+// shadow row mirrors; an inserted row with a negative SrcID mirrors none.
+type ReplChange struct {
+	Op    ReplOp
+	SrcID int64
+	Row   types.Row
+}

@@ -277,23 +277,8 @@ func (t *Table) ApplyOp(op *TableOp) {
 	}
 }
 
-// ClearMarksBy clears every deletion marker set by txnID without journaling;
-// recovery uses it to sweep markers left by transactions it resolves as
+// ClearMarksBy is the abort sweep of UndoDeletesBy without journaling;
+// recovery uses it to sweep up after transactions it resolves as
 // aborted (the journal already proves the markers, and recovery re-derives
 // the sweep deterministically from the same WAL on a repeated crash).
-func (t *Table) ClearMarksBy(txnID int64) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for i := range t.deleted {
-		if t.deleted[i] == txnID {
-			t.deleted[i] = 0
-			t.stats.ObserveUndelete()
-			if src := t.srcIDs[i]; src >= 0 {
-				t.bySrc[src] = i
-			}
-			n++
-		}
-	}
-	return n
-}
+func (t *Table) ClearMarksBy(txnID int64) int { return t.undoBy(txnID, false) }

@@ -381,28 +381,42 @@ func (t *Table) UndoDelete(idx int, txnID int64) {
 	}
 }
 
-// UndoDeletesBy clears every deletion marker set by txnID and returns how many
-// rows were resurrected. Accelerator.AbortTxn calls it so that a rolled-back
-// DELETE/UPDATE leaves its victim rows deletable again — without the undo the
-// marker would keep later transactions (and the shard rebalancer) from ever
-// deleting those rows, even though reads correctly ignore aborted deleters.
-func (t *Table) UndoDeletesBy(txnID int64) int {
+// UndoDeletesBy sweeps up after the aborted transaction txnID and returns how
+// many rows were resurrected. Accelerator.AbortTxn calls it so that a
+// rolled-back DELETE/UPDATE leaves its victim rows deletable again — without
+// the undo the marker would keep later transactions (and the shard
+// rebalancer) from ever deleting those rows, even though reads correctly
+// ignore aborted deleters. The cleared markers are journaled.
+func (t *Table) UndoDeletesBy(txnID int64) int { return t.undoBy(txnID, true) }
+
+// undoBy is the abort sweep of txnID. It drops the source-index entries of
+// the versions txnID created (they are never visible, so a re-applied
+// replication batch must not skip their source ids as already mirrored), and
+// clears every deletion marker txnID set, re-indexing the source ids those
+// markers hid. journal selects whether the cleared markers are journaled.
+func (t *Table) undoBy(txnID int64, journal bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
 	var idxs []int64
-	for i := range t.deleted {
-		if t.deleted[i] == txnID {
-			t.deleted[i] = 0
-			t.stats.ObserveUndelete()
-			if src := t.srcIDs[i]; src >= 0 {
-				t.bySrc[src] = i
-			}
-			idxs = append(idxs, int64(i))
-			n++
+	for i, src := range t.srcIDs {
+		if t.created[i] == txnID && src >= 0 && t.bySrc[src] == i {
+			delete(t.bySrc, src)
 		}
+		if t.deleted[i] != txnID {
+			continue
+		}
+		t.deleted[i] = 0
+		t.stats.ObserveUndelete()
+		if src >= 0 && t.created[i] != txnID {
+			t.bySrc[src] = i
+		}
+		if journal {
+			idxs = append(idxs, int64(i))
+		}
+		n++
 	}
-	if n > 0 {
+	if len(idxs) > 0 {
 		t.logLocked(TableOpUnmarks, 0, nil, nil, idxs, txnID)
 	}
 	return n
@@ -442,11 +456,10 @@ func (t *Table) HasSource(srcID int64) bool {
 	return ok
 }
 
-// UpdateBySource replaces the version mirroring srcID with a new image.
+// UpdateBySource replaces the version mirroring srcID with a new image; a
+// source row that has no live version yet is simply inserted.
 func (t *Table) UpdateBySource(txnID, srcID int64, row types.Row) error {
-	if !t.DeleteBySource(txnID, srcID) {
-		// The row may not have been replicated yet; treat as insert.
-	}
+	t.DeleteBySource(txnID, srcID)
 	_, err := t.InsertWithSource(txnID, []types.Row{row}, []int64{srcID})
 	return err
 }

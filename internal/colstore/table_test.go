@@ -270,3 +270,42 @@ func TestTableResources(t *testing.T) {
 		t.Fatalf("string column zone entries %d should exceed int column's %d", s.ZoneMapEntries, res.Columns[0].ZoneMapEntries)
 	}
 }
+
+// TestAbortSweepRestoresSourceIndex checks both abort sweeps (the journaled
+// UndoDeletesBy and recovery's ClearMarksBy): the source ids of versions the
+// aborted transaction created leave the index, and the ids its delete markers
+// hid point at their old versions again — also when the transaction replaced
+// a row, or inserted and then deleted one.
+func TestAbortSweepRestoresSourceIndex(t *testing.T) {
+	for name, sweep := range map[string]func(*Table, int64) int{
+		"UndoDeletesBy": (*Table).UndoDeletesBy,
+		"ClearMarksBy":  (*Table).ClearMarksBy,
+	} {
+		t.Run(name, func(t *testing.T) {
+			tab := NewTable("T", testSchema(), "")
+			if _, err := tab.InsertWithSource(1, []types.Row{row(1, 1, "a")}, []int64{100}); err != nil {
+				t.Fatal(err)
+			}
+			// Transaction 2 replaces 100, adds 101, and adds then deletes 102.
+			if err := tab.UpdateBySource(2, 100, row(1, 10, "a")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.InsertWithSource(2, []types.Row{row(2, 2, "b"), row(3, 3, "c")}, []int64{101, 102}); err != nil {
+				t.Fatal(err)
+			}
+			tab.DeleteBySource(2, 102)
+			if n := sweep(tab, 2); n != 2 {
+				t.Fatalf("sweep cleared %d markers, want 2", n)
+			}
+			if tab.HasSource(101) || tab.HasSource(102) {
+				t.Fatal("aborted inserts still indexed: a re-applied batch would skip them")
+			}
+			if !tab.DeleteBySource(3, 100) {
+				t.Fatal("source 100 no longer reaches its original version")
+			}
+			if _, deleted, _ := tab.VersionMeta(); deleted[0] != 3 {
+				t.Fatalf("delete of source 100 marked versions %v, want the original", deleted)
+			}
+		})
+	}
+}

@@ -565,20 +565,12 @@ func (s *Session) execDropTable(stmt *sqlparse.DropTableStmt) (*Result, error) {
 }
 
 func (s *Session) execTruncate(tx *txn.Txn, stmt *sqlparse.TruncateStmt) (*Result, error) {
-	meta, err := s.coord.cat.Table(stmt.Table)
+	meta, onAccel, err := s.writeTarget(tx, stmt.Table, catalog.PrivDelete)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivDelete); err != nil {
-		return nil, err
-	}
-	if meta.Kind == catalog.KindAcceleratorOnly {
-		a, err := s.coord.Accelerator(meta.Accelerator)
-		if err != nil {
-			return nil, err
-		}
-		s.addParticipant(a)
-		n, err := a.Truncate(int64(tx.ID), meta.Name)
+	if onAccel != nil {
+		n, err := onAccel(func(a accel.Backend, txnID int64) (int, error) { return a.Truncate(txnID, meta.Name) })
 		if err != nil {
 			return nil, err
 		}
@@ -595,12 +587,47 @@ func (s *Session) execTruncate(tx *txn.Txn, stmt *sqlparse.TruncateStmt) (*Resul
 // DML
 // ---------------------------------------------------------------------------
 
-func (s *Session) execInsert(tx *txn.Txn, stmt *sqlparse.InsertStmt) (*Result, error) {
-	meta, err := s.coord.cat.Table(stmt.Table)
+// accelWrite runs one write on the accelerator of a write statement's target
+// table, under the statement's transaction (see writeTarget).
+type accelWrite func(write func(a accel.Backend, txnID int64) (int, error)) (int, error)
+
+// writeTarget resolves the table an INSERT, UPDATE, DELETE or TRUNCATE writes
+// and checks priv. For an accelerator-only table it also returns onAccel,
+// which registers the table's accelerator as a participant of tx and runs a
+// write there; onAccel is nil for a DB2 table. The accelerator has no
+// per-statement undo, so when that write fails inside an explicit
+// transaction, onAccel rolls the whole transaction back and says so. DB2
+// needs no such rule: it matches every row before it writes one.
+func (s *Session) writeTarget(tx *txn.Txn, table, priv string) (*catalog.Table, accelWrite, error) {
+	meta, err := s.coord.cat.Table(table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivInsert); err != nil {
+	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, priv); err != nil {
+		return nil, nil, err
+	}
+	if meta.Kind != catalog.KindAcceleratorOnly {
+		return meta, nil, nil
+	}
+	return meta, func(write func(a accel.Backend, txnID int64) (int, error)) (int, error) {
+		a, err := s.coord.Accelerator(meta.Accelerator)
+		if err != nil {
+			return 0, err
+		}
+		s.addParticipant(a)
+		n, err := write(a, int64(tx.ID))
+		if err != nil && s.explicit && s.tx == tx {
+			s.tx, s.explicit = nil, false
+			s.abortTxn(tx)
+			return 0, fmt.Errorf("%w (transaction rolled back: a failed accelerator write cannot be undone on its own)", err)
+		}
+		return n, err
+	}, nil
+}
+
+func (s *Session) execInsert(tx *txn.Txn, stmt *sqlparse.InsertStmt) (*Result, error) {
+	meta, onAccel, err := s.writeTarget(tx, stmt.Table, catalog.PrivInsert)
+	if err != nil {
 		return nil, err
 	}
 
@@ -623,13 +650,8 @@ func (s *Session) execInsert(tx *txn.Txn, stmt *sqlparse.InsertStmt) (*Result, e
 		}
 	}
 
-	if meta.Kind == catalog.KindAcceleratorOnly {
-		a, err := s.coord.Accelerator(meta.Accelerator)
-		if err != nil {
-			return nil, err
-		}
-		s.addParticipant(a)
-		n, err := a.Insert(int64(tx.ID), meta.Name, rows)
+	if onAccel != nil {
+		n, err := onAccel(func(a accel.Backend, txnID int64) (int, error) { return a.Insert(txnID, meta.Name, rows) })
 		if err != nil {
 			return nil, err
 		}
@@ -657,20 +679,14 @@ func (s *Session) execInsert(tx *txn.Txn, stmt *sqlparse.InsertStmt) (*Result, e
 }
 
 func (s *Session) execUpdate(tx *txn.Txn, stmt *sqlparse.UpdateStmt) (*Result, error) {
-	meta, err := s.coord.cat.Table(stmt.Table)
+	meta, onAccel, err := s.writeTarget(tx, stmt.Table, catalog.PrivUpdate)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivUpdate); err != nil {
-		return nil, err
-	}
-	if meta.Kind == catalog.KindAcceleratorOnly {
-		a, err := s.coord.Accelerator(meta.Accelerator)
-		if err != nil {
-			return nil, err
-		}
-		s.addParticipant(a)
-		n, err := a.Update(int64(tx.ID), meta.Name, stmt.Assignments, stmt.Where)
+	if onAccel != nil {
+		n, err := onAccel(func(a accel.Backend, txnID int64) (int, error) {
+			return a.Update(txnID, meta.Name, stmt.Assignments, stmt.Where)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -684,20 +700,12 @@ func (s *Session) execUpdate(tx *txn.Txn, stmt *sqlparse.UpdateStmt) (*Result, e
 }
 
 func (s *Session) execDelete(tx *txn.Txn, stmt *sqlparse.DeleteStmt) (*Result, error) {
-	meta, err := s.coord.cat.Table(stmt.Table)
+	meta, onAccel, err := s.writeTarget(tx, stmt.Table, catalog.PrivDelete)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivDelete); err != nil {
-		return nil, err
-	}
-	if meta.Kind == catalog.KindAcceleratorOnly {
-		a, err := s.coord.Accelerator(meta.Accelerator)
-		if err != nil {
-			return nil, err
-		}
-		s.addParticipant(a)
-		n, err := a.Delete(int64(tx.ID), meta.Name, stmt.Where)
+	if onAccel != nil {
+		n, err := onAccel(func(a accel.Backend, txnID int64) (int, error) { return a.Delete(txnID, meta.Name, stmt.Where) })
 		if err != nil {
 			return nil, err
 		}
@@ -831,20 +839,12 @@ func (s *Session) execCall(tx *txn.Txn, stmt *sqlparse.CallStmt) (*Result, error
 // transaction, with the usual privilege check and AOT delegation. Rows
 // written to an AOT stay on the accelerator and are not counted as moved.
 func (s *Session) insertMaterialized(tx *txn.Txn, table string, rows []types.Row) (int, error) {
-	meta, err := s.coord.cat.Table(table)
+	meta, onAccel, err := s.writeTarget(tx, table, catalog.PrivInsert)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivInsert); err != nil {
-		return 0, err
-	}
-	if meta.Kind == catalog.KindAcceleratorOnly {
-		a, err := s.coord.Accelerator(meta.Accelerator)
-		if err != nil {
-			return 0, err
-		}
-		s.addParticipant(a)
-		return a.Insert(int64(tx.ID), meta.Name, rows)
+	if onAccel != nil {
+		return onAccel(func(a accel.Backend, txnID int64) (int, error) { return a.Insert(txnID, meta.Name, rows) })
 	}
 	return s.coord.DB2.Insert(tx, meta.Name, rows)
 }

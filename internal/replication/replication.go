@@ -163,27 +163,22 @@ func (r *Replicator) FullLoad(table string) (int, error) {
 		return 0, err
 	}
 
-	// Snapshot rows together with their DB2 row ids so later incremental
-	// updates and deletes can be applied by source id.
-	var rows []types.Row
-	var srcIDs []int64
+	// Replace the shadow contents with one batch — a truncate, then every row
+	// with its DB2 row id so later incremental updates and deletes can be
+	// applied by source id — which the accelerator applies atomically: a
+	// concurrent query counts the old contents or the new ones.
+	batch := []accel.ReplChange{{Op: accel.ReplTruncate}}
 	if err := st.Scan(func(id rowstore.RowID, row types.Row) error {
-		rows = append(rows, row.Clone())
-		srcIDs = append(srcIDs, int64(id))
+		batch = append(batch, accel.ReplChange{Op: accel.ReplInsert, SrcID: int64(id), Row: row.Clone()})
 		return nil
 	}); err != nil {
 		return 0, err
 	}
 	latestSeq := r.engine.Changes.LatestSeq()
-
-	// Replace the shadow contents under an internal accelerator transaction.
-	if _, err := acc.TruncateReplicated(table); err != nil {
+	if _, err := acc.ApplyReplicated(table, batch); err != nil {
 		return 0, err
 	}
-	n, err := acc.InsertReplicated(table, rows, srcIDs)
-	if err != nil {
-		return n, err
-	}
+	n := len(batch) - 1
 
 	r.mu.Lock()
 	state, ok := r.states[table]
@@ -266,8 +261,17 @@ func (r *Replicator) PendingChanges(table string) int {
 	return r.engine.Changes.PendingCount(table, applied)
 }
 
-// ApplyPending applies all captured changes of the table to its shadow copy
-// and returns the number of change records applied.
+// replOps maps each captured DB2 change to the replication change that
+// mirrors it.
+var replOps = map[db2.ChangeOp]accel.ReplOp{
+	db2.ChangeInsert:   accel.ReplInsert,
+	db2.ChangeUpdate:   accel.ReplUpdate,
+	db2.ChangeDelete:   accel.ReplDelete,
+	db2.ChangeTruncate: accel.ReplTruncate,
+}
+
+// ApplyPending applies all captured changes of the table to its shadow copy as
+// one batch, atomically, and returns the number of change records applied.
 func (r *Replicator) ApplyPending(table string) (int, error) {
 	table = types.NormalizeName(table)
 	meta, err := r.cat.Table(table)
@@ -295,30 +299,15 @@ func (r *Replicator) ApplyPending(table string) (int, error) {
 	if len(changes) == 0 {
 		return 0, nil
 	}
-	count := 0
-	var lastSeq int64
-	for _, ch := range changes {
-		switch ch.Op {
-		case db2.ChangeInsert:
-			if _, err := acc.InsertReplicated(table, []types.Row{ch.Row}, []int64{int64(ch.RowID)}); err != nil {
-				return count, err
-			}
-		case db2.ChangeUpdate:
-			if err := acc.ApplyReplicatedUpdate(table, int64(ch.RowID), ch.Row); err != nil {
-				return count, err
-			}
-		case db2.ChangeDelete:
-			if _, err := acc.ApplyReplicatedDelete(table, int64(ch.RowID)); err != nil {
-				return count, err
-			}
-		case db2.ChangeTruncate:
-			if _, err := acc.TruncateReplicated(table); err != nil {
-				return count, err
-			}
-		}
-		count++
-		lastSeq = ch.Seq
+	batch := make([]accel.ReplChange, len(changes))
+	for i, ch := range changes {
+		batch[i] = accel.ReplChange{Op: replOps[ch.Op], SrcID: int64(ch.RowID), Row: ch.Row}
 	}
+	if _, err := acc.ApplyReplicated(table, batch); err != nil {
+		return 0, err
+	}
+	count := len(changes)
+	lastSeq := changes[count-1].Seq
 
 	r.mu.Lock()
 	state.AppliedSeq = lastSeq

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -353,6 +354,156 @@ func TestShardedIncrementalUpdateDelete(t *testing.T) {
 		}
 		return nil
 	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplyPendingBatchIsAtomic sends one mixed CDC batch per round through
+// ApplyPending — inserts, deletes, hash-key-moving updates and a truncate in
+// the middle — while a reader counts the shadow table. The reader may only
+// ever see the count before the first batch or the count every round ends
+// with, and the final shadow contents, keyed by source id, must match DB2 and
+// be the same on a single accelerator, a 3-shard hash group and a 3-shard
+// round-robin group.
+func TestApplyPendingBatchIsAtomic(t *testing.T) {
+	const seeded, perRound = 203, 25
+	type fixture struct {
+		engine  *db2.Engine
+		backend accel.Backend
+		members []*accel.Accelerator
+		r       *Replicator
+		name    string
+		distKey string
+	}
+	fixtures := map[string]func() fixture{
+		"IDAA1": func() fixture {
+			engine, a, r := setup(t)
+			return fixture{engine, a, []*accel.Accelerator{a}, r, "IDAA1", "ID"}
+		},
+		"hash": func() fixture {
+			engine, router, r := setupSharded(t, 3)
+			return fixture{engine, router, router.Members(), r, "SHARDS", "ID"}
+		},
+		"round-robin": func() fixture {
+			engine, router, r := setupSharded(t, 3)
+			return fixture{engine, router, router.Members(), r, "SHARDS", ""}
+		},
+	}
+	insert := func(engine *db2.Engine, from, n int) {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(from + i)), types.NewFloat(float64(i))}
+		}
+		if _, err := engine.Insert(nil, "FACTS", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	contents := map[string]map[int64]string{}
+	for name, build := range fixtures {
+		f := build()
+		// setup seeds IDs 1..3; give the sharded fixtures the same rows.
+		if f.name == "SHARDS" {
+			insert(f.engine, 1, 3)
+		}
+		insert(f.engine, 10, seeded-3)
+		if err := f.r.AddTable("FACTS", f.name, f.distKey); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.r.FullLoad("FACTS"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.r.EnableReplication("FACTS"); err != nil {
+			t.Fatal(err)
+		}
+
+		stop := make(chan struct{})
+		var wrong []int
+		var reads int
+		var reader sync.WaitGroup
+		reader.Add(1)
+		go func() {
+			defer reader.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n, err := f.backend.RowCount(0, "FACTS")
+				reads++
+				if err != nil || (n != seeded && n != perRound) {
+					wrong = append(wrong, n)
+				}
+			}
+		}()
+		for round := 0; round < 8; round++ {
+			base := 1000 * (round + 1)
+			insert(f.engine, base, 20)
+			dml(t, f.engine, fmt.Sprintf("DELETE FROM facts WHERE id < %d", base+5))
+			dml(t, f.engine, fmt.Sprintf("UPDATE facts SET id = id + 500 WHERE id >= %d AND id < %d", base+5, base+8))
+			if _, err := f.engine.Truncate(nil, "FACTS"); err != nil {
+				t.Fatal(err)
+			}
+			insert(f.engine, base+100, 30)
+			dml(t, f.engine, fmt.Sprintf("DELETE FROM facts WHERE id >= %d", base+125))
+			dml(t, f.engine, fmt.Sprintf("UPDATE facts SET id = id + 500, v = 7 WHERE id >= %d AND id < %d", base+100, base+103))
+			if _, err := f.r.ApplyPending("FACTS"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		reader.Wait()
+		if len(wrong) > 0 {
+			t.Fatalf("%s: %d of %d reads saw a partly applied batch, e.g. %v", name, len(wrong), reads, wrong[:min(len(wrong), 8)])
+		}
+
+		got := map[int64]string{}
+		for _, m := range f.members {
+			tab, err := m.Table("FACTS")
+			if err != nil {
+				t.Fatal(err)
+			}
+			created, deleted, srcIDs := tab.VersionMeta()
+			snap := m.Registry.Snapshot(0)
+			for i := range created {
+				if !snap.Visible(created[i], deleted[i]) {
+					continue
+				}
+				if _, dup := got[srcIDs[i]]; dup {
+					t.Fatalf("%s: source id %d mirrored twice", name, srcIDs[i])
+				}
+				got[srcIDs[i]] = fmt.Sprint(tab.ReadRow(i))
+			}
+		}
+		want := map[int64]string{}
+		st, _ := f.engine.Storage("FACTS")
+		_ = st.Scan(func(id rowstore.RowID, row types.Row) error {
+			want[int64(id)] = fmt.Sprint(row)
+			return nil
+		})
+		if len(want) != perRound || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: shadow contents %v, DB2 holds %v", name, got, want)
+		}
+		contents[name] = got
+	}
+	if !reflect.DeepEqual(contents["IDAA1"], contents["hash"]) || !reflect.DeepEqual(contents["IDAA1"], contents["round-robin"]) {
+		t.Fatalf("shadow contents differ between backends: %v", contents)
+	}
+}
+
+// dml runs one UPDATE or DELETE statement directly on the DB2 engine.
+func dml(t *testing.T, engine *db2.Engine, sql string) {
+	t.Helper()
+	var err error
+	switch st := mustParse(t, sql).(type) {
+	case *sqlparse.UpdateStmt:
+		_, err = engine.Update(nil, "FACTS", st.Assignments, st.Where)
+	case *sqlparse.DeleteStmt:
+		_, err = engine.Delete(nil, "FACTS", st.Where)
+	default:
+		err = fmt.Errorf("unsupported statement %T", st)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 }

@@ -115,7 +115,7 @@ func (r *Router) CallShardLocal(txnID int64, table, proc string, sp *obs.Span, f
 				Shards:  len(ms),
 				Rows:    relalg.FromTable(tbl, meta.schema, rows),
 				WriteLocal: func(out string, outRows []types.Row) (int, error) {
-					n, err := m.ImportRows(out, outRows, nil)
+					n, err := m.ImportRows(out, outRows)
 					atomic.AddInt64(&r.stats.AnalyticsRowsWrittenLocal, int64(n))
 					return n, err
 				},

@@ -219,24 +219,34 @@ func (p *RoundRobinPartitioner) PlaceKey(types.Value) (int, bool) { return 0, fa
 // PlaceKeyOwner implements Partitioner; round robin has no distribution key.
 func (p *RoundRobinPartitioner) PlaceKeyOwner(types.Value) (int, string, bool) { return 0, "", false }
 
-// partitionRows splits rows (and their optional source ids) into one batch per
-// shard, preserving relative order within each batch. shards is the router's
-// full member count; the partitioner only ever returns owner ordinals below it.
-func partitionRows(p Partitioner, shards int, rows []types.Row, srcIDs []int64) ([][]types.Row, [][]int64) {
-	outRows := make([][]types.Row, shards)
-	var outSrc [][]int64
-	if srcIDs != nil {
-		outSrc = make([][]int64, shards)
+// placeOf returns the member ordinal part places row on, clamped into the
+// current member list.
+func placeOf(part Partitioner, members int, row types.Row) int {
+	if s := part.Place(row); s >= 0 && s < members {
+		return s
 	}
-	for i, row := range rows {
-		s := p.Place(row)
-		if s < 0 || s >= shards {
-			s = 0
+	return 0
+}
+
+// placeAndApply splits items among the members by the owner part places each
+// item's row on, then applies every non-empty share in member order and sums
+// the counts, stopping at the first error.
+func placeAndApply[T any](part Partitioner, members int, items []T, row func(T) types.Row, apply func(member int, share []T) (int, error)) (int, error) {
+	shares := make([][]T, members)
+	for _, it := range items {
+		s := placeOf(part, members, row(it))
+		shares[s] = append(shares[s], it)
+	}
+	total := 0
+	for i, share := range shares {
+		if len(share) == 0 {
+			continue
 		}
-		outRows[s] = append(outRows[s], row)
-		if srcIDs != nil {
-			outSrc[s] = append(outSrc[s], srcIDs[i])
+		n, err := apply(i, share)
+		total += n
+		if err != nil {
+			return total, err
 		}
 	}
-	return outRows, outSrc
+	return total, nil
 }

@@ -300,7 +300,7 @@ func TestRebalanceDoubleRouting(t *testing.T) {
 }
 
 // TestRebalanceMovesReplicatedSourceIDs checks that migrated CDC shadow rows
-// keep their DB2 source ids: an ApplyReplicatedDelete after the rebalance
+// keep their DB2 source ids: a replicated delete after the rebalance
 // must find the row on its new shard.
 func TestRebalanceMovesReplicatedSourceIDs(t *testing.T) {
 	members := make([]*accel.Accelerator, 3)
@@ -319,7 +319,7 @@ func TestRebalanceMovesReplicatedSourceIDs(t *testing.T) {
 	for i := range srcIDs {
 		srcIDs[i] = int64(i + 1)
 	}
-	if _, err := router.InsertReplicated("T", rows, srcIDs); err != nil {
+	if _, err := router.ApplyReplicated("T", replInserts(rows, srcIDs)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -343,8 +343,8 @@ func TestRebalanceMovesReplicatedSourceIDs(t *testing.T) {
 		if holders != 1 {
 			t.Fatalf("source id %d mirrored on %d shards after rebalance", src, holders)
 		}
-		ok, err := router.ApplyReplicatedDelete("T", src)
-		if err != nil || !ok {
+		n, err := router.ApplyReplicated("T", []accel.ReplChange{{Op: accel.ReplDelete, SrcID: src}})
+		if ok := n == 1; err != nil || !ok {
 			t.Fatalf("replicated delete of %d after rebalance: ok=%t err=%v", src, ok, err)
 		}
 	}
@@ -376,9 +376,9 @@ func TestBulkExportImport(t *testing.T) {
 			srcIDs[i] = int64(i + 1)
 		}
 	}
-	n, err := router.InsertReplicated("T", rows, srcIDs)
+	n, err := router.ApplyReplicated("T", replInserts(rows, srcIDs))
 	if err != nil || n != len(rows) {
-		t.Fatalf("InsertReplicated = %d, %v", n, err)
+		t.Fatalf("ApplyReplicated = %d, %v", n, err)
 	}
 	assertPlacementClean(t, router, "T")
 

@@ -692,19 +692,8 @@ func (r *Router) Insert(txnID int64, table string, rows []types.Row) (int, error
 	meta.migMu.RLock()
 	defer meta.migMu.RUnlock()
 	ms := r.Members()
-	batches, _ := partitionRows(meta.partitioner(), len(ms), rows, nil)
-	total := 0
-	for i, batch := range batches {
-		if len(batch) == 0 {
-			continue
-		}
-		n, err := ms[i].Insert(txnID, table, batch)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return placeAndApply(meta.partitioner(), len(ms), rows, func(row types.Row) types.Row { return row },
+		func(i int, batch []types.Row) (int, error) { return ms[i].Insert(txnID, table, batch) })
 }
 
 // Update broadcasts the update to every shard; only shards owning matching
@@ -724,40 +713,22 @@ func (r *Router) Update(txnID int64, table string, assignments []sqlparse.Assign
 			}
 		}
 	}
-	meta.migMu.RLock()
-	defer meta.migMu.RUnlock()
-	total := 0
-	for _, m := range r.Members() {
-		n, err := m.Update(txnID, table, assignments, where)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return r.broadcast(table, func(m *accel.Accelerator) (int, error) { return m.Update(txnID, table, assignments, where) })
 }
 
 // Delete broadcasts the delete to every shard.
 func (r *Router) Delete(txnID int64, table string, where sqlparse.Expr) (int, error) {
-	meta, err := r.meta(table)
-	if err != nil {
-		return 0, err
-	}
-	meta.migMu.RLock()
-	defer meta.migMu.RUnlock()
-	total := 0
-	for _, m := range r.Members() {
-		n, err := m.Delete(txnID, table, where)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return r.broadcast(table, func(m *accel.Accelerator) (int, error) { return m.Delete(txnID, table, where) })
 }
 
 // Truncate truncates the table on every shard.
 func (r *Router) Truncate(txnID int64, table string) (int, error) {
+	return r.broadcast(table, func(m *accel.Accelerator) (int, error) { return m.Truncate(txnID, table) })
+}
+
+// broadcast runs write on every member under the table's migration fence and
+// sums the counts, stopping at the first error.
+func (r *Router) broadcast(table string, write func(*accel.Accelerator) (int, error)) (int, error) {
 	meta, err := r.meta(table)
 	if err != nil {
 		return 0, err
@@ -766,7 +737,7 @@ func (r *Router) Truncate(txnID int64, table string) (int, error) {
 	defer meta.migMu.RUnlock()
 	total := 0
 	for _, m := range r.Members() {
-		n, err := m.Truncate(txnID, table)
+		n, err := write(m)
 		total += n
 		if err != nil {
 			return total, err
@@ -799,13 +770,15 @@ func (r *Router) RowCount(txnID int64, table string) (int, error) {
 // placement map, so replication follows a rebalance as it happens.
 // ---------------------------------------------------------------------------
 
-// InsertReplicated partitions replicated rows (with their DB2 source row ids)
-// and applies each batch on its owning shard, so every DB2 row is mirrored by
-// exactly one shard. Each per-shard sub-batch commits independently, so a
-// concurrent query may observe a CDC batch partially applied across shards —
-// the usual replication-lag relaxation, one record-batch wide; transactional
-// DML visibility is fenced in CommitTxn and is never partial.
-func (r *Router) InsertReplicated(table string, rows []types.Row, srcIDs []int64) (int, error) {
+// ApplyReplicated applies a replication batch across the fleet as one unit,
+// routing each change in order by the live placement map: inserts go to their
+// owner, deletes and round-robin updates to the member holding the row, and
+// an update that moves a hash key becomes a delete at the holder plus an
+// update at the new owner, so every DB2 row keeps exactly one shadow copy.
+// Each touched member applies its share under one internal transaction, and
+// all of them commit (or, on error, abort) together under the commit fence, so
+// a query's snapshot set sees the whole batch or none of it.
+func (r *Router) ApplyReplicated(table string, changes []accel.ReplChange) (int, error) {
 	meta, err := r.meta(table)
 	if err != nil {
 		return 0, err
@@ -813,107 +786,76 @@ func (r *Router) InsertReplicated(table string, rows []types.Row, srcIDs []int64
 	meta.migMu.RLock()
 	defer meta.migMu.RUnlock()
 	ms := r.Members()
-	batches, srcBatches := partitionRows(meta.partitioner(), len(ms), rows, srcIDs)
+	part := meta.partitioner()
+	txns := make([]int64, len(ms)) // per member; 0 until the batch touches it
+	apply := func(i int, share []accel.ReplChange) (int, error) {
+		if txns[i] == 0 {
+			txns[i] = ms[i].NextInternalTxn()
+		}
+		return ms[i].ApplyReplicatedIn(txns[i], table, share)
+	}
+	holder := func(src int64) int {
+		for i, m := range ms {
+			if m.HasReplicatedSource(table, src) {
+				return i
+			}
+		}
+		return -1
+	}
 	total := 0
-	for i, batch := range batches {
-		if len(batch) == 0 {
+	for len(changes) > 0 && err == nil {
+		ch, n := changes[0], 0
+		switch ch.Op {
+		case accel.ReplInsert:
+			run := 1
+			for run < len(changes) && changes[run].Op == accel.ReplInsert {
+				run++
+			}
+			n, err = placeAndApply(part, len(ms), changes[:run], func(c accel.ReplChange) types.Row { return c.Row }, apply)
+			total += n
+			changes = changes[run:]
 			continue
+		case accel.ReplTruncate:
+			for i := 0; i < len(ms) && err == nil; i++ {
+				var k int
+				k, err = apply(i, changes[:1])
+				n += k
+			}
+		case accel.ReplDelete:
+			if h := holder(ch.SrcID); h >= 0 {
+				n, err = apply(h, changes[:1])
+			}
+		case accel.ReplUpdate:
+			// A round-robin row is updated where it lives. A hash key places
+			// the new image, and so does an unseen round-robin row.
+			h := holder(ch.SrcID)
+			dest := h
+			if meta.keyIdx >= 0 || h < 0 {
+				dest = placeOf(part, len(ms), ch.Row)
+			}
+			if h >= 0 && h != dest {
+				_, err = apply(h, []accel.ReplChange{{Op: accel.ReplDelete, SrcID: ch.SrcID}})
+			}
+			if err == nil {
+				n, err = apply(dest, changes[:1])
+			}
 		}
-		var src []int64
-		if srcBatches != nil {
-			src = srcBatches[i]
-		}
-		n, err := ms[i].InsertReplicated(table, batch, src)
 		total += n
-		if err != nil {
-			return total, err
+		changes = changes[1:]
+	}
+	r.commitMu.Lock()
+	for i, txn := range txns {
+		switch {
+		case txn == 0:
+		case err != nil:
+			ms[i].AbortTxn(txn)
+		default:
+			ms[i].CommitTxn(txn)
 		}
 	}
-	return total, nil
-}
-
-// ApplyReplicatedDelete removes the shadow row wherever it lives.
-func (r *Router) ApplyReplicatedDelete(table string, srcID int64) (bool, error) {
-	meta, err := r.meta(table)
-	if err != nil {
-		return false, err
-	}
-	meta.migMu.RLock()
-	defer meta.migMu.RUnlock()
-	for _, m := range r.Members() {
-		ok, err := m.ApplyReplicatedDelete(table, srcID)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// ApplyReplicatedUpdate applies an update captured in DB2 to the shard that
-// should own the new row image. When a hash-distributed key changes, the row
-// migrates: the stale image is deleted from its old shard and the new image is
-// inserted on the owner, so each DB2 row keeps exactly one shadow copy.
-func (r *Router) ApplyReplicatedUpdate(table string, srcID int64, row types.Row) error {
-	meta, err := r.meta(table)
-	if err != nil {
-		return err
-	}
-	meta.migMu.RLock()
-	defer meta.migMu.RUnlock()
-	ms := r.Members()
-	if meta.keyIdx < 0 {
-		// Round robin: update in place wherever the row lives; unseen rows are
-		// placed like a fresh insert.
-		for _, m := range ms {
-			if m.HasReplicatedSource(table, srcID) {
-				return m.ApplyReplicatedUpdate(table, srcID, row)
-			}
-		}
-		batches, srcBatches := partitionRows(meta.partitioner(), len(ms), []types.Row{row}, []int64{srcID})
-		for i, batch := range batches {
-			if len(batch) == 0 {
-				continue
-			}
-			if _, err := ms[i].InsertReplicated(table, batch, srcBatches[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	owner := ms[meta.partitioner().Place(row)]
-	if owner.HasReplicatedSource(table, srcID) {
-		return owner.ApplyReplicatedUpdate(table, srcID, row)
-	}
-	for _, m := range ms {
-		if m == owner {
-			continue
-		}
-		if _, err := m.ApplyReplicatedDelete(table, srcID); err != nil {
-			return err
-		}
-	}
-	_, err = owner.InsertReplicated(table, []types.Row{row}, []int64{srcID})
-	return err
-}
-
-// TruncateReplicated truncates the shadow table on every shard.
-func (r *Router) TruncateReplicated(table string) (int, error) {
-	meta, err := r.meta(table)
+	r.commitMu.Unlock()
 	if err != nil {
 		return 0, err
-	}
-	meta.migMu.RLock()
-	defer meta.migMu.RUnlock()
-	total := 0
-	for _, m := range r.Members() {
-		n, err := m.TruncateReplicated(table)
-		total += n
-		if err != nil {
-			return total, err
-		}
 	}
 	return total, nil
 }

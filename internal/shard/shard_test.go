@@ -41,6 +41,16 @@ func testRows(n int) []types.Row {
 	return rows
 }
 
+// replInserts turns rows and their DB2 source ids into one replicated insert
+// run.
+func replInserts(rows []types.Row, srcIDs []int64) []accel.ReplChange {
+	out := make([]accel.ReplChange, len(rows))
+	for i, row := range rows {
+		out[i] = accel.ReplChange{Op: accel.ReplInsert, SrcID: srcIDs[i], Row: row}
+	}
+	return out
+}
+
 // newFleet builds a router over n accelerators with table T loaded, plus a
 // single reference accelerator holding the identical rows.
 func newFleet(t *testing.T, shards int, distKey string, rows []types.Row) (*Router, *accel.Accelerator) {
@@ -391,7 +401,7 @@ func TestReplicatedFanOut(t *testing.T) {
 	for i := range srcIDs {
 		srcIDs[i] = int64(i + 1000)
 	}
-	if _, err := router.InsertReplicated("T", rows, srcIDs); err != nil {
+	if _, err := router.ApplyReplicated("T", replInserts(rows, srcIDs)); err != nil {
 		t.Fatal(err)
 	}
 	// Each source id must live on exactly one shard.
@@ -408,7 +418,7 @@ func TestReplicatedFanOut(t *testing.T) {
 	}
 	// An update that changes the distribution key migrates the row.
 	moved := types.Row{types.NewInt(987654321), types.NewString("ENG"), types.NewFloat(1)}
-	if err := router.ApplyReplicatedUpdate("T", 1000, moved); err != nil {
+	if _, err := router.ApplyReplicated("T", []accel.ReplChange{{Op: accel.ReplUpdate, SrcID: 1000, Row: moved}}); err != nil {
 		t.Fatal(err)
 	}
 	holders := 0
@@ -424,12 +434,38 @@ func TestReplicatedFanOut(t *testing.T) {
 		t.Fatalf("row count %d after update, want %d", n, len(rows))
 	}
 	// Delete removes it wherever it lives.
-	ok, err := router.ApplyReplicatedDelete("T", 1000)
-	if err != nil || !ok {
+	n, err := router.ApplyReplicated("T", []accel.ReplChange{{Op: accel.ReplDelete, SrcID: 1000}})
+	if ok := n == 1; err != nil || !ok {
 		t.Fatalf("replicated delete: ok=%t err=%v", ok, err)
 	}
 	if n, _ := router.RowCount(0, "T"); n != len(rows)-1 {
 		t.Fatalf("row count %d after delete, want %d", n, len(rows)-1)
+	}
+}
+
+// TestReplicatedBatchAbortsOnEveryShard checks that a replication batch that
+// fails on one shard commits on none, and that a retry of its valid rows then
+// lands every one of them.
+func TestReplicatedBatchAbortsOnEveryShard(t *testing.T) {
+	router, _ := newFleet(t, 3, "ID", nil)
+	rows := testRows(90)
+	srcIDs := make([]int64, len(rows))
+	for i := range srcIDs {
+		srcIDs[i] = int64(i + 1)
+	}
+	good := replInserts(rows, srcIDs)
+	bad := append(append([]accel.ReplChange(nil), good...), accel.ReplChange{Op: accel.ReplInsert, SrcID: 999, Row: types.Row{types.NewInt(7)}})
+	if _, err := router.ApplyReplicated("T", bad); err == nil {
+		t.Fatal("a batch with a 1-column row applied")
+	}
+	if n, _ := router.RowCount(0, "T"); n != 0 {
+		t.Fatalf("%d rows visible after the aborted batch, want 0", n)
+	}
+	if n, err := router.ApplyReplicated("T", good); err != nil || n != len(rows) {
+		t.Fatalf("retry applied %d rows (%v), want %d", n, err, len(rows))
+	}
+	if n, _ := router.RowCount(0, "T"); n != len(rows) {
+		t.Fatalf("%d rows visible after the retry, want %d", n, len(rows))
 	}
 }
 
