@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"idaax/internal/accel"
 	"idaax/internal/testutil/crashfs"
+	"idaax/internal/types"
 )
 
 // durableConfig builds a Config backed by the given crash filesystem. With
@@ -254,6 +256,74 @@ func TestCDCCatchUpAfterRestart(t *testing.T) {
 	res, err := re.AdminSession().Query("SELECT SUM(amount) FROM facts")
 	if err != nil || res.Routed == "" || res.Routed == "DB2" {
 		t.Fatalf("query after catch-up should offload: routed=%q err=%v", res.Routed, err)
+	}
+}
+
+// TestAbortedReplicationBatchRetriedAfterReopen crashes a system whose last
+// checkpoint holds the versions of an aborted replication batch. The restored
+// registry no longer knows the aborted transaction, so recovery must not
+// index those versions' source ids: the catch-up that retries the batch on
+// reopen has to append the rows again, and the shadow must equal DB2.
+func TestAbortedReplicationBatchRetriedAfterReopen(t *testing.T) {
+	fs := crashfs.New()
+	sys, err := OpenDurable(durableConfig(fs, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sys.AdminSession()
+	s.MustExec("CREATE TABLE facts (id BIGINT, amount DOUBLE)")
+	s.MustExec("INSERT INTO facts VALUES (1, 10), (2, 20)")
+	s.MustExec("CALL SYSPROC.ACCEL_ADD_TABLES('IDAA1', 'FACTS')")
+	s.MustExec("CALL SYSPROC.ACCEL_LOAD_TABLES('IDAA1', 'FACTS')")
+	s.MustExec("CALL SYSPROC.ACCEL_SET_TABLES_REPLICATION('IDAA1', 'FACTS', 'ON')")
+	s.MustExec("INSERT INTO facts VALUES (3, 30), (4, 40)")
+
+	// Apply the pending changes the way the replicator batches them, with
+	// one more change that fails after the inserts have landed (an update
+	// image one column short), so the batch's internal transaction aborts.
+	coord := sys.Coordinator()
+	state, _ := coord.Repl.State("FACTS")
+	var batch []accel.ReplChange
+	for _, ch := range coord.DB2.Changes.Since("FACTS", state.AppliedSeq) {
+		batch = append(batch, accel.ReplChange{Op: accel.ReplInsert, SrcID: int64(ch.RowID), Row: ch.Row})
+	}
+	if len(batch) != 2 {
+		t.Fatalf("%d pending changes, want 2", len(batch))
+	}
+	batch = append(batch, accel.ReplChange{Op: accel.ReplUpdate, SrcID: batch[0].SrcID, Row: types.Row{types.NewInt(3)}})
+	b, err := coord.Accelerator("IDAA1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	member := b.(*accel.Accelerator)
+	if _, err := member.ApplyReplicated("FACTS", batch); err == nil {
+		t.Fatal("a batch with a malformed update image applied")
+	}
+	for _, ch := range batch[:2] {
+		if member.HasReplicatedSource("FACTS", ch.SrcID) {
+			t.Fatalf("aborted batch left source %d indexed on the live member", ch.SrcID)
+		}
+	}
+	if err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := db2Rows(t, sys, "facts")
+	fs.Crash()
+
+	re, err := OpenDurable(durableConfig(fs, 1))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if info := re.Coordinator().RecoveryInfo(); info.CaughtUp < 1 {
+		t.Fatalf("the shadow table should catch up incrementally: %+v", info)
+	}
+	if got := sortedRows(t, re, "facts"); !rowsEqual(got, want) {
+		t.Fatalf("shadow after the retried batch: %v, want DB2's %v", got, want)
+	}
+	res, err := re.AdminSession().Query("SELECT COUNT(*) FROM facts")
+	if err != nil || res.Routed == "" || res.Routed == "DB2" {
+		t.Fatalf("the read should offload to the shadow: routed=%q err=%v", res.Routed, err)
 	}
 }
 

@@ -247,15 +247,8 @@ func (a *Accelerator) TableNames() []string {
 // Resources reports the accelerator's storage footprint in per-table,
 // per-column detail for the ops plane's resource accounting.
 func (a *Accelerator) Resources() obs.StoreResources {
-	a.mu.RLock()
-	tables := make([]*colstore.Table, 0, len(a.tables))
-	for _, t := range a.tables {
-		tables = append(tables, t)
-	}
-	a.mu.RUnlock()
-	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
 	res := obs.StoreResources{Member: a.name}
-	for _, t := range tables {
+	for _, t := range a.tableList() {
 		res.AddTable(t.Resources())
 	}
 	return res
@@ -324,15 +317,21 @@ func (a *Accelerator) AbortTxn(txnID int64) {
 	if !deleted {
 		return
 	}
+	for _, t := range a.tableList() {
+		t.UndoDeletesBy(txnID)
+	}
+}
+
+// tableList is a snapshot of the member's tables in name order.
+func (a *Accelerator) tableList() []*colstore.Table {
 	a.mu.RLock()
 	tables := make([]*colstore.Table, 0, len(a.tables))
 	for _, t := range a.tables {
 		tables = append(tables, t)
 	}
 	a.mu.RUnlock()
-	for _, t := range tables {
-		t.UndoDeletesBy(txnID)
-	}
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
+	return tables
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"idaax/internal/colstore"
@@ -78,15 +77,21 @@ func (a *Accelerator) RestoreInternalTxn(n int64) {
 // sweep is re-derived deterministically from the same WAL on a repeated
 // crash). The registry abort itself is applied separately.
 func (a *Accelerator) SweepAbortedTxn(txnID int64) {
-	a.mu.RLock()
-	tables := make([]*colstore.Table, 0, len(a.tables))
-	for _, t := range a.tables {
-		tables = append(tables, t)
-	}
-	a.mu.RUnlock()
-	sort.Slice(tables, func(i, j int) bool { return tables[i].Name() < tables[j].Name() })
-	for _, t := range tables {
+	for _, t := range a.tableList() {
 		t.ClearMarksBy(txnID)
+	}
+}
+
+// SweepUncommittedSources drops, across all tables, the replication-index
+// entries of versions whose creator the registry does not show as committed
+// (colstore.Table.SweepUncommitted). Recovery calls it after in-doubt
+// resolution, when every transaction is settled: a transaction that aborted
+// before the checkpoint is absent from the restored registry, but its
+// versions are in the restored tables.
+func (a *Accelerator) SweepUncommittedSources() {
+	committed := func(id int64) bool { return a.Registry.State(id) == TxnCommitted }
+	for _, t := range a.tableList() {
+		t.SweepUncommitted(committed)
 	}
 }
 

@@ -187,9 +187,19 @@ func (t *Table) scanChunkBatches(worker, lo, hi int, vis Visibility, preds []Sim
 		}
 		for start := blockStart; start < blockEnd; start += BatchSize {
 			end := min(start+BatchSize, blockEnd)
+			// Neighbouring versions usually share their (created, deleted)
+			// pair — a bulk load or a multi-row INSERT writes one long run —
+			// so vis runs once per run, not once per row (Visibility is
+			// pure for the length of a scan).
 			sel := selBuf[:0]
+			created, deleted := t.created[start], t.deleted[start]
+			visible := vis(created, deleted)
 			for i := start; i < end; i++ {
-				if vis(t.created[i], t.deleted[i]) {
+				if t.created[i] != created || t.deleted[i] != deleted {
+					created, deleted = t.created[i], t.deleted[i]
+					visible = vis(created, deleted)
+				}
+				if visible {
 					sel = append(sel, i-start)
 				}
 			}

@@ -230,6 +230,68 @@ func TestScanBatchesSelectionSemantics(t *testing.T) {
 	}
 }
 
+// TestScanBatchesVisibilityRuns pins the visibility run memo: in one block
+// that interleaves runs and single versions created by committed, aborted,
+// in-flight and the scanning transaction's own writes, some of them deleted
+// by each of those, ScanBatches selects exactly the rows vis accepts one by
+// one, at every slice count.
+func TestScanBatchesVisibilityRuns(t *testing.T) {
+	const own, committed, committed2, aborted, inFlight = 5, 1, 2, 3, 4
+	vis := func(created, deleted int64) bool { // a snapshot of txn own
+		sees := func(txn int64) bool { return txn == own || txn == committed || txn == committed2 }
+		return sees(created) && (deleted == 0 || !sees(deleted))
+	}
+	tab := NewTable("RUNS", testSchema(), "")
+	creators := []int64{committed, aborted, inFlight, own, committed2}
+	rng := rand.New(rand.NewSource(11))
+	id := int64(0)
+	for id < ZoneBlockSize+700 {
+		run := 1 + rng.Intn(40)
+		if rng.Intn(4) == 0 {
+			run = 1 // single versions between runs
+		}
+		rows := make([]types.Row, run)
+		for i := range rows {
+			rows[i] = row(id, float64(id), "r")
+			id++
+		}
+		if _, err := tab.Insert(creators[rng.Intn(len(creators))], rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < int(id); i++ {
+		if rng.Intn(5) == 0 {
+			tab.MarkDeleted(i, creators[rng.Intn(len(creators))])
+		}
+	}
+
+	created, deleted, _ := tab.VersionMeta()
+	var want []int
+	for i := range created {
+		if vis(created[i], deleted[i]) {
+			want = append(want, i)
+		}
+	}
+	for _, slices := range []int{1, 3} {
+		perWorker := make([][]int, slices)
+		if _, err := tab.ScanBatches(slices, vis, nil, func(w int, b *Batch) error {
+			for _, off := range b.Sel {
+				perWorker[w] = append(perWorker[w], b.Base+off)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, rows := range perWorker {
+			got = append(got, rows...)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("slices=%d: selected %d rows, vis accepts %d one by one", slices, len(got), len(want))
+		}
+	}
+}
+
 // buildNullableTable has NULLs in every column kind (buildMixedTable only in
 // two) so Materialize's typed loops are checked on their NULL branches.
 func buildNullableTable(t testing.TB, n int) (*Table, Visibility) {
@@ -303,4 +365,44 @@ func BenchmarkMaterialize(b *testing.B) {
 		materializeSink, _ = tab.ScanMaterialize(1, vis, nil)
 	}
 	b.ReportMetric(float64(len(materializeSink)), "rows/op")
+}
+
+// BenchmarkScanBatchesVisibility scans 64k versions under a map-backed
+// snapshot check, the shape of accel.Snapshot.Visible. In "runs" one bulk
+// insert wrote every version, so the check runs once per batch; in "no-runs"
+// every version has its own creator, the visibility memo's worst case.
+func BenchmarkScanBatchesVisibility(b *testing.B) {
+	const n = 64 * 1024
+	for _, c := range []struct {
+		name    string
+		perTxn  int
+		visible map[int64]bool
+	}{
+		{"runs", n, map[int64]bool{1: true}},
+		{"no-runs", 1, make(map[int64]bool, n)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tab := NewTable("VIS", testSchema(), "")
+			for txn := int64(1); int(txn-1)*c.perTxn < n; txn++ {
+				rows := make([]types.Row, c.perTxn)
+				for i := range rows {
+					rows[i] = row(txn, 1, "v")
+				}
+				if _, err := tab.Insert(txn, rows); err != nil {
+					b.Fatal(err)
+				}
+				if c.perTxn == 1 {
+					c.visible[txn] = true
+				}
+			}
+			vis := func(created, deleted int64) bool { return c.visible[created] && deleted == 0 }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tab.ScanBatches(1, vis, nil, func(int, *Batch) error { return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

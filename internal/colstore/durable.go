@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"slices"
+
 	"idaax/internal/stats"
 	"idaax/internal/types"
 )
@@ -275,6 +277,33 @@ func (t *Table) ApplyOp(op *TableOp) {
 			}
 		}
 	}
+}
+
+// SweepUncommitted runs the unjournaled abort sweep (undoBy) for every
+// creator of a source-indexed version that committed does not report as
+// committed, and returns how many creators it swept. A checkpoint image
+// forgets aborted transactions, so RestoreTable indexes their versions'
+// source ids like any other; recovery calls this once the registry's
+// verdicts are final, so a retried replication batch does not skip those
+// rows as already mirrored.
+func (t *Table) SweepUncommitted(committed func(txnID int64) bool) int {
+	t.mu.RLock()
+	var creators []int64
+	seen := make(map[int64]bool)
+	for _, i := range t.bySrc {
+		if c := t.created[i]; !seen[c] {
+			seen[c] = true
+			if !committed(c) {
+				creators = append(creators, c)
+			}
+		}
+	}
+	t.mu.RUnlock()
+	slices.Sort(creators)
+	for _, c := range creators {
+		t.undoBy(c, false)
+	}
+	return len(creators)
 }
 
 // ClearMarksBy is the abort sweep of UndoDeletesBy without journaling;

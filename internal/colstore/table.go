@@ -13,6 +13,12 @@ import (
 // Visibility decides whether a row version (created by createTxn, deleted by
 // deleteTxn, 0 when not deleted) is visible to the caller's snapshot. The
 // accelerator's transaction registry provides implementations.
+//
+// A Visibility must be a pure function of its two arguments for the length of
+// a scan: the batch scan calls it once per run of neighbouring versions that
+// share a (created, deleted) pair and reuses the answer for the whole run.
+// accel.Snapshot.Visible, the one production implementation, reads a commit
+// map copied when the snapshot was taken, so it qualifies.
 type Visibility func(createdTxn, deletedTxn int64) bool
 
 // CompareOp is the comparison operator of a pushed-down simple predicate.

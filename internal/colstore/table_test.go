@@ -309,3 +309,40 @@ func TestAbortSweepRestoresSourceIndex(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreSweepsUncommittedSources pins recovery's half of the abort
+// sweep. A checkpoint image keeps the versions of a transaction that aborted
+// before it was taken, and RestoreTable indexes their source ids like any
+// other; SweepUncommitted, run once the registry's verdicts are final, must
+// drop exactly those entries and keep the committed ones.
+func TestRestoreSweepsUncommittedSources(t *testing.T) {
+	tab := NewTable("T", testSchema(), "")
+	if _, err := tab.InsertWithSource(-1, []types.Row{row(1, 1, "a")}, []int64{100}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.InsertWithSource(-2, []types.Row{row(2, 2, "b")}, []int64{200}); err != nil {
+		t.Fatal(err)
+	}
+	tab.UndoDeletesBy(-1) // the abort of txn -1: the live table forgets source 100
+	if tab.HasSource(100) || !tab.HasSource(200) {
+		t.Fatal("live abort sweep did not drop source 100 alone")
+	}
+
+	restored := RestoreTable(tab.Snapshot())
+	committed := func(txnID int64) bool { return txnID == -2 }
+	if n := restored.SweepUncommitted(committed); n != 1 {
+		t.Fatalf("swept %d creators, want 1 (txn -1)", n)
+	}
+	if restored.HasSource(100) {
+		t.Fatal("restored table still indexes source 100 of the aborted txn -1: a retried batch would skip it")
+	}
+	if !restored.HasSource(200) {
+		t.Fatal("restored table lost source 200 of the committed txn -2")
+	}
+	if _, err := restored.InsertWithSource(-3, []types.Row{row(1, 1, "a")}, []int64{100}); err != nil {
+		t.Fatal(err)
+	}
+	if !restored.HasSource(100) {
+		t.Fatal("the retried insert of source 100 is not indexed")
+	}
+}

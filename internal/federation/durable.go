@@ -535,8 +535,11 @@ func (c *Coordinator) adoptShardedTables() {
 
 // resolveInDoubt settles every accelerator transaction the replayed registries
 // left neither committed nor aborted: roll forward if the DB2 side has commit
-// evidence, abort and physically sweep otherwise. Returns the records to
-// journal so a repeated crash replays the verdicts instead of re-deriving.
+// evidence, abort and physically sweep otherwise. With every verdict final,
+// each member then drops the replication-index entries of versions no
+// committed transaction created (transactions that aborted before the
+// checkpoint included). Returns the records to journal so a repeated crash
+// replays the verdicts instead of re-deriving.
 func (c *Coordinator) resolveInDoubt(st *recoverState) []*durable.Record {
 	c.accelMu.RLock()
 	members := make([]*accel.Accelerator, 0, len(c.accels))
@@ -564,6 +567,7 @@ func (c *Coordinator) resolveInDoubt(st *recoverState) []*durable.Record {
 				c.recovery.ResolvedAborts++
 			}
 		}
+		a.SweepUncommittedSources()
 	}
 	return out
 }

@@ -361,12 +361,31 @@ type group struct {
 // workerAgg is one scan worker's aggregation state. Its groups, their
 // accumulators, key values and key strings are carved from chunked slabs, so
 // a high-cardinality aggregate allocates per chunk rather than per group.
+//
+// groups, keyed by the encoded group key, is where a group is created and
+// what finalizeGroups merges on. The native indexes below are caches in
+// front of it, each filled on a miss with the group the encoded-key path
+// returned, so a row whose key they already hold costs no key encoding and
+// no string hashing:
+//   - one is the only group of a global aggregate, or the NULL group of a
+//     one-column key;
+//   - byCode indexes a dictionary-encoded group column's groups by code;
+//   - byInt holds a one-column int, timestamp or bool key by value, and a
+//     float key by its normalized bits (-0.0 as 0.0, one NaN);
+//   - bySlot indexes by build slot when every group column of a join is on
+//     the build side (the slot fixes the key).
 type workerAgg struct {
 	groups map[string]*group
 	order  []*group
 	env    *expr.Env
+	row    types.Row // residual evaluation buffer; EvalBool keeps no reference
 	keyBuf []byte
 	gids   []*group
+
+	one    *group
+	byCode []*group
+	byInt  intTable[*group]
+	bySlot []*group
 
 	groupSlab []group
 	accSlab   []acc
@@ -385,9 +404,63 @@ func newWorkerAggs(n int, residualCols []expr.InputColumn) []*workerAgg {
 		workers[i] = &workerAgg{groups: make(map[string]*group)}
 		if residualCols != nil {
 			workers[i].env = expr.NewEnv(residualCols)
+			workers[i].row = make(types.Row, len(residualCols))
 		}
 	}
 	return workers
+}
+
+// groupOf returns the group of the key encoded in key, creating it on first
+// sight with its key values filled by keys. It is the path every native index
+// falls back to on a miss.
+func (w *workerAgg) groupOf(ap *aggPlan, key []byte, keys func(dst []types.Value)) *group {
+	g, ok := w.groups[string(key)]
+	if !ok {
+		g = w.newGroup(key, len(ap.groupIdxs), len(ap.aggs))
+		keys(g.keys)
+	}
+	return g
+}
+
+// oneColumnGroup returns the group of a one-column key through the native
+// index its vector allows: the NULL group, byCode for a dictionary code,
+// byInt for a fixed-width value. A raw string key has none and goes to miss,
+// as does every first sight of a key.
+func (w *workerAgg) oneColumnGroup(v *colstore.Vector, off int, miss func() *group) *group {
+	var entry **group
+	var k int64
+	switch {
+	case v.Nulls[off]:
+		entry = &w.one
+	case v.Codes != nil:
+		if len(w.byCode) < len(v.Dict) {
+			w.byCode = append(w.byCode, make([]*group, len(v.Dict)-len(w.byCode))...)
+		}
+		entry = &w.byCode[v.Codes[off]]
+	case v.Ints != nil:
+		k = v.Ints[off]
+	case v.Floats != nil:
+		k = int64(math.Float64bits(normFloat(v.Floats[off])))
+	default:
+		return miss()
+	}
+	if entry != nil {
+		return cached(entry, miss)
+	}
+	g := w.byInt.get(k)
+	if g == nil {
+		g = miss()
+		w.byInt.put(k, g)
+	}
+	return g
+}
+
+// cached returns *entry, filling it through miss on first use.
+func cached(entry **group, miss func() *group) *group {
+	if *entry == nil {
+		*entry = miss()
+	}
+	return *entry
 }
 
 // newGroup registers a group under a copy of key, with naggs zeroed
@@ -444,7 +517,7 @@ func (p *Plan) runAggregate(t *colstore.Table, slices int, vis colstore.Visibili
 		sel := applyNullChecks(b, p.nullChecks)
 		if p.residual != nil && len(sel) > 0 {
 			out := sel[:0]
-			row := make(types.Row, len(b.Cols))
+			row := w.row
 			for _, off := range sel {
 				for ci := range b.Cols {
 					row[ci] = b.Cols[ci].Value(off)
@@ -463,22 +536,7 @@ func (p *Plan) runAggregate(t *colstore.Table, slices int, vis colstore.Visibili
 			return nil
 		}
 
-		// Resolve each selected row to its group through the binary key.
-		gids := w.gids[:0]
-		for _, off := range sel {
-			key := encodeGroupKey(w.keyBuf[:0], b, ap.groupIdxs, off)
-			w.keyBuf = key
-			g, ok := w.groups[string(key)]
-			if !ok {
-				g = w.newGroup(key, len(ap.groupIdxs), len(ap.aggs))
-				for k, ci := range ap.groupIdxs {
-					g.keys[k] = b.Cols[ci].Value(off)
-				}
-			}
-			gids = append(gids, g)
-		}
-		w.gids = gids
-
+		gids := w.resolveGroups(ap, b, sel)
 		for ai := range ap.aggs {
 			accumulateVector(&ap.aggs[ai], ai, b, sel, gids)
 		}
@@ -488,6 +546,38 @@ func (p *Plan) runAggregate(t *colstore.Table, slices int, vis colstore.Visibili
 		return nil, stats, err
 	}
 	return finalizeGroups(ap, workers), stats, nil
+}
+
+// resolveGroups maps every selected row to its group, through the native
+// index the GROUP BY's shape allows and the encoded-key map otherwise.
+func (w *workerAgg) resolveGroups(ap *aggPlan, b *colstore.Batch, sel []int) []*group {
+	gids := w.gids[:0]
+	miss := func(off int) *group {
+		w.keyBuf = encodeGroupKey(w.keyBuf[:0], b, ap.groupIdxs, off)
+		return w.groupOf(ap, w.keyBuf, func(dst []types.Value) {
+			for k, ci := range ap.groupIdxs {
+				dst[k] = b.Cols[ci].Value(off)
+			}
+		})
+	}
+	switch len(ap.groupIdxs) {
+	case 0:
+		g := cached(&w.one, func() *group { return miss(sel[0]) })
+		for range sel {
+			gids = append(gids, g)
+		}
+	case 1:
+		v := &b.Cols[ap.groupIdxs[0]]
+		for _, off := range sel {
+			gids = append(gids, w.oneColumnGroup(v, off, func() *group { return miss(off) }))
+		}
+	default:
+		for _, off := range sel {
+			gids = append(gids, miss(off))
+		}
+	}
+	w.gids = gids
+	return gids
 }
 
 // finalizeGroups merges worker partials in worker order (deterministic, like
@@ -606,21 +696,27 @@ func appendGroupVal(buf []byte, v colstore.Vector, off int) []byte {
 		buf = append(buf, 0x01)
 		return appendU64(buf, uint64(v.Ints[off]))
 	case v.Floats != nil:
-		f := v.Floats[off]
-		if f == 0 {
-			f = 0 // normalize -0.0 to +0.0, like GroupKey's integral formatting
-		}
-		if math.IsNaN(f) {
-			f = math.NaN() // canonical NaN payload, like GroupKey's "NaN" text
-		}
 		buf = append(buf, 0x02)
-		return appendU64(buf, math.Float64bits(f))
+		return appendU64(buf, math.Float64bits(normFloat(v.Floats[off])))
 	default:
 		s := v.Strs[off]
 		buf = append(buf, 0x03)
 		buf = appendU64(buf, uint64(len(s)))
 		return append(buf, s...)
 	}
+}
+
+// normFloat maps a float group key onto its group's representative: -0.0
+// groups with +0.0, like GroupKey's integral formatting, and every NaN
+// payload with the canonical NaN, like GroupKey's "NaN" text.
+func normFloat(f float64) float64 {
+	if f == 0 {
+		return 0
+	}
+	if math.IsNaN(f) {
+		return math.NaN()
+	}
+	return f
 }
 
 func appendU64(buf []byte, u uint64) []byte {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"idaax/internal/colstore"
+	"idaax/internal/relalg"
 	"idaax/internal/types"
 )
 
@@ -30,22 +31,72 @@ func TestHighCardinalityAggregateAllocs(t *testing.T) {
 	}
 	vis := func(created, deleted int64) bool { return created == 1 && deleted == 0 }
 
-	plan, ok := PlanQuery(mustParse(t, "SELECT k, s, COUNT(*), SUM(v), MIN(s) FROM t GROUP BY k, s"), tab.Schema())
-	if !ok || !plan.Aggregated() {
-		t.Fatal("grouped aggregate did not plan vectorized")
+	for _, q := range []string{
+		"SELECT k, s, COUNT(*), SUM(v), MIN(s) FROM t GROUP BY k, s", // encoded keys
+		"SELECT k, COUNT(*), SUM(v), MIN(s) FROM t GROUP BY k",       // int index
+	} {
+		plan, ok := PlanQuery(mustParse(t, q), tab.Schema())
+		if !ok || !plan.Aggregated() {
+			t.Fatalf("%s did not plan vectorized", q)
+		}
+		run := func() {
+			rel, _, err := plan.Run(tab, 2, vis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rel.Rows) != groups {
+				t.Fatalf("%s: %d groups, want %d", q, len(rel.Rows), groups)
+			}
+		}
+		run()
+		allocs := testing.AllocsPerRun(3, run)
+		if perGroup := allocs / groups; perGroup >= 1 {
+			t.Fatalf("%s: %.0f allocations for %d groups: %.2f per group, want < 1", q, allocs, groups, perGroup)
+		}
+	}
+}
+
+// TestResidualJoinAggregateAllocs gates the residual path of a join
+// aggregate: every joined pair is evaluated against the WHERE residual in one
+// reused row per worker, so allocations do not grow with the pairs.
+func TestResidualJoinAggregateAllocs(t *testing.T) {
+	const rows, keys = 20000, 500
+	o := colstore.NewTable("O", types.NewSchema(
+		types.Column{Name: "K", Kind: types.KindInt},
+		types.Column{Name: "A", Kind: types.KindFloat},
+	), "")
+	c := colstore.NewTable("C", types.NewSchema(
+		types.Column{Name: "K", Kind: types.KindInt},
+		types.Column{Name: "B", Kind: types.KindFloat},
+	), "")
+	batch := make([]types.Row, rows)
+	for i := range batch {
+		batch[i] = types.Row{types.NewInt(int64(i % keys)), types.NewFloat(float64(i%100) - 40)}
+	}
+	if _, err := o.Insert(1, batch); err != nil {
+		t.Fatal(err)
+	}
+	batch = make([]types.Row, keys)
+	for i := range batch {
+		batch[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i % 7))}
+	}
+	if _, err := c.Insert(1, batch); err != nil {
+		t.Fatal(err)
+	}
+	vis := func(created, deleted int64) bool { return created == 1 && deleted == 0 }
+
+	sel := mustParse(t, "SELECT COUNT(*), SUM(o.a) FROM o JOIN c ON o.k = c.k WHERE o.a + c.b > 0")
+	plan, ok := PlanJoin(sel, o.Schema(), c.Schema(), relalg.MethodAuto)
+	if !ok || !plan.Aggregated() || plan.residual == nil {
+		t.Fatal("residual join aggregate did not plan in the probe")
 	}
 	run := func() {
-		rel, _, err := plan.Run(tab, 2, vis)
-		if err != nil {
+		if _, _, err := plan.Run(o, c, 2, vis); err != nil {
 			t.Fatal(err)
-		}
-		if len(rel.Rows) != groups {
-			t.Fatalf("%d groups, want %d", len(rel.Rows), groups)
 		}
 	}
 	run()
-	allocs := testing.AllocsPerRun(3, run)
-	if perGroup := allocs / groups; perGroup >= 1 {
-		t.Fatalf("%.0f allocations for %d groups: %.2f per group, want < 1", allocs, groups, perGroup)
+	if perPair := testing.AllocsPerRun(3, run) / rows; perPair >= 0.1 {
+		t.Fatalf("%.2f allocations per joined pair, want < 0.1", perPair)
 	}
 }

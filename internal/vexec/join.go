@@ -406,15 +406,8 @@ func (c *buildCol) appendGroupVal(buf []byte, i int) []byte {
 	}
 	switch c.kind {
 	case types.KindFloat:
-		f := c.floats[i]
-		if f == 0 {
-			f = 0
-		}
-		if math.IsNaN(f) {
-			f = math.NaN()
-		}
 		buf = append(buf, 0x02)
-		return appendU64(buf, math.Float64bits(f))
+		return appendU64(buf, math.Float64bits(normFloat(c.floats[i])))
 	case types.KindString:
 		s := c.strs[i]
 		buf = append(buf, 0x03)
@@ -462,19 +455,61 @@ func newBuildChunk(schema types.Schema, nkeys int) *buildChunk {
 
 // hashTable is the assembled hash table: columnar build values plus bucket
 // chains in build-row position order, so probe matches emit in the same order
-// as the row engine's bucket lists.
+// as the row engine's bucket lists. A join on one key pair of the same int or
+// timestamp kind on both sides buckets by the native value (idOfInt, and the
+// build side captures no key bytes); every other join buckets by the encoded
+// key (idOf), which also carries the int/float cross-match.
 type hashTable struct {
-	cols []buildCol
-	n    int
-	idOf map[string]int32 // encoded key -> bucket id
-	head []int32          // bucket id -> first slot
-	tail []int32
-	next []int32 // slot -> next slot of the same bucket, -1 ends
+	cols    []buildCol
+	n       int
+	idOf    map[string]int32 // encoded key -> bucket id
+	idOfInt intTable[int32]  // native key -> bucket id + 1
+	head    []int32          // bucket id -> first slot
+	tail    []int32
+	next    []int32 // slot -> next slot of the same bucket, -1 ends
+}
+
+// intKey is the build-side column index of a join keyed by one pair of the
+// same int or timestamp kind on both sides, or -1 when the join buckets by
+// the encoded key.
+func (jp *JoinPlan) intKey() int {
+	if len(jp.left.keys) != 1 {
+		return -1
+	}
+	l, r := jp.left.keys[0], jp.right.keys[0]
+	if l.kind != r.kind || (l.kind != types.KindInt && l.kind != types.KindTimestamp) {
+		return -1
+	}
+	return r.idx
+}
+
+// bucket chains the build slot, whose key is not NULL, into its key's
+// bucket, opening the bucket on first sight.
+func (bt *hashTable) bucket(slot int32, key []byte, intKey int) {
+	var id int32
+	var ok bool
+	if intKey >= 0 {
+		k := bt.cols[intKey].ints[slot]
+		id = bt.idOfInt.get(k) - 1
+		if ok = id >= 0; !ok {
+			bt.idOfInt.put(k, int32(len(bt.head))+1)
+		}
+	} else if id, ok = bt.idOf[string(key)]; !ok {
+		bt.idOf[string(key)] = int32(len(bt.head))
+	}
+	if !ok {
+		bt.head = append(bt.head, slot)
+		bt.tail = append(bt.tail, slot)
+		return
+	}
+	bt.next[bt.tail[id]] = slot
+	bt.tail[id] = slot
 }
 
 func (jp *JoinPlan) buildRight(t *colstore.Table, slices int, vis colstore.Visibility) (*hashTable, colstore.ScanStats, error) {
 	nw := max(slices, 1)
 	chunks := make([]*buildChunk, nw)
+	intKey := jp.intKey()
 	stats, err := t.ScanBatches(slices, vis, jp.right.preds, func(w int, b *colstore.Batch) error {
 		ch := chunks[w]
 		if ch == nil {
@@ -485,6 +520,10 @@ func (jp *JoinPlan) buildRight(t *colstore.Table, slices int, vis colstore.Visib
 		for _, off := range sel {
 			for ci := range ch.cols {
 				ch.cols[ci].appendRow(b.Cols[ci], off)
+			}
+			if intKey >= 0 { // bucket reads the key from the captured column
+				ch.nullKey = append(ch.nullKey, b.Cols[intKey].Nulls[off])
+				continue
 			}
 			start := len(ch.keys)
 			key, ok := ch.enc.appendKey(ch.keys, b, off, jp.right.keys)
@@ -500,7 +539,10 @@ func (jp *JoinPlan) buildRight(t *colstore.Table, slices int, vis colstore.Visib
 	if err != nil {
 		return nil, stats, err
 	}
-	bt := &hashTable{cols: make([]buildCol, len(jp.right.schema.Columns)), idOf: make(map[string]int32)}
+	bt := &hashTable{cols: make([]buildCol, len(jp.right.schema.Columns))}
+	if intKey < 0 {
+		bt.idOf = make(map[string]int32)
+	}
 	for ci := range bt.cols {
 		bt.cols[ci].kind = jp.right.schema.Columns[ci].Kind
 	}
@@ -523,20 +565,12 @@ func (jp *JoinPlan) buildRight(t *colstore.Table, slices int, vis colstore.Visib
 		}
 		for r := range ch.nullKey {
 			bt.next = append(bt.next, -1)
-			if ch.nullKey[r] {
-				slot++
-				continue
-			}
-			key := ch.keys[ch.offs[r]:ch.offs[r+1]]
-			id, ok := bt.idOf[string(key)]
-			if !ok {
-				id = int32(len(bt.head))
-				bt.idOf[string(key)] = id
-				bt.head = append(bt.head, slot)
-				bt.tail = append(bt.tail, slot)
-			} else {
-				bt.next[bt.tail[id]] = slot
-				bt.tail[id] = slot
+			if !ch.nullKey[r] {
+				var key []byte
+				if intKey < 0 {
+					key = ch.keys[ch.offs[r]:ch.offs[r+1]]
+				}
+				bt.bucket(slot, key, intKey)
 			}
 			slot++
 		}
@@ -581,22 +615,30 @@ func (jp *JoinPlan) probe(t *colstore.Table, bt *hashTable, slices int, vis cols
 	nw := max(slices, 1)
 	encs := make([]*keyEnc, nw)
 	bufs := make([][]byte, nw)
+	native := bt.idOf == nil
 	return t.ScanBatches(slices, vis, jp.left.preds, func(w int, b *colstore.Batch) error {
 		if encs[w] == nil {
 			encs[w] = newKeyEnc(len(jp.left.keys))
 		}
 		sel := applyNullChecks(b, jp.left.nullChecks)
+		kv := &b.Cols[jp.left.keys[0].idx]
 		for _, off := range sel {
-			key, ok := encs[w].appendKey(bufs[w][:0], b, off, jp.left.keys)
-			bufs[w] = key
+			id, found := int32(0), false
+			if native {
+				if !kv.Nulls[off] {
+					id = bt.idOfInt.get(kv.Ints[off]) - 1
+					found = id >= 0
+				}
+			} else if key, ok := encs[w].appendKey(bufs[w][:0], b, off, jp.left.keys); ok {
+				bufs[w] = key
+				id, found = bt.idOf[string(key)]
+			}
 			matched := false
-			if ok {
-				if id, found := bt.idOf[string(key)]; found {
-					for s := bt.head[id]; s >= 0; s = bt.next[s] {
-						matched = true
-						if err := emit(w, b, off, int(s)); err != nil {
-							return err
-						}
+			if found {
+				for s := bt.head[id]; s >= 0; s = bt.next[s] {
+					matched = true
+					if err := emit(w, b, off, int(s)); err != nil {
+						return err
 					}
 				}
 			}
@@ -610,10 +652,10 @@ func (jp *JoinPlan) probe(t *colstore.Table, bt *hashTable, slices int, vis cols
 	})
 }
 
-// combineRow materializes one joined row; slot < 0 NULL-pads the right side.
-func (jp *JoinPlan) combineRow(b *colstore.Batch, off int, bt *hashTable, slot int) types.Row {
+// combineRow fills row (len(jp.cols) wide) with one joined row; slot < 0
+// NULL-pads the right side.
+func (jp *JoinPlan) combineRow(row types.Row, b *colstore.Batch, off int, bt *hashTable, slot int) types.Row {
 	nl := len(jp.left.schema.Columns)
-	row := make(types.Row, len(jp.cols))
 	for ci := 0; ci < nl; ci++ {
 		row[ci] = b.Cols[ci].Value(off)
 	}
@@ -632,7 +674,7 @@ func (jp *JoinPlan) probeMaterialize(t *colstore.Table, bt *hashTable, slices in
 	buckets := make([][]types.Row, nw)
 	envs := make([]*expr.Env, nw)
 	stats, err := jp.probe(t, bt, slices, vis, func(w int, b *colstore.Batch, off, slot int) error {
-		row := jp.combineRow(b, off, bt, slot)
+		row := jp.combineRow(make(types.Row, len(jp.cols)), b, off, bt, slot)
 		if jp.residual != nil {
 			if envs[w] == nil {
 				envs[w] = expr.NewEnv(jp.cols)
@@ -667,37 +709,55 @@ func (jp *JoinPlan) probeAggregate(t *colstore.Table, bt *hashTable, slices int,
 		residualCols = jp.cols
 	}
 	workers := newWorkerAggs(max(slices, 1), residualCols)
+	buildOnly := len(ap.groupIdxs) > 0
+	for _, ci := range ap.groupIdxs {
+		buildOnly = buildOnly && ci >= nl
+	}
 	stats, err := jp.probe(t, bt, slices, vis, func(wi int, b *colstore.Batch, off, slot int) error {
 		w := workers[wi]
 		if jp.residual != nil {
-			keep, err := w.env.EvalBool(jp.residual, jp.combineRow(b, off, bt, slot))
+			keep, err := w.env.EvalBool(jp.residual, jp.combineRow(w.row, b, off, bt, slot))
 			if err != nil || !keep {
 				return err
 			}
 		}
 
-		key := w.keyBuf[:0]
-		for _, ci := range ap.groupIdxs {
-			if ci < nl {
-				key = appendGroupVal(key, b.Cols[ci], off)
-			} else {
-				key = bt.cols[ci-nl].appendGroupVal(key, slot)
-			}
-		}
-		w.keyBuf = key
-		g, ok := w.groups[string(key)]
-		if !ok {
-			g = w.newGroup(key, len(ap.groupIdxs), len(ap.aggs))
-			for k, ci := range ap.groupIdxs {
-				switch {
-				case ci < nl:
-					g.keys[k] = b.Cols[ci].Value(off)
-				case slot < 0:
-					g.keys[k] = types.Null()
-				default:
-					g.keys[k] = bt.cols[ci-nl].value(slot)
+		miss := func() *group {
+			key := w.keyBuf[:0]
+			for _, ci := range ap.groupIdxs {
+				if ci < nl {
+					key = appendGroupVal(key, b.Cols[ci], off)
+				} else {
+					key = bt.cols[ci-nl].appendGroupVal(key, slot)
 				}
 			}
+			w.keyBuf = key
+			return w.groupOf(ap, key, func(dst []types.Value) {
+				for k, ci := range ap.groupIdxs {
+					switch {
+					case ci < nl:
+						dst[k] = b.Cols[ci].Value(off)
+					case slot < 0:
+						dst[k] = types.Null()
+					default:
+						dst[k] = bt.cols[ci-nl].value(slot)
+					}
+				}
+			})
+		}
+		var g *group
+		switch {
+		case len(ap.groupIdxs) == 0:
+			g = cached(&w.one, miss)
+		case buildOnly && slot >= 0:
+			if w.bySlot == nil {
+				w.bySlot = make([]*group, bt.n)
+			}
+			g = cached(&w.bySlot[slot], miss)
+		case len(ap.groupIdxs) == 1 && ap.groupIdxs[0] < nl:
+			g = w.oneColumnGroup(&b.Cols[ap.groupIdxs[0]], off, miss)
+		default:
+			g = miss()
 		}
 
 		for ai := range ap.aggs {
@@ -708,7 +768,7 @@ func (jp *JoinPlan) probeAggregate(t *colstore.Table, bt *hashTable, slices int,
 				continue
 			}
 			if spec.colIdx < nl {
-				v := b.Cols[spec.colIdx]
+				v := &b.Cols[spec.colIdx]
 				if v.Nulls[off] {
 					continue
 				}

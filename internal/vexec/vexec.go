@@ -12,8 +12,24 @@
 // only for rows that already survived the vector filters, and only those rows
 // are ever materialized as types.Row (late materialization). Grouped
 // COUNT/SUM/AVG/MIN/MAX/STDDEV/VARIANCE aggregates accumulate straight off the
-// column vectors under fixed-width binary group keys — no string key building
-// and no row construction at all.
+// column vectors — no row construction at all.
+//
+// How a row finds its group depends on the GROUP BY's shape. Each worker
+// keeps a native index in front of a map keyed by the fixed-width binary
+// group key; a miss goes through the map, which creates the group, and the
+// index remembers it, so per-row work is per-distinct-key work:
+//
+//	no group column              the one group
+//	one dictionary column        []*group indexed by code
+//	one int/timestamp/bool       open-addressing int64 table
+//	one float                    the same table, by normalized bits
+//	NULL key of one column       one cached group
+//	join, all on the build side  []*group indexed by build slot
+//	anything else                the binary-key map
+//
+// A join bucket is found the same way: a join on one int = int or
+// timestamp = timestamp key pair buckets by the native value, every other
+// join by the binary join key.
 //
 // Statements the engine cannot run entirely (joins, subqueries, DISTINCT or
 // DISTINCT aggregates, HAVING, ORDER BY on the aggregate path, complex select

@@ -2,6 +2,7 @@ package vexec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -14,7 +15,9 @@ import (
 )
 
 // buildTable creates the differential table: every column kind, NULLs in
-// every nullable column, enough rows to span batches, and deleted rows.
+// every nullable column, enough rows to span batches, and deleted rows. K
+// holds negative ints, F the float group keys that need normalizing (-0.0
+// next to 0.0, NaN) and TS a handful of timestamps.
 func buildTable(t *testing.T, n int) (*colstore.Table, colstore.Visibility) {
 	t.Helper()
 	schema := types.NewSchema(
@@ -23,9 +26,13 @@ func buildTable(t *testing.T, n int) (*colstore.Table, colstore.Visibility) {
 		types.Column{Name: "CAT", Kind: types.KindString},
 		types.Column{Name: "V", Kind: types.KindFloat},
 		types.Column{Name: "FLAG", Kind: types.KindBool},
+		types.Column{Name: "K", Kind: types.KindInt},
+		types.Column{Name: "F", Kind: types.KindFloat},
+		types.Column{Name: "TS", Kind: types.KindTimestamp},
 	)
 	tab := colstore.NewTable("T", schema, "")
 	rng := rand.New(rand.NewSource(42))
+	floats := []float64{math.Copysign(0, -1), 0, math.NaN(), 1.5, 1.25, -2.25}
 	rows := make([]types.Row, n)
 	for i := range rows {
 		row := types.Row{
@@ -34,6 +41,9 @@ func buildTable(t *testing.T, n int) (*colstore.Table, colstore.Visibility) {
 			types.NewString(fmt.Sprintf("c%d", rng.Intn(9))),
 			types.NewFloat(float64(rng.Intn(2000))/8 - 50),
 			types.NewBool(rng.Intn(2) == 0),
+			types.NewInt(int64(rng.Intn(13) - 6)),
+			types.NewFloat(floats[rng.Intn(len(floats))]),
+			types.NewTimestampMicros(int64(rng.Intn(4)) * 86_400_000_000),
 		}
 		switch i % 19 {
 		case 3:
@@ -44,6 +54,12 @@ func buildTable(t *testing.T, n int) (*colstore.Table, colstore.Visibility) {
 			row[3] = types.Null()
 		case 13:
 			row[4] = types.Null()
+		case 15:
+			row[5] = types.Null()
+		case 17:
+			row[6] = types.Null()
+		case 18:
+			row[7] = types.Null()
 		}
 		rows[i] = row
 	}
@@ -147,6 +163,18 @@ var differentialQueries = []string{
 	"SELECT grp, COUNT(*), 42 FROM t GROUP BY grp",
 	"SELECT flag, COUNT(*), SUM(id) FROM t GROUP BY flag",
 	"SELECT grp, SUM(id) FROM t GROUP BY grp LIMIT 5",
+	// One group column of every native kind: negative ints and NULL keys,
+	// -0.0/0.0 and NaN float keys, bools, timestamps, a dictionary column
+	// (raw strings in the threshold-0 run), and two columns together.
+	"SELECT k, COUNT(*), SUM(v), MIN(id) FROM t GROUP BY k",
+	"SELECT k, COUNT(*) FROM t WHERE k < 0 GROUP BY k",
+	"SELECT f, COUNT(*), MIN(id), MAX(id) FROM t GROUP BY f",
+	"SELECT ts, COUNT(*), MAX(ts), SUM(k) FROM t GROUP BY ts",
+	"SELECT flag, COUNT(*), MIN(k) FROM t WHERE id < 700 GROUP BY flag",
+	"SELECT cat, COUNT(*), SUM(k) FROM t WHERE id < 1200 GROUP BY cat",
+	"SELECT k, f, COUNT(*) FROM t GROUP BY k, f",
+	"SELECT COUNT(*), SUM(k), MAX(ts) FROM t WHERE id < 0",
+	"SELECT k, COUNT(*) FROM t WHERE id < 0 GROUP BY k",
 	// Aggregation shapes that fall back to row operators above the
 	// vectorized filter (HAVING, ORDER BY, DISTINCT aggs, expressions).
 	"SELECT grp, COUNT(*) AS n FROM t GROUP BY grp HAVING COUNT(*) > 20 ORDER BY grp",
@@ -158,10 +186,24 @@ var differentialQueries = []string{
 // TestDifferentialVectorizedVsRow is the unit-level half of the differential
 // suite: for every statement in the corpus the vectorized engine and the row
 // engine must return identical result sets (rows, aggregates, NULLs, column
-// names and kinds), at several batch-parallelism degrees.
+// names and kinds), at several batch-parallelism degrees, with the string
+// column dictionary-encoded and raw.
 func TestDifferentialVectorizedVsRow(t *testing.T) {
-	tab, vis := buildTable(t, 2500)
-	for _, q := range differentialQueries {
+	for _, threshold := range []int{colstore.DefaultDictThreshold, 0} {
+		prev := colstore.SetDictThreshold(threshold)
+		tab, vis := buildTable(t, 2500)
+		colstore.SetDictThreshold(prev)
+		if dict := tab.ColumnEncodings()[2].Dict; dict != (threshold > 0) {
+			t.Fatalf("threshold %d: CAT dictionary-encoded = %v", threshold, dict)
+		}
+		runDifferential(t, tab, vis, differentialQueries)
+	}
+}
+
+// runDifferential compares the row and vectorized engines on every query.
+func runDifferential(t *testing.T, tab *colstore.Table, vis colstore.Visibility, queries []string) {
+	t.Helper()
+	for _, q := range queries {
 		stmt, err := sqlparse.Parse(q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
@@ -181,6 +223,34 @@ func TestDifferentialVectorizedVsRow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDictionarySpillBetweenStatements groups by a dictionary column, spills
+// its dictionary with more inserts, and groups again on the same table: each
+// run indexes groups by the codes of the dictionary it scans, or by the raw
+// strings once there is none.
+func TestDictionarySpillBetweenStatements(t *testing.T) {
+	prev := colstore.SetDictThreshold(12)
+	defer colstore.SetDictThreshold(prev)
+	tab, vis := buildTable(t, 2500)
+	queries := []string{
+		"SELECT cat, COUNT(*), SUM(v) FROM t GROUP BY cat",
+		"SELECT cat, COUNT(*) FROM t WHERE id > 2000 GROUP BY cat",
+	}
+	runDifferential(t, tab, vis, queries)
+
+	more := make([]types.Row, 40)
+	for i := range more {
+		more[i] = types.Row{types.NewInt(int64(3000 + i)), types.NewInt(1), types.NewString(fmt.Sprintf("d%d", i%10)),
+			types.NewFloat(float64(i)), types.NewBool(true), types.NewInt(-1), types.NewFloat(0), types.NewTimestampMicros(0)}
+	}
+	if _, err := tab.Insert(1, more); err != nil {
+		t.Fatal(err)
+	}
+	if enc := tab.ColumnEncodings()[2]; enc.Dict || !enc.Spilled {
+		t.Fatalf("CAT did not spill: %+v", enc)
+	}
+	runDifferential(t, tab, vis, queries)
 }
 
 // TestDifferentialEmptyRelation pins the zero-row edge cases: empty table,
@@ -327,7 +397,7 @@ func TestIncomparableKindPredicates(t *testing.T) {
 	}
 }
 
-func mustParse(t *testing.T, q string) *sqlparse.SelectStmt {
+func mustParse(t testing.TB, q string) *sqlparse.SelectStmt {
 	t.Helper()
 	stmt, err := sqlparse.Parse(q)
 	if err != nil {

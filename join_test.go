@@ -85,6 +85,18 @@ var joinDifferentialQueries = []struct {
 	{"SELECT d.label, COUNT(*) FROM jfact f JOIN jdim d ON f.gid = d.gid GROUP BY d.label ORDER BY d.label", true},
 	{"SELECT d.label, AVG(f.v) FROM jfact f LEFT JOIN jdim d ON f.gid = d.gid WHERE f.v IS NOT NULL GROUP BY d.label", false},
 	{"SELECT COUNT(*), SUM(d.w) FROM jfact f JOIN jdim d ON f.gid = d.gid WHERE f.cat = 'c2'", true},
+	// Group key shapes of the probe: probe-side int and dictionary columns,
+	// build-side columns (LEFT: the padded rows group under NULL), two
+	// columns, a residual, an int = float key (3 = 3.0 matches) and a
+	// global aggregate over zero joined rows.
+	{"SELECT f.gid, COUNT(*), SUM(d.w) FROM jfact f JOIN jdim d ON f.gid = d.gid GROUP BY f.gid", false},
+	{"SELECT f.cat, COUNT(*), MAX(d.label) FROM jfact f LEFT JOIN jdim d ON f.gid = d.gid GROUP BY f.cat", false},
+	{"SELECT d.code, COUNT(*), SUM(f.v), COUNT(d.w) FROM jfact f LEFT JOIN jdim d ON f.gid = d.gid GROUP BY d.code", false},
+	{"SELECT f.cat, d.label, COUNT(*) FROM jfact f JOIN jdim d ON f.gid = d.gid GROUP BY f.cat, d.label", false},
+	{"SELECT d.label, COUNT(*), SUM(f.v) FROM jfact f JOIN jdim d ON f.gid = d.gid WHERE f.v + d.w > 0 GROUP BY d.label", false},
+	{"SELECT f.id, d.gid FROM jfact f JOIN jdim d ON f.v = d.gid", false},
+	{"SELECT d.gid, COUNT(*) FROM jfact f JOIN jdim d ON f.v = d.gid GROUP BY d.gid", false},
+	{"SELECT COUNT(*), SUM(f.v) FROM jfact f JOIN jdim d ON f.gid = d.gid WHERE f.id > 1000000", true},
 	// Empty probe and empty build sides.
 	{"SELECT f.id, d.label FROM jfact f JOIN jdim d ON f.gid = d.gid WHERE f.id > 1000000", false},
 	{"SELECT f.id, d.label FROM jfact f JOIN jdim d ON f.gid = d.gid WHERE d.gid > 1000000", false},

@@ -95,6 +95,8 @@ var vectorizedDifferentialQueries = []struct {
 	{"SELECT grp, cat, COUNT(*) FROM vdiff GROUP BY grp, cat", false},
 	{"SELECT flag, COUNT(*), MIN(cat), MAX(cat) FROM vdiff GROUP BY flag", false},
 	{"SELECT grp, STDDEV(v) FROM vdiff WHERE v IS NOT NULL GROUP BY grp", false},
+	{"SELECT v, COUNT(*), MIN(id) FROM vdiff GROUP BY v", false},
+	{"SELECT cat, COUNT(*), SUM(grp) FROM vdiff GROUP BY cat", false},
 	{"SELECT grp, COUNT(*) AS n FROM vdiff GROUP BY grp HAVING COUNT(*) > 50 ORDER BY grp", true},
 	{"SELECT grp, COUNT(DISTINCT cat) FROM vdiff GROUP BY grp ORDER BY grp", true},
 	{"SELECT grp, SUM(v) FROM vdiff WHERE cat <> 'c3' GROUP BY grp ORDER BY grp", true},
