@@ -146,7 +146,8 @@ func (a *Accelerator) Stats() Stats {
 // SetVectorizedExecution enables or disables the vectorized batch engine
 // (enabled by default). With it off, every statement takes the row-at-a-time
 // path: ParallelScan materialises rows and the relational operators tree-walk
-// them — the A/B baseline bench E13 measures against.
+// them — the A/B baseline bench E13 measures against. The switch's state
+// lives here; a shard group sets and reads it on its members.
 func (a *Accelerator) SetVectorizedExecution(enabled bool) {
 	v := int64(1)
 	if enabled {

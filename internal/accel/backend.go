@@ -50,10 +50,12 @@ type Backend interface {
 	Explain(sel *sqlparse.SelectStmt) (*planner.Plan, error)
 
 	// SetVectorizedExecution toggles the vectorized batch engine (on by
-	// default; a sharded backend fans the setting to every member, including
-	// ones added later). VectorizedEnabled reports the current state. The
-	// switch exists for A/B measurement and keeps the row engine reachable as
-	// the differential oracle; both engines return identical results.
+	// default). VectorizedEnabled reports the current state. The state lives
+	// on each Accelerator; a sharded backend keeps none of its own: it fans
+	// the setting out to its members, reads it back from one, and a member
+	// added later copies it from the others. The switch exists for A/B
+	// measurement and keeps the row engine reachable as the differential
+	// oracle; both engines return identical results.
 	SetVectorizedExecution(enabled bool)
 	VectorizedEnabled() bool
 

@@ -49,18 +49,18 @@ func (a *Accelerator) QueryAtTraced(txnID int64, snap *Snapshot, sel *sqlparse.S
 		}
 	}()
 	sel, methods := a.planStatement(sel)
-	if rel, handled, err := a.tryVectorized(snap, sel, methods, sp); handled {
-		if err != nil {
-			return nil, err
+	if bp := a.execPlan(sel, methods); !bp.none() {
+		rel, err = a.runBatch(bp, snap, sel, sp)
+		if err == nil {
+			rel, err = vexec.Finish(rel, bp.aggregated(), sel, a.slices)
 		}
-		atomic.AddInt64(&a.rowsReturned, int64(len(rel.Rows)))
-		return rel, nil
+	} else {
+		var from *relalg.Relation
+		from, err = a.BuildFromRelationTraced(txnID, snap, sel, nil, methods, sp)
+		if err == nil {
+			rel, err = relalg.ExecuteSelect(from, sel, relalg.Options{Parallelism: a.slices})
+		}
 	}
-	from, err := a.BuildFromRelationTraced(txnID, snap, sel, nil, methods, sp)
-	if err != nil {
-		return nil, err
-	}
-	rel, err = relalg.ExecuteSelect(from, sel, relalg.Options{Parallelism: a.slices})
 	if err != nil {
 		return nil, err
 	}
@@ -68,74 +68,139 @@ func (a *Accelerator) QueryAtTraced(txnID int64, snap *Snapshot, sel *sqlparse.S
 	return rel, nil
 }
 
-// tryVectorized runs a statement through the vectorized batch engine
-// (internal/vexec): single plain tables take the scan path, two plain tables
-// the hash-join path. handled=false falls back to the row path without side
-// effects: the statement is out of engine scope, the engine is disabled, or a
-// table is unknown (the row path raises the proper error). When the engine
-// only covers scan+filter (or join without aggregation), the surviving rows
-// are materialized late and the remaining operators run row-at-a-time with
-// the WHERE clause stripped — the vector filters already applied it exactly.
-func (a *Accelerator) tryVectorized(snap *Snapshot, sel *sqlparse.SelectStmt, methods []relalg.JoinMethod, sp *obs.Span) (*relalg.Relation, bool, error) {
-	if !a.VectorizedEnabled() {
-		return nil, false, nil
-	}
-	switch {
-	case len(sel.From) == 1 && sel.From[0].Subquery == nil:
-		return a.tryVectorizedScan(snap, sel, sp)
-	case len(sel.From) == 2 && sel.From[0].Subquery == nil && sel.From[1].Subquery == nil:
-		return a.tryVectorizedJoin(snap, sel, methods, sp)
-	default:
-		return nil, false, nil
-	}
+// batchPlan is a statement's plan in the vectorized batch engine: a scan of
+// one plain table lt, or a hash join probing lt and building over rt. The
+// zero value is no batch plan.
+type batchPlan struct {
+	scan   *vexec.Plan
+	join   *vexec.JoinPlan
+	lt, rt *colstore.Table
 }
 
-func (a *Accelerator) tryVectorizedScan(snap *Snapshot, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, bool, error) {
-	t, err := a.Table(sel.From[0].Table)
-	if err != nil {
-		return nil, false, nil
+func (bp batchPlan) none() bool { return bp.scan == nil && bp.join == nil }
+
+func (bp batchPlan) mode() string {
+	if bp.join != nil {
+		return bp.join.Mode()
 	}
-	plan, ok := vexec.PlanQuery(sel, t.Schema())
+	return bp.scan.Mode()
+}
+
+func (bp batchPlan) aggregated() bool {
+	if bp.join != nil {
+		return bp.join.Aggregated()
+	}
+	return bp.scan.Aggregated()
+}
+
+// planBatch decides which batch plan runs sel with the planner's join
+// methods. Every read entry point and EXPLAIN take this one decision: one
+// plain table runs vexec.PlanQuery, two plain tables vexec.PlanJoin with the
+// first join method. The zero plan means the row engine runs sel: the batch
+// engine is off, the FROM clause has another shape, a table is unknown (the
+// row path raises the error), or vexec declined the statement, which
+// declined reports.
+func (a *Accelerator) planBatch(sel *sqlparse.SelectStmt, methods []relalg.JoinMethod) (bp batchPlan, declined bool) {
+	from := sel.From
+	if !a.VectorizedEnabled() || len(from) == 0 || len(from) > 2 ||
+		from[0].Subquery != nil || from[len(from)-1].Subquery != nil {
+		return batchPlan{}, false
+	}
+	lt, err := a.Table(from[0].Table)
+	if err != nil {
+		return batchPlan{}, false
+	}
+	if len(from) == 1 {
+		scan, ok := vexec.PlanQuery(sel, lt.Schema())
+		return batchPlan{scan: scan, lt: lt}, !ok
+	}
+	rt, err := a.Table(from[1].Table)
+	if err != nil {
+		return batchPlan{}, false
+	}
+	method := relalg.MethodAuto
+	if len(methods) > 0 {
+		method = methods[0]
+	}
+	join, ok := vexec.PlanJoin(sel, lt.Schema(), rt.Schema(), method)
 	if !ok {
-		// In-scope shape (single table, engine on) that the engine declined:
-		// the fallback-rate metric feeds on this.
-		atomic.AddInt64(&a.vexecFallbacks, 1)
-		return nil, false, nil
+		return batchPlan{}, true
 	}
-	rel, err := a.runScanPlan(plan, t, snap, sel.From[0], sp)
-	if err != nil {
-		return nil, true, err
-	}
-	if plan.Aggregated() {
-		return rel, true, nil
-	}
-	rest := *sel
-	rest.Where = nil
-	out, err := relalg.ExecuteSelect(rel, &rest, relalg.Options{Parallelism: a.slices})
-	if err != nil {
-		return nil, true, err
-	}
-	return out, true, nil
+	return batchPlan{join: join, lt: lt, rt: rt}, false
 }
 
-// runScanPlan executes a planned batch scan under the statement snapshot,
-// emitting the scan span and accounting the scan and vectorization counters.
-func (a *Accelerator) runScanPlan(plan *vexec.Plan, t *colstore.Table, snap *Snapshot, item sqlparse.FromItem, sp *obs.Span) (*relalg.Relation, error) {
-	sc := a.startScanSpan(sp, item.Name())
-	sc.Label(obs.LabelMode, "vectorized:"+plan.Mode())
-	rel, stats, err := plan.Run(t, a.slices, snap.Visible)
-	sc.Add(obs.KeyRows, int64(stats.RowsMaterialized))
-	sc.Add(obs.KeyVersions, int64(stats.VersionsConsidered))
-	sc.Add(obs.KeyBlocksPruned, int64(stats.BlocksPruned))
-	sc.Add(obs.KeyBatches, int64(stats.Batches))
-	sc.Finish()
-	atomic.AddInt64(&a.rowsScanned, int64(stats.VersionsConsidered))
-	atomic.AddInt64(&a.blocksPruned, int64(stats.BlocksPruned))
+// execPlan is planBatch for execution: a statement vexec declines counts as
+// a fallback of the batch engine (EXPLAIN counts nothing).
+func (a *Accelerator) execPlan(sel *sqlparse.SelectStmt, methods []relalg.JoinMethod) batchPlan {
+	bp, declined := a.planBatch(sel, methods)
+	if declined {
+		atomic.AddInt64(&a.vexecFallbacks, 1)
+	}
+	return bp
+}
+
+// runBatch runs a batch plan for sel under the statement snapshot, with a
+// scan span, or a join span with one scan child per side, and accounts the
+// scan and vectorization counters. The relation is final for an aggregated
+// plan; otherwise it is sel's FROM relation with WHERE applied.
+func (a *Accelerator) runBatch(bp batchPlan, snap *Snapshot, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error) {
+	var rel *relalg.Relation
+	var total colstore.ScanStats
+	var err error
+	if bp.join == nil {
+		sc := a.startScanSpan(sp, sel.From[0].Name())
+		sc.Label(obs.LabelMode, "vectorized:"+bp.mode())
+		rel, total, err = bp.scan.Run(bp.lt, a.slices, snap.Visible)
+		finishScanSpan(sc, total)
+	} else {
+		jc := sp.Child("join")
+		jc.Label(obs.LabelShard, a.name)
+		jc.Label(obs.LabelMode, "vectorized:"+bp.mode())
+		var js vexec.JoinStats
+		rel, js, err = bp.join.Run(bp.lt, bp.rt, a.slices, snap.Visible)
+		finishScanSpan(a.startScanSpan(jc, sel.From[1].Name()), js.Build)
+		finishScanSpan(a.startScanSpan(jc, sel.From[0].Name()), js.Probe)
+		jc.Finish()
+		total = js.Total()
+	}
+	atomic.AddInt64(&a.rowsScanned, int64(total.VersionsConsidered))
+	atomic.AddInt64(&a.blocksPruned, int64(total.BlocksPruned))
 	if err != nil {
 		return nil, err
 	}
 	atomic.AddInt64(&a.vectorizedQueries, 1)
+	if bp.join != nil {
+		atomic.AddInt64(&a.vectorizedJoins, 1)
+	}
 	return rel, nil
+}
+
+// finishScanSpan records a batch scan's work on its span and closes it.
+func finishScanSpan(sc *obs.Span, st colstore.ScanStats) {
+	sc.Add(obs.KeyRows, int64(st.RowsMaterialized))
+	sc.Add(obs.KeyVersions, int64(st.VersionsConsidered))
+	sc.Add(obs.KeyBlocksPruned, int64(st.BlocksPruned))
+	sc.Add(obs.KeyBatches, int64(st.Batches))
+	sc.Finish()
+}
+
+// filterOnly is sel cut down to its FROM and WHERE clauses: the statement
+// whose batch plan yields sel's FROM relation with WHERE applied.
+func filterOnly(sel *sqlparse.SelectStmt) *sqlparse.SelectStmt {
+	return &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Star: true}}, From: sel.From, Where: sel.Where, Limit: -1}
+}
+
+// runFiltered runs sel's FROM and WHERE, and nothing above them, through a
+// batch plan with the given join methods; ok is false when no batch plan
+// runs them.
+func (a *Accelerator) runFiltered(snap *Snapshot, sel *sqlparse.SelectStmt, methods []relalg.JoinMethod, sp *obs.Span) (rel *relalg.Relation, ok bool, err error) {
+	reduced := filterOnly(sel)
+	bp := a.execPlan(reduced, methods)
+	if bp.none() {
+		return nil, false, nil
+	}
+	rel, err = a.runBatch(bp, snap, reduced, sp)
+	return rel, true, err
 }
 
 // ScanFilteredTraced returns exactly the rows of sel's single plain table that
@@ -148,104 +213,20 @@ func (a *Accelerator) runScanPlan(plan *vexec.Plan, t *colstore.Table, snap *Sna
 // single-table statement filters once, on the shard, and the coordinator runs
 // the rest of the statement with WHERE stripped. sp may be nil.
 func (a *Accelerator) ScanFilteredTraced(snap *Snapshot, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error) {
+	if rel, ok, err := a.runFiltered(snap, sel, nil, sp); ok {
+		return rel, err
+	}
 	item := sel.From[0]
 	t, err := a.Table(item.Table)
 	if err != nil {
 		atomic.AddInt64(&a.queryErrors, 1)
 		return nil, err
 	}
-	if a.VectorizedEnabled() {
-		scan := &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Star: true}}, From: sel.From, Where: sel.Where, Limit: -1}
-		if plan, ok := vexec.PlanQuery(scan, t.Schema()); ok {
-			return a.runScanPlan(plan, t, snap, item, sp)
-		}
-	}
 	rows, err := a.ScanVisibleTraced(snap, item.Table, sel, item, sp)
 	if err != nil {
 		return nil, err
 	}
 	return relalg.Filter(relalg.FromTable(item.Name(), t.Schema(), rows), sel.Where, relalg.Options{Parallelism: a.slices})
-}
-
-// tryVectorizedJoin runs a two-table statement as a vectorized hash join:
-// build over the second FROM item, probe over the first, both scanning column
-// batches under the statement snapshot. With integrated aggregation the
-// result is final; otherwise the joined relation (WHERE fully applied)
-// continues through the row operators with WHERE stripped, exactly like the
-// single-table scan path.
-func (a *Accelerator) tryVectorizedJoin(snap *Snapshot, sel *sqlparse.SelectStmt, methods []relalg.JoinMethod, sp *obs.Span) (*relalg.Relation, bool, error) {
-	plan, lt, rt, ok := a.planVectorizedJoin(sel, methods)
-	if !ok {
-		return nil, false, nil
-	}
-	rel, err := a.runJoinPlan(plan, lt, rt, snap, sel, sp)
-	if err != nil {
-		return nil, true, err
-	}
-	if plan.Aggregated() {
-		return rel, true, nil
-	}
-	rest := *sel
-	rest.Where = nil
-	out, err := relalg.ExecuteSelect(rel, &rest, relalg.Options{Parallelism: a.slices})
-	if err != nil {
-		return nil, true, err
-	}
-	return out, true, nil
-}
-
-// planVectorizedJoin resolves both FROM tables and plans the batch hash join,
-// counting a fallback when vexec declines the statement.
-func (a *Accelerator) planVectorizedJoin(sel *sqlparse.SelectStmt, methods []relalg.JoinMethod) (*vexec.JoinPlan, *colstore.Table, *colstore.Table, bool) {
-	lt, err := a.Table(sel.From[0].Table)
-	if err != nil {
-		return nil, nil, nil, false
-	}
-	rt, err := a.Table(sel.From[1].Table)
-	if err != nil {
-		return nil, nil, nil, false
-	}
-	method := relalg.MethodAuto
-	if len(methods) > 0 {
-		method = methods[0]
-	}
-	plan, ok := vexec.PlanJoin(sel, lt.Schema(), rt.Schema(), method)
-	if !ok {
-		atomic.AddInt64(&a.vexecFallbacks, 1)
-		return nil, nil, nil, false
-	}
-	return plan, lt, rt, true
-}
-
-// runJoinPlan executes a planned batch hash join under the statement snapshot,
-// emitting the join span with one scan child per side and accounting the scan
-// and vectorization counters.
-func (a *Accelerator) runJoinPlan(plan *vexec.JoinPlan, lt, rt *colstore.Table, snap *Snapshot, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error) {
-	jc := sp.Child("join")
-	jc.Label(obs.LabelShard, a.name)
-	jc.Label(obs.LabelMode, "vectorized:"+plan.Mode())
-	rel, js, err := plan.Run(lt, rt, a.slices, snap.Visible)
-	for _, side := range []struct {
-		item  sqlparse.FromItem
-		stats colstore.ScanStats
-	}{{sel.From[1], js.Build}, {sel.From[0], js.Probe}} {
-		sc := a.startScanSpan(jc, side.item.Name())
-		sc.Add(obs.KeyRows, int64(side.stats.RowsMaterialized))
-		sc.Add(obs.KeyVersions, int64(side.stats.VersionsConsidered))
-		sc.Add(obs.KeyBlocksPruned, int64(side.stats.BlocksPruned))
-		sc.Add(obs.KeyBatches, int64(side.stats.Batches))
-		sc.Finish()
-	}
-	jc.Finish()
-	total := js.Total()
-	atomic.AddInt64(&a.rowsScanned, int64(total.VersionsConsidered))
-	atomic.AddInt64(&a.blocksPruned, int64(total.BlocksPruned))
-	if err != nil {
-		return nil, err
-	}
-	atomic.AddInt64(&a.vectorizedQueries, 1)
-	atomic.AddInt64(&a.vectorizedJoins, 1)
-	return rel, nil
 }
 
 // PlannerCatalog exposes this accelerator's tables and statistics to the
@@ -285,66 +266,63 @@ func (a *Accelerator) planStatement(sel *sqlparse.SelectStmt) (*sqlparse.SelectS
 func (a *Accelerator) Explain(sel *sqlparse.SelectStmt) (*planner.Plan, error) {
 	pl := planner.PlanSelect(sel, a.PlannerCatalog())
 	if pl != nil {
-		a.annotateVectorized(pl, sel)
+		a.annotate(pl, pl.Sel, pl.Methods)
 	}
 	return pl, nil
 }
 
-// annotateVectorized records on the plan whether (and how far) the vectorized
-// batch engine would execute the statement, for EXPLAIN.
-func (a *Accelerator) annotateVectorized(pl *planner.Plan, sel *sqlparse.SelectStmt) {
-	// Column encodings are physical storage state, reported whether or not
-	// the batch engine runs the statement.
+// AnnotateMemberPlan records on pl, a shard router's plan, what this member
+// runs for it, for EXPLAIN: the batch plan of run handed to QueryAtTraced
+// when whole (the member plans run's joins itself), or of run's FROM and
+// WHERE with pl's join methods, as ScanFilteredTraced and
+// BuildFromRelationTraced take them. run is nil when the member runs no
+// batch plan: its tables are gathered or substituted, and the row operators
+// run over its batch scans.
+func (a *Accelerator) AnnotateMemberPlan(pl *planner.Plan, run *sqlparse.SelectStmt, whole bool) {
+	var methods []relalg.JoinMethod
+	switch {
+	case run == nil:
+	case whole:
+		run, methods = a.planStatement(run)
+	default:
+		run, methods = filterOnly(run), pl.Methods
+	}
+	a.annotate(pl, run, methods)
+}
+
+// annotate records on pl the column encodings of its scans, which are
+// physical storage state reported whatever engine runs, and the execution
+// mode of the batch plan planBatch picks for sel; with the engine on and no
+// batch plan (sel may be nil), the row operators run over batch scans.
+func (a *Accelerator) annotate(pl *planner.Plan, sel *sqlparse.SelectStmt, methods []relalg.JoinMethod) {
 	for i, scan := range pl.Scans {
 		if scan.Item.Subquery != nil {
 			continue
 		}
 		if t, err := a.Table(scan.Item.Table); err == nil {
-			pl.Scans[i].Encoding = EncodingSummary(t)
+			pl.Scans[i].Encoding = encodingSummary(t)
 		}
 	}
 	if !a.VectorizedEnabled() {
 		return
 	}
 	pl.Vectorized = true
-	pl.VectorizedMode = vexec.ModeScan // deep joins and subqueries still scan in batches
-	// Annotate from the planner-rewritten statement: execution plans joins
-	// over pl.Sel with pl.Methods, not the original FROM order.
-	if pl.Sel != nil {
-		sel = pl.Sel
+	pl.VectorizedMode = vexec.ModeScan
+	if sel == nil {
+		return
 	}
-	switch {
-	case len(sel.From) == 1 && sel.From[0].Subquery == nil:
-		t, err := a.Table(sel.From[0].Table)
-		if err != nil {
-			return
-		}
-		if p, ok := vexec.PlanQuery(sel, t.Schema()); ok {
-			pl.VectorizedMode = p.Mode()
-		}
-	case len(sel.From) == 2 && sel.From[0].Subquery == nil && sel.From[1].Subquery == nil:
-		lt, lerr := a.Table(sel.From[0].Table)
-		rt, rerr := a.Table(sel.From[1].Table)
-		if lerr != nil || rerr != nil {
-			return
-		}
-		method := relalg.MethodAuto
-		if len(pl.Methods) > 0 {
-			method = pl.Methods[0]
-		}
-		if p, ok := vexec.PlanJoin(sel, lt.Schema(), rt.Schema(), method); ok {
-			pl.VectorizedMode = p.Mode()
-			if len(pl.Steps) > 0 {
-				pl.Steps[0].Vectorized = true
-			}
+	if bp, _ := a.planBatch(sel, methods); !bp.none() {
+		pl.VectorizedMode = bp.mode()
+		if bp.join != nil && len(pl.Steps) > 0 {
+			pl.Steps[0].Vectorized = true
 		}
 	}
 }
 
-// EncodingSummary renders a table's dictionary-encoded columns for EXPLAIN
+// encodingSummary renders a table's dictionary-encoded columns for EXPLAIN
 // scan lines ("dict(cat:3,grp:5)" — name:cardinality per encoded column);
 // empty when every column is plain.
-func EncodingSummary(t *colstore.Table) string {
+func encodingSummary(t *colstore.Table) string {
 	var parts []string
 	for _, e := range t.ColumnEncodings() {
 		if e.Dict {
@@ -376,21 +354,14 @@ func (a *Accelerator) BuildFromRelationTraced(txnID int64, snap *Snapshot, sel *
 	if len(sel.From) == 0 {
 		return relalg.JoinAll(nil, nil, a.slices)
 	}
-	// Two plain tables with no substituted relations: produce the joined FROM
-	// relation straight from column batches with the batch hash join, folding
-	// sel's WHERE in. The caller re-executes the full statement (WHERE
-	// included) over the union of the per-shard results, so pre-filtering here
-	// only reduces the rows that travel to the coordinator.
-	if a.VectorizedEnabled() && len(overrides) == 0 &&
-		len(sel.From) == 2 && sel.From[0].Subquery == nil && sel.From[1].Subquery == nil {
-		reduced := &sqlparse.SelectStmt{
-			Items: []sqlparse.SelectItem{{Star: true}},
-			From:  sel.From,
-			Where: sel.Where,
-			Limit: -1,
-		}
-		if plan, lt, rt, ok := a.planVectorizedJoin(reduced, methods); ok {
-			return a.runJoinPlan(plan, lt, rt, snap, reduced, sp)
+	// No substituted relations: a batch plan produces the FROM relation
+	// straight from column batches, folding sel's WHERE in. The caller
+	// re-executes the full statement (WHERE included) over the union of the
+	// per-shard results, so pre-filtering here only reduces the rows that
+	// travel to the coordinator.
+	if len(overrides) == 0 {
+		if rel, ok, err := a.runFiltered(snap, sel, methods, sp); ok {
+			return rel, err
 		}
 	}
 	rels := make([]*relalg.Relation, len(sel.From))

@@ -122,7 +122,7 @@ func (r *Router) AddMember(a *accel.Accelerator) error {
 			}
 		}
 	}
-	a.SetVectorizedExecution(r.VectorizedEnabled())
+	a.SetVectorizedExecution(r.members[0].VectorizedEnabled())
 	r.members = append(append([]*accel.Accelerator(nil), r.members...), a)
 	atomic.AddInt64(&r.epoch, 1)
 	r.retargetLocked()

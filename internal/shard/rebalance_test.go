@@ -133,6 +133,9 @@ func TestAddMemberMigratesRows(t *testing.T) {
 	router, ref := newFleet(t, 3, "ID", rows)
 
 	before := shardRowCounts(t, router, "T")
+	// The engine switch lives on the members: a member joining while it is
+	// off must take the setting from them.
+	router.SetVectorizedExecution(false)
 	joiner := accel.New("SHARD3", 2)
 	if err := router.AddMember(joiner); err != nil {
 		t.Fatal(err)
@@ -175,23 +178,43 @@ func TestAddMemberMigratesRows(t *testing.T) {
 		t.Fatalf("rebalance did not settle: %+v", status)
 	}
 
-	// Differential check: the grown fleet answers exactly like the reference.
-	for _, sql := range []string{
-		"SELECT * FROM t ORDER BY id",
-		"SELECT dept, COUNT(*), SUM(v) FROM t GROUP BY dept ORDER BY dept",
-		"SELECT * FROM t WHERE id = 1234",
-		"SELECT COUNT(*) FROM t WHERE id IN (1, 2, 3, 999)",
-	} {
-		sel := parseSelect(t, sql)
-		got, err := router.Query(0, sel)
-		if err != nil {
-			t.Fatalf("fleet %q: %v", sql, err)
+	// Differential check: the grown fleet answers exactly like the reference,
+	// first with the row engine on every member, the joiner included, then,
+	// with the switch back on, with batches on every member.
+	for _, vectorized := range []bool{false, true} {
+		if vectorized {
+			router.SetVectorizedExecution(true)
 		}
-		want, err := ref.Query(0, parseSelect(t, sql))
-		if err != nil {
-			t.Fatalf("reference %q: %v", sql, err)
+		ran := make([]int64, len(router.Members()))
+		for i, m := range router.Members() {
+			ran[i] = -m.Stats().VectorizedQueries
 		}
-		assertSameResult(t, sql, got, want, strings.Contains(sql, "ORDER BY"))
+		for _, sql := range []string{
+			"SELECT * FROM t ORDER BY id",
+			"SELECT dept, COUNT(*), SUM(v) FROM t GROUP BY dept ORDER BY dept",
+			"SELECT * FROM t WHERE id = 1234",
+			"SELECT COUNT(*) FROM t WHERE id IN (1, 2, 3, 999)",
+		} {
+			sel := parseSelect(t, sql)
+			got, err := router.Query(0, sel)
+			if err != nil {
+				t.Fatalf("fleet %q: %v", sql, err)
+			}
+			want, err := ref.Query(0, parseSelect(t, sql))
+			if err != nil {
+				t.Fatalf("reference %q: %v", sql, err)
+			}
+			assertSameResult(t, sql, got, want, strings.Contains(sql, "ORDER BY"))
+		}
+		for i, m := range router.Members() {
+			ran[i] += m.Stats().VectorizedQueries
+			if (ran[i] > 0) != vectorized || m.VectorizedEnabled() != vectorized {
+				t.Fatalf("engine switch %v: member %s ran %d batch plans (switch %v)", vectorized, m.Name(), ran[i], m.VectorizedEnabled())
+			}
+		}
+		if router.VectorizedEnabled() != vectorized {
+			t.Fatalf("router reports the engine %v, members have it %v", router.VectorizedEnabled(), vectorized)
+		}
 	}
 }
 

@@ -10,11 +10,9 @@ import (
 	"idaax/internal/obs"
 	"idaax/internal/obs/eventlog"
 	"idaax/internal/planner"
-	"idaax/internal/relalg"
 	"idaax/internal/sqlparse"
 	"idaax/internal/stats"
 	"idaax/internal/types"
-	"idaax/internal/vexec"
 )
 
 // tableMeta is the router-side description of a sharded table. Its placement
@@ -212,10 +210,6 @@ type Router struct {
 	// rebal is the single-flight state of the background rebalancer.
 	rebal rebalanceState
 
-	// vectorizedOff mirrors the members' vectorized-execution switch so
-	// members joining an elastic fleet later inherit the current setting.
-	vectorizedOff int32
-
 	// procMu guards procCalls, the per-procedure scatter counters surfaced by
 	// DistributedProcCalls.
 	procMu    sync.Mutex
@@ -374,22 +368,21 @@ func (r *Router) ShardingStats() Stats {
 	}
 }
 
-// SetVectorizedExecution toggles the vectorized batch engine on every member
-// (and on members added later). Enabled by default; bench E13 turns it off to
-// measure the row-at-a-time baseline.
+// SetVectorizedExecution toggles the vectorized batch engine on every member.
+// The switch's state lives on the members: VectorizedEnabled reads one, and
+// AddMember copies it to a joining member. Holding the membership lock keeps
+// a concurrent AddMember from copying a stale setting.
 func (r *Router) SetVectorizedExecution(enabled bool) {
-	v := int32(1)
-	if enabled {
-		v = 0
-	}
-	atomic.StoreInt32(&r.vectorizedOff, v)
-	for _, m := range r.Members() {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, m := range r.members {
 		m.SetVectorizedExecution(enabled)
 	}
 }
 
-// VectorizedEnabled reports whether the fleet runs vectorized execution.
-func (r *Router) VectorizedEnabled() bool { return atomic.LoadInt32(&r.vectorizedOff) == 0 }
+// VectorizedEnabled reports whether the members run the vectorized batch
+// engine (the first member's switch; SetVectorizedExecution sets them all).
+func (r *Router) VectorizedEnabled() bool { return r.Members()[0].VectorizedEnabled() }
 
 func (r *Router) meta(table string) (*tableMeta, error) {
 	r.mu.RLock()
@@ -558,74 +551,30 @@ func (r *Router) PlannerCatalog() planner.Catalog {
 	}
 }
 
-// Explain plans a SELECT against the shard fleet without executing it.
+// Explain plans a SELECT against the shard fleet without executing it. The
+// member that runs the statement annotates the plan with its own batch-plan
+// decision, for the statement executeShardLocal hands it (localRoute): the
+// whole statement on a single remaining shard, the partial aggregate of a
+// two-phase plan, or the FROM and WHERE clauses otherwise. Broadcast and
+// gather placements substitute or move relations, so the members scan in
+// batches but run no batch plan.
 func (r *Router) Explain(sel *sqlparse.SelectStmt) (*planner.Plan, error) {
 	pl := planner.PlanSelect(sel, r.PlannerCatalog())
-	if pl != nil {
-		r.annotateVectorized(pl, sel)
+	if pl == nil {
+		return nil, nil
 	}
+	ms := r.Members()
+	m, run, whole := ms[0], pl.Sel, false
+	switch fast, twoPhase := localRoute(sel, pl, len(ms)); {
+	case fast >= 0:
+		m, run, whole = ms[fast], sel, true
+	case twoPhase != nil:
+		run, whole = twoPhase.shardSel, true
+	case pl.Placement != planner.PlacementColocated:
+		run = nil
+	}
+	m.AnnotateMemberPlan(pl, run, whole)
 	return pl, nil
-}
-
-// annotateVectorized records how far the members' vectorized batch engine
-// carries the statement (the members execute pruned/scattered statements, so
-// the single-table eligibility rules apply shard-side too).
-func (r *Router) annotateVectorized(pl *planner.Plan, sel *sqlparse.SelectStmt) {
-	// Column encodings are per-member physical state; members of a healthy
-	// fleet converge on the same dictionaries, so the first member's tables
-	// stand in for the fleet in the plan display. Reported whether or not the
-	// batch engine runs the statement.
-	if ms := r.Members(); len(ms) > 0 {
-		for i, scan := range pl.Scans {
-			if scan.Item.Subquery != nil {
-				continue
-			}
-			if t, err := ms[0].Table(scan.Item.Table); err == nil {
-				pl.Scans[i].Encoding = accel.EncodingSummary(t)
-			}
-		}
-	}
-	if !r.VectorizedEnabled() {
-		return
-	}
-	pl.Vectorized = true
-	pl.VectorizedMode = vexec.ModeScan
-	// Annotate from the planner-rewritten statement — members execute pl.Sel
-	// with pl.Methods, not the original FROM order.
-	if pl.Sel != nil {
-		sel = pl.Sel
-	}
-	switch {
-	case len(sel.From) == 1 && sel.From[0].Subquery == nil:
-		meta, err := r.meta(sel.From[0].Table)
-		if err != nil {
-			return
-		}
-		if p, ok := vexec.PlanQuery(sel, meta.schema); ok {
-			pl.VectorizedMode = p.Mode()
-		}
-	case len(sel.From) == 2 && sel.From[0].Subquery == nil && sel.From[1].Subquery == nil:
-		// Broadcast and gather placements substitute or move relations, so the
-		// members cannot run the join from column batches there.
-		if pl.Placement != planner.PlacementColocated {
-			return
-		}
-		lm, lerr := r.meta(sel.From[0].Table)
-		rm, rerr := r.meta(sel.From[1].Table)
-		if lerr != nil || rerr != nil {
-			return
-		}
-		method := relalg.MethodAuto
-		if len(pl.Methods) > 0 {
-			method = pl.Methods[0]
-		}
-		if p, ok := vexec.PlanJoin(sel, lm.schema, rm.schema, method); ok {
-			pl.VectorizedMode = p.Mode()
-			if len(pl.Steps) > 0 {
-				pl.Steps[0].Vectorized = true
-			}
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

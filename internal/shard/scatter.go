@@ -160,6 +160,30 @@ func (r *Router) noteAvoidedScans(pl *planner.Plan) {
 	}
 }
 
+// localRoute is how executeShardLocal runs a co-located plan over n members,
+// and Explain reads it too, so EXPLAIN reports what the members run. With a
+// single remaining shard, fast is its ordinal: the whole statement —
+// aggregation, ordering, limits — is answerable by that shard alone (and by
+// its own snapshot), so the hot pruned path skips the fleet-wide snapshot
+// set entirely. Otherwise a grouped statement two-phase accepts runs as
+// per-shard partial aggregates (twoPhase), and any other statement, like
+// every broadcast plan, builds the FROM relation on each participant (fast
+// -1, twoPhase nil).
+func localRoute(sel *sqlparse.SelectStmt, pl *planner.Plan, n int) (fast int, twoPhase *twoPhasePlan) {
+	if pl.Placement != planner.PlacementColocated {
+		return -1, nil
+	}
+	if p := participantsOf(n, pl.Candidates, pl.EmptyCandidates); len(p) == 1 {
+		return p[0], nil
+	}
+	if relalg.NeedsAggregation(sel) {
+		if plan, ok := planTwoPhase(sel); ok {
+			return -1, plan
+		}
+	}
+	return -1, nil
+}
+
 // executeShardLocal runs co-located and broadcast plans: every participating
 // shard builds the FROM relation locally — a single table filtered exactly,
 // a join with pushdown, planned order and methods, broadcast tables
@@ -171,34 +195,27 @@ func (r *Router) executeShardLocal(txnID int64, sel *sqlparse.SelectStmt, pl *pl
 	hasBroadcast := pl.Placement == planner.PlacementBroadcast
 	multiTable := len(pl.Scans) > 1
 
-	// Single remaining shard and nothing to broadcast: the whole statement —
-	// aggregation, ordering, limits — is answerable by that shard alone (and
-	// by its own snapshot), so the hot pruned path skips the fleet-wide
-	// snapshot set entirely.
-	if !hasBroadcast {
-		ms := r.Members()
-		if fast := participantsOf(len(ms), pl.Candidates, pl.EmptyCandidates); len(fast) == 1 {
-			if pl.Candidates != nil || pl.EmptyCandidates {
-				atomic.AddInt64(&r.stats.QueriesPruned, 1)
-			}
-			if multiTable {
-				atomic.AddInt64(&r.stats.ColocatedJoins, 1)
-			}
-			return r.queryOneShard(txnID, sel, ms[fast[0]], sp)
+	ms := r.Members()
+	fast, twoPhase := localRoute(sel, pl, len(ms))
+	if fast >= 0 {
+		if pl.Candidates != nil || pl.EmptyCandidates {
+			atomic.AddInt64(&r.stats.QueriesPruned, 1)
 		}
+		if multiTable {
+			atomic.AddInt64(&r.stats.ColocatedJoins, 1)
+		}
+		return r.queryOneShard(txnID, sel, ms[fast], sp)
 	}
 
 	ms, snaps := r.snapshotAll(txnID)
 	participants := participantsOf(len(ms), pl.Candidates, pl.EmptyCandidates)
 
-	if !hasBroadcast && relalg.NeedsAggregation(sel) {
-		if plan, ok := planTwoPhase(sel); ok {
-			atomic.AddInt64(&r.stats.TwoPhaseAggregates, 1)
-			if multiTable {
-				atomic.AddInt64(&r.stats.ColocatedJoins, 1)
-			}
-			return r.executeTwoPhaseOn(txnID, plan, ms, snaps, participants, sp)
+	if twoPhase != nil {
+		atomic.AddInt64(&r.stats.TwoPhaseAggregates, 1)
+		if multiTable {
+			atomic.AddInt64(&r.stats.ColocatedJoins, 1)
 		}
+		return r.executeTwoPhaseOn(txnID, twoPhase, ms, snaps, participants, sp)
 	}
 
 	if multiTable {

@@ -2,6 +2,7 @@ package vexec
 
 import (
 	"math"
+	"slices"
 
 	"idaax/internal/colstore"
 	"idaax/internal/expr"
@@ -669,36 +670,34 @@ func (jp *JoinPlan) combineRow(row types.Row, b *colstore.Batch, off int, bt *ha
 	return row
 }
 
-func (jp *JoinPlan) probeMaterialize(t *colstore.Table, bt *hashTable, slices int, vis colstore.Visibility) (*relalg.Relation, colstore.ScanStats, error) {
-	nw := max(slices, 1)
+func (jp *JoinPlan) probeMaterialize(t *colstore.Table, bt *hashTable, parallelism int, vis colstore.Visibility) (*relalg.Relation, colstore.ScanStats, error) {
+	nw := max(parallelism, 1)
 	buckets := make([][]types.Row, nw)
+	// The residual runs on one scratch row per worker; only kept rows are
+	// copied out.
 	envs := make([]*expr.Env, nw)
-	stats, err := jp.probe(t, bt, slices, vis, func(w int, b *colstore.Batch, off, slot int) error {
-		row := jp.combineRow(make(types.Row, len(jp.cols)), b, off, bt, slot)
-		if jp.residual != nil {
-			if envs[w] == nil {
-				envs[w] = expr.NewEnv(jp.cols)
-			}
-			ok, err := envs[w].EvalBool(jp.residual, row)
-			if err != nil || !ok {
-				return err
-			}
+	rows := make([]types.Row, nw)
+	stats, err := jp.probe(t, bt, parallelism, vis, func(w int, b *colstore.Batch, off, slot int) error {
+		if jp.residual == nil {
+			buckets[w] = append(buckets[w], jp.combineRow(make(types.Row, len(jp.cols)), b, off, bt, slot))
+			return nil
 		}
-		buckets[w] = append(buckets[w], row)
+		if envs[w] == nil {
+			envs[w] = expr.NewEnv(jp.cols)
+			rows[w] = make(types.Row, len(jp.cols))
+		}
+		row := jp.combineRow(rows[w], b, off, bt, slot)
+		ok, err := envs[w].EvalBool(jp.residual, row)
+		if err != nil || !ok {
+			return err
+		}
+		buckets[w] = append(buckets[w], slices.Clone(row))
 		return nil
 	})
 	if err != nil {
 		return nil, stats, err
 	}
-	total := 0
-	for _, rows := range buckets {
-		total += len(rows)
-	}
-	out := make([]types.Row, 0, total)
-	for _, rows := range buckets {
-		out = append(out, rows...)
-	}
-	return &relalg.Relation{Cols: jp.cols, Rows: out}, stats, nil
+	return &relalg.Relation{Cols: jp.cols, Rows: slices.Concat(buckets...)}, stats, nil
 }
 
 func (jp *JoinPlan) probeAggregate(t *colstore.Table, bt *hashTable, slices int, vis colstore.Visibility) (*relalg.Relation, colstore.ScanStats, error) {

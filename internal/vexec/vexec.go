@@ -40,6 +40,7 @@
 package vexec
 
 import (
+	"slices"
 	"strings"
 
 	"idaax/internal/colstore"
@@ -143,17 +144,22 @@ func (p *Plan) Run(t *colstore.Table, slices int, vis colstore.Visibility) (*rel
 	return p.runFilter(t, slices, vis)
 }
 
-func (p *Plan) runFilter(t *colstore.Table, slices int, vis colstore.Visibility) (*relalg.Relation, colstore.ScanStats, error) {
-	nw := max(slices, 1)
+func (p *Plan) runFilter(t *colstore.Table, parallelism int, vis colstore.Visibility) (*relalg.Relation, colstore.ScanStats, error) {
+	nw := max(parallelism, 1)
 	buckets := make([][]types.Row, nw)
+	// The residual runs on one scratch row per worker; only kept rows are
+	// copied out.
 	var envs []*expr.Env
+	var rows []types.Row
 	if p.residual != nil {
 		envs = make([]*expr.Env, nw)
+		rows = make([]types.Row, nw)
 		for i := range envs {
 			envs[i] = expr.NewEnv(p.cols)
+			rows[i] = make(types.Row, len(p.cols))
 		}
 	}
-	stats, err := t.ScanBatches(slices, vis, p.preds, func(w int, b *colstore.Batch) error {
+	stats, err := t.ScanBatches(parallelism, vis, p.preds, func(w int, b *colstore.Batch) error {
 		sel := applyNullChecks(b, p.nullChecks)
 		if len(sel) == 0 {
 			return nil
@@ -163,9 +169,8 @@ func (p *Plan) runFilter(t *colstore.Table, slices int, vis colstore.Visibility)
 			buckets[w] = b.Materialize(buckets[w])
 			return nil
 		}
-		env := envs[w]
+		env, row := envs[w], rows[w]
 		for _, off := range sel {
-			row := make(types.Row, len(b.Cols))
 			for ci := range b.Cols {
 				row[ci] = b.Cols[ci].Value(off)
 			}
@@ -174,7 +179,7 @@ func (p *Plan) runFilter(t *colstore.Table, slices int, vis colstore.Visibility)
 				return err
 			}
 			if ok {
-				buckets[w] = append(buckets[w], row)
+				buckets[w] = append(buckets[w], slices.Clone(row))
 			}
 		}
 		return nil
@@ -182,15 +187,20 @@ func (p *Plan) runFilter(t *colstore.Table, slices int, vis colstore.Visibility)
 	if err != nil {
 		return nil, stats, err
 	}
-	total := 0
-	for _, rows := range buckets {
-		total += len(rows)
+	return &relalg.Relation{Cols: p.cols, Rows: slices.Concat(buckets...)}, stats, nil
+}
+
+// Finish runs over out, the output of a batch plan for sel, the operators
+// the plan left to the row engine: none for an aggregated plan, whose output
+// is final, and otherwise the rest of sel with the WHERE clause stripped,
+// since the plan applied it exactly.
+func Finish(out *relalg.Relation, aggregated bool, sel *sqlparse.SelectStmt, parallelism int) (*relalg.Relation, error) {
+	if aggregated {
+		return out, nil
 	}
-	out := make([]types.Row, 0, total)
-	for _, rows := range buckets {
-		out = append(out, rows...)
-	}
-	return &relalg.Relation{Cols: p.cols, Rows: out}, stats, nil
+	rest := *sel
+	rest.Where = nil
+	return relalg.ExecuteSelect(out, &rest, relalg.Options{Parallelism: parallelism})
 }
 
 // applyNullChecks compacts the batch's selection vector through the

@@ -82,8 +82,7 @@ func rowPath(t *testing.T, tab *colstore.Table, vis colstore.Visibility, sel *sq
 	return relalg.ExecuteSelect(from, sel, relalg.Options{Parallelism: 1})
 }
 
-// vecPath executes sel through the vectorized engine (plus the row remainder
-// for non-aggregated plans), the way Accelerator.tryVectorized wires it.
+// vecPath executes sel through the vectorized engine, then Finish.
 func vecPath(t *testing.T, tab *colstore.Table, vis colstore.Visibility, sel *sqlparse.SelectStmt, slices int) (*relalg.Relation, error) {
 	t.Helper()
 	plan, ok := PlanQuery(sel, tab.Schema())
@@ -94,12 +93,7 @@ func vecPath(t *testing.T, tab *colstore.Table, vis colstore.Visibility, sel *sq
 	if err != nil {
 		return nil, err
 	}
-	if plan.Aggregated() {
-		return rel, nil
-	}
-	rest := *sel
-	rest.Where = nil
-	return relalg.ExecuteSelect(rel, &rest, relalg.Options{Parallelism: 1})
+	return Finish(rel, plan.Aggregated(), sel, 1)
 }
 
 // fingerprint renders a relation as sorted row strings (column names

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"idaax"
 )
@@ -111,15 +112,13 @@ func runJoinCorpus(t *testing.T, sys *idaax.System, queries []struct {
 	ordered bool
 }) map[bool][]string {
 	t.Helper()
+	sys.SetSlowQueryThreshold(time.Nanosecond)
 	s := sys.AdminSession()
 	results := map[bool][]string{}
 	for _, vectorized := range []bool{true, false} {
 		sys.SetVectorizedExecution(vectorized)
 		for _, q := range queries {
-			res, err := s.Query(q.sql)
-			if err != nil {
-				t.Fatalf("%s (vectorized=%v): %v", q.sql, vectorized, err)
-			}
+			res := checkExplainMatchesTrace(t, sys, s, q.sql, vectorized)
 			fp := sortedFingerprint(res)
 			if q.ordered {
 				fp = resultFingerprint(res)

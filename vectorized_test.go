@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"idaax"
 )
@@ -62,6 +63,73 @@ func sortedFingerprint(res *idaax.Result) string {
 	return strings.Join(res.Columns, ",") + "\n" + strings.Join(lines, "\n")
 }
 
+// checkExplainMatchesTrace runs EXPLAIN for sql and then sql itself, and
+// checks that EXPLAIN's execution line names what ran. With the engine on,
+// every "mode=vectorized:<mode>" label on the executed trace's scan and join
+// spans must equal EXPLAIN's mode; a statement no batch plan runs carries no
+// label, and EXPLAIN then reports plain batch scans ("scan"). Spans under a
+// "subquery" span belong to the subquery's own plan and are skipped. With the
+// engine off there is neither a vectorized line nor a label. sys must capture
+// every statement's trace (a 1ns slow-query threshold). It returns the
+// statement's result.
+func checkExplainMatchesTrace(t *testing.T, sys *idaax.System, s *idaax.Session, sql string, vectorized bool) *idaax.Result {
+	t.Helper()
+	plan, err := s.Query("EXPLAIN " + sql)
+	if err != nil {
+		t.Fatalf("EXPLAIN %s: %v", sql, err)
+	}
+	explained := ""
+	for _, row := range plan.Rows {
+		line := strings.TrimSpace(row[3])
+		if mode, ok := strings.CutPrefix(line, "execution: vectorized ("); ok {
+			explained = strings.TrimSuffix(mode, ")")
+		}
+	}
+	res, err := s.Query(sql)
+	if err != nil {
+		t.Fatalf("%s (vectorized=%v): %v", sql, vectorized, err)
+	}
+	slow := sys.SlowQueries(1)
+	if len(slow) == 0 || slow[0].SQL != sql {
+		t.Fatalf("%s: no trace captured", sql)
+	}
+	traced := map[string]bool{}
+	skipBelow := -1 // indentation of the enclosing subquery span, -1 outside one
+	for _, line := range strings.Split(slow[0].Trace, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		depth := len(line) - len(strings.TrimLeft(line, " "))
+		if skipBelow >= 0 && depth > skipBelow {
+			continue
+		}
+		skipBelow = -1
+		if fields[0] == "subquery" {
+			skipBelow = depth
+			continue
+		}
+		for _, f := range fields[1:] {
+			if mode, ok := strings.CutPrefix(f, "mode=vectorized:"); ok {
+				traced[mode] = true
+			}
+		}
+	}
+	switch {
+	case !vectorized:
+		if explained != "" || len(traced) > 0 {
+			t.Errorf("%s: engine off, but EXPLAIN says %q and the trace ran %v", sql, explained, traced)
+		}
+	case len(traced) == 0:
+		if explained != "scan" {
+			t.Errorf("%s: no batch plan ran, but EXPLAIN says vectorized (%s)", sql, explained)
+		}
+	case len(traced) > 1 || !traced[explained]:
+		t.Errorf("%s: EXPLAIN says vectorized (%s), the trace ran %v", sql, explained, traced)
+	}
+	return res
+}
+
 // vectorizedDifferentialQueries is the end-to-end SQL corpus: vector filters,
 // residual fallbacks, vectorized aggregation, row-path fallbacks, NULLs,
 // empty results, DISTINCT/ORDER BY/LIMIT above the batch scan.
@@ -111,6 +179,7 @@ func TestVectorizedDifferentialSQL(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
 	seedVectorTable(t, sys, "IDAA1", "", 1000)
+	sys.SetSlowQueryThreshold(time.Nanosecond)
 	s := sys.AdminSession()
 
 	results := map[bool][]string{}
@@ -121,10 +190,7 @@ func TestVectorizedDifferentialSQL(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range vectorizedDifferentialQueries {
-			res, err := s.Query(q.sql)
-			if err != nil {
-				t.Fatalf("%s (vectorized=%v): %v", q.sql, vectorized, err)
-			}
+			res := checkExplainMatchesTrace(t, sys, s, q.sql, vectorized)
 			fp := sortedFingerprint(res)
 			if q.ordered {
 				fp = resultFingerprint(res)
@@ -197,6 +263,7 @@ func TestVectorizedShardedDifferential(t *testing.T) {
 	sys := newShardedSystem(t, 3)
 	defer sys.Close()
 	seedVectorTable(t, sys, "SHARDS", " DISTRIBUTE BY HASH(id)", 1200)
+	sys.SetSlowQueryThreshold(time.Nanosecond)
 	s := sys.AdminSession()
 
 	queries := append([]struct {
@@ -212,10 +279,7 @@ func TestVectorizedShardedDifferential(t *testing.T) {
 	for _, vectorized := range []bool{true, false} {
 		sys.SetVectorizedExecution(vectorized)
 		for _, q := range queries {
-			res, err := s.Query(q.sql)
-			if err != nil {
-				t.Fatalf("%s (vectorized=%v): %v", q.sql, vectorized, err)
-			}
+			res := checkExplainMatchesTrace(t, sys, s, q.sql, vectorized)
 			fp := sortedFingerprint(res)
 			if q.ordered {
 				fp = resultFingerprint(res)
