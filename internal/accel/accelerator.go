@@ -291,9 +291,34 @@ func (a *Accelerator) Prepare(txnID int64) error { return a.Registry.Prepare(txn
 // CommitTxn makes a DB2 transaction's accelerator changes durable/visible.
 func (a *Accelerator) CommitTxn(txnID int64) {
 	a.Registry.Commit(txnID)
+	a.forgetDeleter(txnID)
+}
+
+// CommitTxnQuiet is CommitTxn without the registry's commit record: it
+// returns the commit sequence for the caller to journal, as the shard router
+// journals one commit across several members as a single record.
+func (a *Accelerator) CommitTxnQuiet(txnID int64) int64 {
+	seq := a.Registry.CommitQuiet(txnID)
+	a.forgetDeleter(txnID)
+	return seq
+}
+
+// forgetDeleter drops txnID from deleters once it settled, and reports
+// whether it was there.
+func (a *Accelerator) forgetDeleter(txnID int64) bool {
 	a.deleteMu.Lock()
+	defer a.deleteMu.Unlock()
+	deleted := a.deleters[txnID]
 	delete(a.deleters, txnID)
-	a.deleteMu.Unlock()
+	return deleted
+}
+
+// PendingSweeps returns how many open transactions an abort would have to
+// sweep (see deleters); a settled transaction leaves none behind.
+func (a *Accelerator) PendingSweeps() int {
+	a.deleteMu.Lock()
+	defer a.deleteMu.Unlock()
+	return len(a.deleters)
 }
 
 // noteDeleter records that txnID needs the abort sweep (see deleters).
@@ -311,11 +336,7 @@ func (a *Accelerator) noteDeleter(txnID int64) {
 // transactions that deleted something or applied a replication batch.
 func (a *Accelerator) AbortTxn(txnID int64) {
 	a.Registry.Abort(txnID)
-	a.deleteMu.Lock()
-	deleted := a.deleters[txnID]
-	delete(a.deleters, txnID)
-	a.deleteMu.Unlock()
-	if !deleted {
+	if !a.forgetDeleter(txnID) {
 		return
 	}
 	for _, t := range a.tableList() {

@@ -111,9 +111,10 @@ func (r *Registry) SetJournal(j RegistryJournal) {
 }
 
 // CommitQuiet commits txnID without journaling and returns its commit
-// sequence. The rebalancer uses it to commit one batch hand-over across
-// several member registries and journal all of them as a single atomic
-// multi-commit record.
+// sequence, for a caller that journals the commit itself: the shard router
+// records one batch's commits on several members as a single atomic
+// multi-commit record (Accelerator.CommitTxnQuiet), and recovery records its
+// in-doubt verdicts.
 func (r *Registry) CommitQuiet(txnID int64) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

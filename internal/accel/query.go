@@ -49,17 +49,19 @@ func (a *Accelerator) QueryAtTraced(txnID int64, snap *Snapshot, sel *sqlparse.S
 		}
 	}()
 	sel, methods := a.planStatement(sel)
-	if bp := a.execPlan(sel, methods); !bp.none() {
-		rel, err = a.runBatch(bp, snap, sel, sp)
-		if err == nil {
-			rel, err = vexec.Finish(rel, bp.aggregated(), sel, a.slices)
-		}
+	bp, declined := a.planBatch(sel, methods)
+	a.countDeclined(declined)
+	if bp.none() {
+		// The fallback may try a batch plan for sel's FROM and WHERE; sel has
+		// counted its one fallback already.
+		rel, _, err = a.buildFiltered(txnID, snap, sel, nil, methods, sp)
 	} else {
-		var from *relalg.Relation
-		from, err = a.BuildFromRelationTraced(txnID, snap, sel, nil, methods, sp)
-		if err == nil {
-			rel, err = relalg.ExecuteSelect(from, sel, relalg.Options{Parallelism: a.slices})
-		}
+		rel, err = a.runBatch(bp, snap, sel, sp)
+	}
+	// An aggregated plan's output is final; anything else is sel's FROM
+	// relation with WHERE applied.
+	if err == nil && !bp.aggregated() {
+		rel, err = relalg.ExecuteFiltered(rel, sel, relalg.Options{Parallelism: a.slices})
 	}
 	if err != nil {
 		return nil, err
@@ -90,7 +92,7 @@ func (bp batchPlan) aggregated() bool {
 	if bp.join != nil {
 		return bp.join.Aggregated()
 	}
-	return bp.scan.Aggregated()
+	return bp.scan != nil && bp.scan.Aggregated()
 }
 
 // planBatch decides which batch plan runs sel with the planner's join
@@ -129,14 +131,12 @@ func (a *Accelerator) planBatch(sel *sqlparse.SelectStmt, methods []relalg.JoinM
 	return batchPlan{join: join, lt: lt, rt: rt}, false
 }
 
-// execPlan is planBatch for execution: a statement vexec declines counts as
-// a fallback of the batch engine (EXPLAIN counts nothing).
-func (a *Accelerator) execPlan(sel *sqlparse.SelectStmt, methods []relalg.JoinMethod) batchPlan {
-	bp, declined := a.planBatch(sel, methods)
+// countDeclined counts a statement vexec declined as one fallback of the
+// batch engine. Execution counts once per statement; EXPLAIN counts nothing.
+func (a *Accelerator) countDeclined(declined bool) {
 	if declined {
 		atomic.AddInt64(&a.vexecFallbacks, 1)
 	}
-	return bp
 }
 
 // runBatch runs a batch plan for sel under the statement snapshot, with a
@@ -190,45 +190,6 @@ func filterOnly(sel *sqlparse.SelectStmt) *sqlparse.SelectStmt {
 	return &sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Star: true}}, From: sel.From, Where: sel.Where, Limit: -1}
 }
 
-// runFiltered runs sel's FROM and WHERE, and nothing above them, through a
-// batch plan with the given join methods; ok is false when no batch plan
-// runs them.
-func (a *Accelerator) runFiltered(snap *Snapshot, sel *sqlparse.SelectStmt, methods []relalg.JoinMethod, sp *obs.Span) (rel *relalg.Relation, ok bool, err error) {
-	reduced := filterOnly(sel)
-	bp := a.execPlan(reduced, methods)
-	if bp.none() {
-		return nil, false, nil
-	}
-	rel, err = a.runBatch(bp, snap, reduced, sp)
-	return rel, true, err
-}
-
-// ScanFilteredTraced returns exactly the rows of sel's single plain table that
-// are visible under snap and satisfy sel's WHERE clause — every column,
-// qualified by the FROM item name, in position order. With the batch engine
-// on this is the vexec scan+filter plan (vector predicates with zone-map
-// pruning, residual conjuncts on the survivors, late materialisation), the
-// same exact filter Query relies on; with it off, the row scan with pushdown
-// followed by relalg.Filter. The shard router calls it so a shard-local
-// single-table statement filters once, on the shard, and the coordinator runs
-// the rest of the statement with WHERE stripped. sp may be nil.
-func (a *Accelerator) ScanFilteredTraced(snap *Snapshot, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error) {
-	if rel, ok, err := a.runFiltered(snap, sel, nil, sp); ok {
-		return rel, err
-	}
-	item := sel.From[0]
-	t, err := a.Table(item.Table)
-	if err != nil {
-		atomic.AddInt64(&a.queryErrors, 1)
-		return nil, err
-	}
-	rows, err := a.ScanVisibleTraced(snap, item.Table, sel, item, sp)
-	if err != nil {
-		return nil, err
-	}
-	return relalg.Filter(relalg.FromTable(item.Name(), t.Schema(), rows), sel.Where, relalg.Options{Parallelism: a.slices})
-}
-
 // PlannerCatalog exposes this accelerator's tables and statistics to the
 // cost-based planner.
 func (a *Accelerator) PlannerCatalog() planner.Catalog {
@@ -274,10 +235,9 @@ func (a *Accelerator) Explain(sel *sqlparse.SelectStmt) (*planner.Plan, error) {
 // AnnotateMemberPlan records on pl, a shard router's plan, what this member
 // runs for it, for EXPLAIN: the batch plan of run handed to QueryAtTraced
 // when whole (the member plans run's joins itself), or of run's FROM and
-// WHERE with pl's join methods, as ScanFilteredTraced and
-// BuildFromRelationTraced take them. run is nil when the member runs no
-// batch plan: its tables are gathered or substituted, and the row operators
-// run over its batch scans.
+// WHERE with pl's join methods, as BuildFromRelationTraced takes them. run
+// is nil when the member runs no batch plan: its tables are gathered or
+// substituted, and the row operators run over its batch scans.
 func (a *Accelerator) AnnotateMemberPlan(pl *planner.Plan, run *sqlparse.SelectStmt, whole bool) {
 	var methods []relalg.JoinMethod
 	switch {
@@ -335,9 +295,11 @@ func encodingSummary(t *colstore.Table) string {
 	return "dict(" + strings.Join(parts, ",") + ")"
 }
 
-// BuildFromRelation materialises every FROM item of sel under the single
-// statement-level snapshot and folds them with the planned join methods, so a
-// multi-table join cannot observe a concurrent commit between its scans.
+// BuildFromRelation returns sel's FROM relation with sel's WHERE clause
+// applied, every FROM item read under the single statement-level snapshot and
+// folded with the planned join methods, so a multi-table join cannot observe
+// a concurrent commit between its scans. The read is exact on both engines,
+// so the caller runs only what sel has above WHERE (relalg.ExecuteFiltered).
 // Subqueries recurse through Query and snapshot on their own, as they always
 // have. overrides, keyed by normalized FROM item name, substitutes
 // caller-provided relations for table scans — the shard router uses it to
@@ -351,17 +313,23 @@ func (a *Accelerator) BuildFromRelation(txnID int64, snap *Snapshot, sel *sqlpar
 // child per table scanned (labelled with the FROM item and this accelerator's
 // name), subqueries nesting recursively. sp may be nil.
 func (a *Accelerator) BuildFromRelationTraced(txnID int64, snap *Snapshot, sel *sqlparse.SelectStmt, overrides map[string]*relalg.Relation, methods []relalg.JoinMethod, sp *obs.Span) (*relalg.Relation, error) {
-	if len(sel.From) == 0 {
-		return relalg.JoinAll(nil, nil, a.slices)
-	}
-	// No substituted relations: a batch plan produces the FROM relation
-	// straight from column batches, folding sel's WHERE in. The caller
-	// re-executes the full statement (WHERE included) over the union of the
-	// per-shard results, so pre-filtering here only reduces the rows that
-	// travel to the coordinator.
+	rel, declined, err := a.buildFiltered(txnID, snap, sel, overrides, methods, sp)
+	a.countDeclined(declined)
+	return rel, err
+}
+
+// buildFiltered is BuildFromRelationTraced, reporting rather than counting
+// whether vexec declined the batch plan of sel's FROM and WHERE. With no
+// substituted relations that plan produces the relation straight from column
+// batches; otherwise, or when there is no such plan, the row operators join
+// the scans and filter the result.
+func (a *Accelerator) buildFiltered(txnID int64, snap *Snapshot, sel *sqlparse.SelectStmt, overrides map[string]*relalg.Relation, methods []relalg.JoinMethod, sp *obs.Span) (rel *relalg.Relation, declined bool, err error) {
 	if len(overrides) == 0 {
-		if rel, ok, err := a.runFiltered(snap, sel, methods, sp); ok {
-			return rel, err
+		reduced := filterOnly(sel)
+		var bp batchPlan
+		if bp, declined = a.planBatch(reduced, methods); !bp.none() {
+			rel, err = a.runBatch(bp, snap, reduced, sp)
+			return rel, declined, err
 		}
 	}
 	rels := make([]*relalg.Relation, len(sel.From))
@@ -375,14 +343,14 @@ func (a *Accelerator) BuildFromRelationTraced(txnID int64, snap *Snapshot, sel *
 			sub, err := a.QueryTraced(txnID, item.Subquery, ssp)
 			ssp.Finish()
 			if err != nil {
-				return nil, err
+				return nil, declined, err
 			}
 			rels[i] = relalg.Requalify(sub, item.Name())
 			continue
 		}
 		t, err := a.Table(item.Table)
 		if err != nil {
-			return nil, err
+			return nil, declined, err
 		}
 		sc := a.startScanSpan(sp, item.Name())
 		rows := a.scanTable(t, snap, sel, item, sc)
@@ -390,7 +358,10 @@ func (a *Accelerator) BuildFromRelationTraced(txnID int64, snap *Snapshot, sel *
 		sc.Finish()
 		rels[i] = relalg.FromTable(item.Name(), t.Schema(), rows)
 	}
-	return relalg.JoinAllPlanned(rels, sel.From, methods, a.slices)
+	if rel, err = relalg.JoinAllPlanned(rels, sel.From, methods, a.slices); err == nil {
+		rel, err = relalg.Filter(rel, sel.Where, relalg.Options{Parallelism: a.slices})
+	}
+	return rel, declined, err
 }
 
 // startScanSpan opens a "scan" child carrying the FROM item and shard labels

@@ -396,31 +396,41 @@ func (s *Session) execSelect(tx *txn.Txn, sel *sqlparse.SelectStmt) (*Result, er
 // runSelect checks privileges, routes and executes a SELECT, returning the
 // relation and the system it ran on.
 func (s *Session) runSelect(tx *txn.Txn, sel *sqlparse.SelectStmt) (*relalg.Relation, string, error) {
-	tables := sqlparse.ReferencedTables(sel)
-	for _, t := range tables {
-		if err := s.coord.cat.CheckPrivilege(s.user, t, catalog.PrivSelect); err != nil {
-			return nil, "", err
-		}
-	}
-	dec, err := s.routeSelect(sel)
+	dec, err := s.checkAndRoute(sel)
 	if err != nil {
 		return nil, "", err
 	}
 	s.coord.noteRouting(dec.offload)
-	if dec.offload {
-		rel, err := dec.accel.QueryTraced(int64(tx.ID), sel, s.execSpan())
-		if err != nil {
-			return nil, "", err
-		}
-		return rel, dec.accelName, nil
-	}
-	dsp := s.execSpan().Child("db2")
-	rel, err := s.coord.DB2.Query(tx, sel)
-	dsp.Finish()
+	rel, err := s.runRouted(tx, dec, sel, s.execSpan())
 	if err != nil {
 		return nil, "", err
 	}
+	if dec.offload {
+		return rel, dec.accelName, nil
+	}
 	return rel, "DB2", nil
+}
+
+// checkAndRoute checks the session's SELECT privilege on every table sel
+// references and decides where sel runs.
+func (s *Session) checkAndRoute(sel *sqlparse.SelectStmt) (routeDecision, error) {
+	for _, t := range sqlparse.ReferencedTables(sel) {
+		if err := s.coord.cat.CheckPrivilege(s.user, t, catalog.PrivSelect); err != nil {
+			return routeDecision{}, err
+		}
+	}
+	return s.routeSelect(sel)
+}
+
+// runRouted executes sel under tx where dec sends it: on the accelerator,
+// its work attached to sp, or in DB2 under a "db2" child of sp.
+func (s *Session) runRouted(tx *txn.Txn, dec routeDecision, sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, error) {
+	if dec.offload {
+		return dec.accel.QueryTraced(int64(tx.ID), sel, sp)
+	}
+	dsp := sp.Child("db2")
+	defer dsp.Finish()
+	return s.coord.DB2.Query(tx, sel)
 }
 
 // routeDecision captures where a query will run and why.
@@ -1007,23 +1017,13 @@ func (s *Session) execExplain(stmt *sqlparse.ExplainStmt) (*Result, error) {
 // EXPLAIN ANALYZE inside an explicit transaction sees that transaction's
 // snapshot.
 func (s *Session) executeForAnalyze(sel *sqlparse.SelectStmt, sp *obs.Span) (*relalg.Relation, time.Duration, error) {
-	for _, t := range sqlparse.ReferencedTables(sel) {
-		if err := s.coord.cat.CheckPrivilege(s.user, t, catalog.PrivSelect); err != nil {
-			return nil, 0, err
-		}
-	}
-	dec, err := s.routeSelect(sel)
+	dec, err := s.checkAndRoute(sel)
 	if err != nil {
 		return nil, 0, err
 	}
 	tx, done := s.stmtTxn()
 	start := time.Now()
-	var rel *relalg.Relation
-	if dec.offload {
-		rel, err = dec.accel.QueryTraced(int64(tx.ID), sel, sp)
-	} else {
-		rel, err = s.coord.DB2.Query(tx, sel)
-	}
+	rel, err := s.runRouted(tx, dec, sel, sp)
 	elapsed := time.Since(start)
 	if ferr := done(err); ferr != nil && err == nil {
 		err = ferr

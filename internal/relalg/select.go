@@ -38,8 +38,14 @@ func ExecuteSelect(from *Relation, sel *sqlparse.SelectStmt, opts Options) (*Rel
 	if err != nil {
 		return nil, err
 	}
+	return ExecuteFiltered(filtered, sel, opts)
+}
 
+// ExecuteFiltered is ExecuteSelect over a FROM relation that sel's WHERE
+// clause has already filtered: it runs everything above WHERE.
+func ExecuteFiltered(filtered *Relation, sel *sqlparse.SelectStmt, opts Options) (*Relation, error) {
 	var projected *Relation
+	var err error
 	var sortKeys [][]types.Value
 	if needsAggregation(sel) {
 		projected, sortKeys, err = aggregateAndProject(filtered, sel, opts)

@@ -9,7 +9,6 @@ import (
 
 	"idaax/internal/accel"
 	"idaax/internal/colstore"
-	"idaax/internal/durable"
 	"idaax/internal/obs/eventlog"
 	"idaax/internal/types"
 )
@@ -190,11 +189,7 @@ func (r *Router) retargetLocked() {
 		newSet[n] = true
 	}
 	for _, meta := range r.tables {
-		keyKind := types.KindInt
-		if meta.keyIdx >= 0 {
-			keyKind = meta.schema.Columns[meta.keyIdx].Kind
-		}
-		fresh := r.newPartitionerLocked(meta.keyIdx, keyKind)
+		fresh := r.newPartitionerLocked(meta)
 
 		meta.pm.Lock()
 		oldNames := meta.part.OwnerNames()
@@ -534,11 +529,13 @@ func (r *Router) isMisplaced(meta *tableMeta, part Partitioner, ownerSet map[int
 
 // moveBatch migrates one bounded batch of rows from source shard ordinal s to
 // their owners. It holds the table's write fence for the duration, marks the
-// source versions deleted under an internal transaction, inserts the row
-// images (with their DB2 source ids, where present) on the destinations, and
-// commits source and destinations together under the router's commit fence —
-// so any query snapshot set sees each row either still on the source or
-// already on its destination, never both and never neither.
+// source versions deleted and inserts the row images (with their DB2 source
+// ids, where present) on the destinations, each member under its internal
+// transaction of one fleetTxn, which commits source and destinations together
+// — so any query snapshot set sees each row either still on the source or
+// already on its destination, never both and never neither, and a crash
+// never recovers a row deleted on the source but uncommitted on its
+// destination.
 func (r *Router) moveBatch(name string, meta *tableMeta, ms []*accel.Accelerator, s int, batch []migEntry) (moved, pending int, err error) {
 	meta.migMu.Lock()
 	defer meta.migMu.Unlock()
@@ -548,12 +545,12 @@ func (r *Router) moveBatch(name string, meta *tableMeta, ms []*accel.Accelerator
 	if err != nil {
 		return 0, 0, err
 	}
-	srcTxn := src.NextInternalTxn()
+	ft := r.beginFleetTxn(ms)
+	srcTxn := ft.txn(s)
 
 	type destBatch struct {
 		rows   []types.Row
 		srcIDs []int64
-		txn    int64
 	}
 	perDest := make(map[int]*destBatch)
 	var claimed []migEntry
@@ -573,60 +570,27 @@ func (r *Router) moveBatch(name string, meta *tableMeta, ms []*accel.Accelerator
 		db.rows = append(db.rows, e.row)
 		db.srcIDs = append(db.srcIDs, e.srcID)
 	}
-	if len(claimed) == 0 {
-		src.Registry.Abort(srcTxn)
-		return 0, pending, nil
+	for dest, db := range perDest {
+		if dest < 0 || dest >= len(ms) {
+			err = fmt.Errorf("shard: migration destination %d out of range on %s", dest, r.name)
+			break
+		}
+		var dtab *colstore.Table
+		if dtab, err = ms[dest].Table(name); err == nil {
+			_, err = dtab.InsertWithSource(ft.txn(dest), db.rows, db.srcIDs)
+		}
+		if err != nil {
+			break
+		}
 	}
-
-	undo := func() {
+	if err != nil || len(claimed) == 0 {
 		for _, e := range claimed {
 			srcTab.UndoDelete(e.idx, srcTxn)
 		}
-		src.Registry.Abort(srcTxn)
+		ft.end(false)
+		return 0, pending, err
 	}
-	for dest, db := range perDest {
-		if dest < 0 || dest >= len(ms) {
-			undo()
-			return 0, pending, fmt.Errorf("shard: migration destination %d out of range on %s", dest, r.name)
-		}
-		dm := ms[dest]
-		dtab, derr := dm.Table(name)
-		if derr != nil {
-			undo()
-			return 0, pending, derr
-		}
-		db.txn = dm.NextInternalTxn()
-		if _, ierr := dtab.InsertWithSource(db.txn, db.rows, db.srcIDs); ierr != nil {
-			for d2, other := range perDest {
-				if other.txn != 0 {
-					ms[d2].Registry.Abort(other.txn)
-				}
-			}
-			undo()
-			return 0, pending, ierr
-		}
-	}
-
-	// The atomic hand-over: source delete and destination inserts become
-	// visible together, excluded against every query's snapshot set. With
-	// durability on, the per-member commits are journaled as one multi-commit
-	// record — all of them replay after a crash or none do, so a row is never
-	// recovered deleted on the source but uncommitted on its destination.
-	r.commitMu.Lock()
-	if j := r.multiCommitJournal(); j != nil {
-		entries := make([]durable.CommitEntry, 0, len(perDest)+1)
-		entries = append(entries, durable.CommitEntry{Scope: src.Name(), Txn: srcTxn, Seq: src.Registry.CommitQuiet(srcTxn)})
-		for dest, db := range perDest {
-			entries = append(entries, durable.CommitEntry{Scope: ms[dest].Name(), Txn: db.txn, Seq: ms[dest].Registry.CommitQuiet(db.txn)})
-		}
-		j.LogMultiCommit(entries)
-	} else {
-		src.Registry.Commit(srcTxn)
-		for dest, db := range perDest {
-			ms[dest].Registry.Commit(db.txn)
-		}
-	}
-	r.commitMu.Unlock()
+	ft.end(true)
 
 	atomic.AddInt64(&r.stats.RowsMigrated, int64(len(claimed)))
 	atomic.AddInt64(&r.stats.RebalanceBatches, 1)

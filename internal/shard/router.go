@@ -263,13 +263,32 @@ func (r *Router) ownersLocked() (names []string, ords []int) {
 	return names, ords
 }
 
-// newPartitionerLocked builds a placement map for the current owner set.
-func (r *Router) newPartitionerLocked(keyIdx int, keyKind types.Kind) Partitioner {
+// newPartitionerLocked builds a placement map of meta's table for the current
+// owner set.
+func (r *Router) newPartitionerLocked(meta *tableMeta) Partitioner {
 	names, ords := r.ownersLocked()
-	if keyIdx >= 0 {
-		return NewHashPartitionerOrdinals(keyIdx, keyKind, names, ords)
+	if meta.keyIdx >= 0 {
+		return NewHashPartitionerOrdinals(meta.keyIdx, meta.schema.Columns[meta.keyIdx].Kind, names, ords)
 	}
 	return NewRoundRobinPartitionerOrdinals(names, ords)
+}
+
+// newTableMetaLocked describes a new table, name normalized, distributed by
+// hash of distKey or, when distKey is empty, round robin, and places it on
+// the current owner set. It fails when distKey is not a column or the table
+// already exists. Callers hold r.mu exclusively.
+func (r *Router) newTableMetaLocked(name string, schema types.Schema, distKey string) (*tableMeta, error) {
+	if _, ok := r.tables[name]; ok {
+		return nil, fmt.Errorf("shard: table %s already exists on %s", name, r.name)
+	}
+	meta := &tableMeta{schema: schema, distKey: types.NormalizeName(distKey), keyIdx: -1}
+	if meta.distKey != "" {
+		if meta.keyIdx = schema.IndexOf(meta.distKey); meta.keyIdx < 0 {
+			return nil, fmt.Errorf("shard: distribution key %s is not a column of %s", meta.distKey, name)
+		}
+	}
+	meta.part = r.newPartitionerLocked(meta)
+	return meta, nil
 }
 
 // Slices returns the fleet's total scan parallelism.
@@ -402,24 +421,14 @@ func (r *Router) meta(table string) (*tableMeta, error) {
 // hash distribution on that column; an empty one selects round robin.
 func (r *Router) CreateTable(name string, schema types.Schema, distKey string) error {
 	name = types.NormalizeName(name)
-	distKey = types.NormalizeName(distKey)
-	keyIdx := -1
-	keyKind := types.KindInt
-	if distKey != "" {
-		keyIdx = schema.IndexOf(distKey)
-		if keyIdx < 0 {
-			return fmt.Errorf("shard: distribution key %s is not a column of %s", distKey, name)
-		}
-		keyKind = schema.Columns[keyIdx].Kind
-	}
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.tables[name]; ok {
-		return fmt.Errorf("shard: table %s already exists on %s", name, r.name)
+	meta, err := r.newTableMetaLocked(name, schema, distKey)
+	if err != nil {
+		return err
 	}
 	for i, m := range r.members {
-		if err := m.CreateTable(name, schema, distKey); err != nil {
+		if err := m.CreateTable(name, schema, meta.distKey); err != nil {
 			// Undo the members that already created the table so the fleet
 			// stays consistent.
 			for _, prev := range r.members[:i] {
@@ -428,12 +437,7 @@ func (r *Router) CreateTable(name string, schema types.Schema, distKey string) e
 			return err
 		}
 	}
-	r.tables[name] = &tableMeta{
-		schema:  schema,
-		distKey: distKey,
-		keyIdx:  keyIdx,
-		part:    r.newPartitionerLocked(keyIdx, keyKind),
-	}
+	r.tables[name] = meta
 	return nil
 }
 
@@ -555,7 +559,8 @@ func (r *Router) PlannerCatalog() planner.Catalog {
 // member that runs the statement annotates the plan with its own batch-plan
 // decision, for the statement executeShardLocal hands it (localRoute): the
 // whole statement on a single remaining shard, the partial aggregate of a
-// two-phase plan, or the FROM and WHERE clauses otherwise. Broadcast and
+// two-phase plan, or otherwise the FROM and WHERE clauses, which every
+// co-located member reads exactly (BuildFromRelationTraced). Broadcast and
 // gather placements substitute or move relations, so the members scan in
 // batches but run no batch plan.
 func (r *Router) Explain(sel *sqlparse.SelectStmt) (*planner.Plan, error) {
@@ -724,9 +729,8 @@ func (r *Router) RowCount(txnID int64, table string) (int, error) {
 // owner, deletes and round-robin updates to the member holding the row, and
 // an update that moves a hash key becomes a delete at the holder plus an
 // update at the new owner, so every DB2 row keeps exactly one shadow copy.
-// Each touched member applies its share under one internal transaction, and
-// all of them commit (or, on error, abort) together under the commit fence, so
-// a query's snapshot set sees the whole batch or none of it.
+// Each touched member applies its share under one internal transaction of a
+// fleetTxn, and all of them commit (or, on error, abort) together.
 func (r *Router) ApplyReplicated(table string, changes []accel.ReplChange) (int, error) {
 	meta, err := r.meta(table)
 	if err != nil {
@@ -736,12 +740,9 @@ func (r *Router) ApplyReplicated(table string, changes []accel.ReplChange) (int,
 	defer meta.migMu.RUnlock()
 	ms := r.Members()
 	part := meta.partitioner()
-	txns := make([]int64, len(ms)) // per member; 0 until the batch touches it
+	ft := r.beginFleetTxn(ms)
 	apply := func(i int, share []accel.ReplChange) (int, error) {
-		if txns[i] == 0 {
-			txns[i] = ms[i].NextInternalTxn()
-		}
-		return ms[i].ApplyReplicatedIn(txns[i], table, share)
+		return ms[i].ApplyReplicatedIn(ft.txn(i), table, share)
 	}
 	holder := func(src int64) int {
 		for i, m := range ms {
@@ -792,17 +793,7 @@ func (r *Router) ApplyReplicated(table string, changes []accel.ReplChange) (int,
 		total += n
 		changes = changes[1:]
 	}
-	r.commitMu.Lock()
-	for i, txn := range txns {
-		switch {
-		case txn == 0:
-		case err != nil:
-			ms[i].AbortTxn(txn)
-		default:
-			ms[i].CommitTxn(txn)
-		}
-	}
-	r.commitMu.Unlock()
+	ft.end(err == nil)
 	if err != nil {
 		return 0, err
 	}

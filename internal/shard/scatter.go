@@ -185,12 +185,12 @@ func localRoute(sel *sqlparse.SelectStmt, pl *planner.Plan, n int) (fast int, tw
 }
 
 // executeShardLocal runs co-located and broadcast plans: every participating
-// shard builds the FROM relation locally — a single table filtered exactly,
-// a join with pushdown, planned order and methods, broadcast tables
-// substituted by their gathered full content — and the coordinator executes
-// the rest of the statement over the union of the per-shard results. Grouped
-// co-located statements take the cheaper two-phase route instead: shards
-// pre-aggregate locally and only group rows travel.
+// shard builds the FROM relation locally and filters it exactly — joins in
+// planned order and methods, broadcast tables substituted by their gathered
+// full content — and the coordinator executes the rest of the statement over
+// the union of the per-shard results. Grouped co-located statements take the
+// cheaper two-phase route instead: shards pre-aggregate locally and only
+// group rows travel.
 func (r *Router) executeShardLocal(txnID int64, sel *sqlparse.SelectStmt, pl *planner.Plan, sp *obs.Span) (*relalg.Relation, error) {
 	hasBroadcast := pl.Placement == planner.PlacementBroadcast
 	multiTable := len(pl.Scans) > 1
@@ -247,47 +247,22 @@ func (r *Router) executeShardLocal(txnID int64, sel *sqlparse.SelectStmt, pl *pl
 		overrides[types.NormalizeName(item.Name())] = relalg.FromTable(item.Name(), scan.Info.Schema, rows)
 	}
 
-	// Build the FROM relation on every participating shard in parallel. A
-	// single table is filtered exactly there (ScanFilteredTraced), so the
-	// coordinator runs the rest of the statement with WHERE stripped; a join
-	// result is a superset the coordinator filters.
-	rest := pl.Sel
-	if !multiTable {
-		stripped := *pl.Sel
-		stripped.Where = nil
-		rest = &stripped
-	}
-	results := make([]*relalg.Relation, len(participants))
-	spans := make([]*obs.Span, len(participants))
-	for i, p := range participants {
+	// Every participating shard builds the FROM relation with WHERE applied,
+	// exactly, so the coordinator runs what the statement has above WHERE
+	// over the union.
+	results, total, err := r.scatter(ms, participants, sp, func(p int, ssp *obs.Span) (*relalg.Relation, error) {
 		ms[p].NoteQuery()
-		spans[i] = sp.Child("shard")
-		spans[i].Label(obs.LabelShard, ms[p].Name())
-	}
-	failed, err := fanOut(len(participants), func(i int) (err error) {
-		m, snap, ssp := ms[participants[i]], snaps[participants[i]], spans[i]
-		defer ssp.Finish()
-		if multiTable {
-			results[i], err = m.BuildFromRelationTraced(txnID, snap, pl.Sel, overrides, pl.Methods, ssp)
-		} else {
-			results[i], err = m.ScanFilteredTraced(snap, pl.Sel, ssp)
-		}
-		return err
+		return ms[p].BuildFromRelationTraced(txnID, snaps[p], pl.Sel, overrides, pl.Methods, ssp)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", ms[participants[failed]].Name(), err)
-	}
-	total := 0
-	for _, part := range results {
-		total += len(part.Rows)
+		return nil, err
 	}
 	union := &relalg.Relation{Cols: results[0].Cols, Rows: make([]types.Row, 0, total)}
 	for _, part := range results {
 		union.Rows = append(union.Rows, part.Rows...)
 	}
-	atomic.AddInt64(&r.stats.RowsGathered, int64(total))
 	msp := sp.Child("merge")
-	rel, err := relalg.ExecuteSelect(union, rest, relalg.Options{Parallelism: r.Slices()})
+	rel, err := relalg.ExecuteFiltered(union, pl.Sel, relalg.Options{Parallelism: r.Slices()})
 	msp.Finish()
 	return rel, err
 }
@@ -417,35 +392,47 @@ func fanOut(n int, fn func(i int) error) (int, error) {
 	return slices.Index(ok, false), err
 }
 
-// scatterPartials runs the partial-aggregate statement on the given members
-// concurrently and returns each member's result relation as it is, in member
-// order: partials cross the goroutine boundary by pointer, typed, and the
-// coordinator merges them (mergePartials).
-func (r *Router) scatterPartials(txnID int64, sel *sqlparse.SelectStmt, ms []*accel.Accelerator, snaps []*accel.Snapshot, members []int, sp *obs.Span) ([]*relalg.Relation, error) {
-	ssp := sp.Child("scatter")
-	ssp.Add(obs.KeyShards, int64(len(members)))
-	defer ssp.Finish()
+// scatter runs call for the given member ordinals of ms concurrently, each
+// under its own "shard" span beneath parent, and returns the members'
+// relations by pointer, in member order, with their total row count, which
+// it accounts as gathered. A failure names its member.
+func (r *Router) scatter(ms []*accel.Accelerator, members []int, parent *obs.Span, call func(p int, sp *obs.Span) (*relalg.Relation, error)) ([]*relalg.Relation, int, error) {
 	parts := make([]*relalg.Relation, len(members))
 	spans := make([]*obs.Span, len(members))
 	for i, p := range members {
-		spans[i] = ssp.Child("shard")
+		spans[i] = parent.Child("shard")
 		spans[i].Label(obs.LabelShard, ms[p].Name())
 	}
 	failed, err := fanOut(len(members), func(i int) (err error) {
 		defer spans[i].Finish()
-		parts[i], err = ms[members[i]].QueryAtTraced(txnID, snaps[members[i]], sel, spans[i])
+		parts[i], err = call(members[i], spans[i])
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", ms[members[failed]].Name(), err)
+		return nil, 0, fmt.Errorf("shard %s: %w", ms[members[failed]].Name(), err)
 	}
 	rows := 0
 	for _, p := range parts {
 		rows += len(p.Rows)
 	}
-	atomic.AddInt64(&r.stats.TwoPhaseFrames, int64(len(members)))
 	atomic.AddInt64(&r.stats.RowsGathered, int64(rows))
-	return parts, nil
+	return parts, rows, nil
+}
+
+// scatterPartials runs the partial-aggregate statement on the given members
+// and returns each member's result relation as it is: partials stay typed,
+// and the coordinator merges them (mergePartials).
+func (r *Router) scatterPartials(txnID int64, sel *sqlparse.SelectStmt, ms []*accel.Accelerator, snaps []*accel.Snapshot, members []int, sp *obs.Span) ([]*relalg.Relation, error) {
+	ssp := sp.Child("scatter")
+	ssp.Add(obs.KeyShards, int64(len(members)))
+	defer ssp.Finish()
+	parts, _, err := r.scatter(ms, members, ssp, func(p int, sp *obs.Span) (*relalg.Relation, error) {
+		return ms[p].QueryAtTraced(txnID, snaps[p], sel, sp)
+	})
+	if err == nil {
+		atomic.AddInt64(&r.stats.TwoPhaseFrames, int64(len(members)))
+	}
+	return parts, err
 }
 
 // executeTwoPhaseOn scatters the plan's partial aggregation, merges the

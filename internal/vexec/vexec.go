@@ -190,19 +190,6 @@ func (p *Plan) runFilter(t *colstore.Table, parallelism int, vis colstore.Visibi
 	return &relalg.Relation{Cols: p.cols, Rows: slices.Concat(buckets...)}, stats, nil
 }
 
-// Finish runs over out, the output of a batch plan for sel, the operators
-// the plan left to the row engine: none for an aggregated plan, whose output
-// is final, and otherwise the rest of sel with the WHERE clause stripped,
-// since the plan applied it exactly.
-func Finish(out *relalg.Relation, aggregated bool, sel *sqlparse.SelectStmt, parallelism int) (*relalg.Relation, error) {
-	if aggregated {
-		return out, nil
-	}
-	rest := *sel
-	rest.Where = nil
-	return relalg.ExecuteSelect(out, &rest, relalg.Options{Parallelism: parallelism})
-}
-
 // applyNullChecks compacts the batch's selection vector through the
 // IS [NOT] NULL conjuncts.
 func applyNullChecks(b *colstore.Batch, checks []nullCheck) []int {

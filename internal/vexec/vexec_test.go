@@ -82,7 +82,8 @@ func rowPath(t *testing.T, tab *colstore.Table, vis colstore.Visibility, sel *sq
 	return relalg.ExecuteSelect(from, sel, relalg.Options{Parallelism: 1})
 }
 
-// vecPath executes sel through the vectorized engine, then Finish.
+// vecPath executes sel through the vectorized engine, then the row operators
+// above WHERE unless the plan aggregated.
 func vecPath(t *testing.T, tab *colstore.Table, vis colstore.Visibility, sel *sqlparse.SelectStmt, slices int) (*relalg.Relation, error) {
 	t.Helper()
 	plan, ok := PlanQuery(sel, tab.Schema())
@@ -93,7 +94,10 @@ func vecPath(t *testing.T, tab *colstore.Table, vis colstore.Visibility, sel *sq
 	if err != nil {
 		return nil, err
 	}
-	return Finish(rel, plan.Aggregated(), sel, 1)
+	if plan.Aggregated() {
+		return rel, nil
+	}
+	return relalg.ExecuteFiltered(rel, sel, relalg.Options{Parallelism: 1})
 }
 
 // fingerprint renders a relation as sorted row strings (column names

@@ -255,3 +255,43 @@ func TestJoinDuringRebalance(t *testing.T) {
 			resultFingerprint(vec), resultFingerprint(row))
 	}
 }
+
+// TestDeclinedJoinCountsOneFallback holds that a statement whose join the
+// batch engine declines counts one vexec fallback, although its row fallback
+// plans the statement's FROM and WHERE a second time: on one accelerator,
+// and on the one member a pruned co-located join reaches in a shard group.
+func TestDeclinedJoinCountsOneFallback(t *testing.T) {
+	cases := []struct {
+		name, accelerator, dist, sql string
+		shards                       int
+	}{
+		{"single", "IDAA1", "", "SELECT COUNT(*) FROM jfact f JOIN jdim d ON f.gid < d.gid WHERE d.gid < 5", 1},
+		{"group", "SHARDS", " DISTRIBUTE BY HASH(gid)", "SELECT COUNT(*) FROM jfact f JOIN jdim d ON f.gid = d.gid AND f.v < d.w WHERE f.gid = 3", 3},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var sys *idaax.System
+			if c.shards > 1 {
+				sys = newShardedSystem(t, c.shards)
+			} else {
+				sys = newTestSystem(t)
+			}
+			defer sys.Close()
+			seedJoinCorpusTables(t, sys, c.accelerator, c.dist, c.dist, 200, 20)
+			fallbacks := func() int64 {
+				st, err := sys.AcceleratorStats(c.accelerator)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st.VexecFallbacks
+			}
+			before := fallbacks()
+			if _, err := sys.AdminSession().Query(c.sql); err != nil {
+				t.Fatal(err)
+			}
+			if got := fallbacks() - before; got != 1 {
+				t.Fatalf("%s counted %d vexec fallbacks, want 1", c.sql, got)
+			}
+		})
+	}
+}
