@@ -227,8 +227,8 @@ func TestDistributedTrainingDifferential(t *testing.T) {
 
 // pinSingleTrainers checks that a single accelerator — one partition — runs
 // each trainer bit for bit as a direct call over Extract of the same rows
-// does: the linear, logistic and naive Bayes trainers on that one partition,
-// TrainKMeans and TrainDecisionTree on the dataset. Each model table holds
+// does: the linear, logistic, naive Bayes and k-means trainers on that one
+// partition, TrainDecisionTree on the dataset. Each model table holds
 // exactly the payload and metric rows of the direct call, and SUMMARY returns
 // exactly Summarize's statistics.
 func pinSingleTrainers(t *testing.T, single *idaax.System, summary *idaax.Result) {
@@ -256,7 +256,7 @@ func pinSingleTrainers(t *testing.T, single *idaax.System, summary *idaax.Result
 		t.Fatal(err)
 	}
 	// Parallelism is IDAA1's slice count, as the procedure passes it.
-	km, _, err := analytics.TrainKMeans(extract("", false, "CID"), analytics.KMeansOptions{K: 3, MaxIterations: 25, Seed: 7, Parallelism: 2})
+	km, _, err := analytics.TrainKMeans([]*analytics.Dataset{extract("", false, "CID")}, analytics.KMeansOptions{K: 3, MaxIterations: 25, Seed: 7, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,9 +515,10 @@ func TestTrainAndScoreDuringRebalanceExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestDistributedKMeansAndForestEndToEnd covers the consolidation-merged
-// algorithms end to end: k-means writes its assignments shard-local and the
-// decision forest scores through the standard PREDICT path.
+// TestDistributedKMeansAndForestEndToEnd covers k-means and the decision
+// forest end to end on a shard group: k-means runs partitioned Lloyd to
+// convergence and writes its assignments shard-local, and the forest scores
+// through the standard PREDICT path.
 func TestDistributedKMeansAndForestEndToEnd(t *testing.T) {
 	const rows = 1200
 	sys := newShardedSystem(t, 3)
@@ -531,6 +532,11 @@ func TestDistributedKMeansAndForestEndToEnd(t *testing.T) {
 	}
 	if res.RowsAffected != rows || !strings.Contains(res.Message, "shard-local") {
 		t.Fatalf("kmeans: %+v", res)
+	}
+	// ITERATIONS is the number of Lloyd rounds run, below the cap of 25.
+	_, metrics := modelMetrics(t, sys, "M_KM")
+	if iters, err := strconv.ParseFloat(metrics["ITERATIONS"], 64); err != nil || iters >= 25 {
+		t.Fatalf("kmeans ITERATIONS = %q, want fewer than the cap of 25", metrics["ITERATIONS"])
 	}
 	cnt, err := s.Query("SELECT COUNT(*) FROM km_assign")
 	if err != nil {
@@ -589,5 +595,58 @@ func TestDistributedKMeansAndForestEndToEnd(t *testing.T) {
 	n, _ := strconv.Atoi(agree.Rows[0][0])
 	if n < rows*8/10 {
 		t.Fatalf("forest agrees on only %d of %d rows", n, rows)
+	}
+}
+
+// TestPredictWithoutScoreableRowsFails pins PREDICT's usable-row rule, the
+// one training applies: an input with no scoreable row — an empty table, or
+// one whose every row has a NULL feature — fails with the same error, naming
+// the table, on one accelerator and on a shard group, and leaves no output
+// table behind.
+func TestPredictWithoutScoreableRowsFails(t *testing.T) {
+	sharded := newShardedSystem(t, 3)
+	defer sharded.Close()
+	single := newTestSystem(t)
+	defer single.Close()
+	inputs := []struct{ table, rows string }{
+		{"EMPTY_IN", ""},
+		{"NULLS_IN", "(1, NULL, 2.0, 1.0, 0), (2, NULL, 3.0, 2.0, 1)"},
+	}
+	errs := map[string][]string{}
+	for _, sys := range []struct {
+		sys         *idaax.System
+		accelerator string
+	}{{single, "IDAA1"}, {sharded, "SHARDS"}} {
+		seedChurnLike(t, sys.sys, sys.accelerator, 200)
+		s := sys.sys.AdminSession()
+		if _, err := s.Exec("CALL IDAX.LINEAR_REGRESSION('TRAIN', 'Y', 'F1,F2', 'M_LIN', 0.000001)"); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range inputs {
+			if _, err := s.Exec(fmt.Sprintf("CREATE TABLE %s (cid BIGINT NOT NULL, f1 DOUBLE, f2 DOUBLE, y DOUBLE, flag BIGINT) IN ACCELERATOR %s DISTRIBUTE BY HASH(cid)", in.table, sys.accelerator)); err != nil {
+				t.Fatal(err)
+			}
+			if in.rows != "" {
+				if _, err := s.Exec("INSERT INTO " + in.table + " VALUES " + in.rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := s.Exec(fmt.Sprintf("CALL IDAX.PREDICT('M_LIN', '%s', 'CID', 'OUT_%s')", in.table, in.table))
+			if err == nil {
+				t.Fatalf("%s: PREDICT on %s succeeded: %q", sys.accelerator, in.table, res.Message)
+			}
+			if !strings.Contains(err.Error(), in.table) {
+				t.Fatalf("%s: PREDICT on %s: error %q does not name the table", sys.accelerator, in.table, err)
+			}
+			if _, qerr := s.Query("SELECT COUNT(*) FROM OUT_" + in.table); qerr == nil {
+				t.Fatalf("%s: failed PREDICT on %s left its output table behind", sys.accelerator, in.table)
+			}
+			errs[in.table] = append(errs[in.table], err.Error())
+		}
+	}
+	for table, e := range errs {
+		if e[0] != e[1] {
+			t.Fatalf("PREDICT on %s: IDAA1 fails with %q, SHARDS with %q", table, e[0], e[1])
+		}
 	}
 }

@@ -141,10 +141,11 @@ func TestKMeansFindsSeparatedClusters(t *testing.T) {
 		ds.Features = append(ds.Features, []float64{c[0] + r.Float64(), c[1] + r.Float64()})
 		ds.IDs = append(ds.IDs, types.NewInt(int64(i)))
 	}
-	model, assignments, err := TrainKMeans(ds, KMeansOptions{K: 3, MaxIterations: 50, Seed: 3, Parallelism: 4})
+	model, parts, err := TrainKMeans([]*Dataset{ds}, KMeansOptions{K: 3, MaxIterations: 50, Seed: 3, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assignments := parts[0]
 	if len(model.Centroids) != 3 || len(assignments) != 600 {
 		t.Fatalf("model shape: %d centroids, %d assignments", len(model.Centroids), len(assignments))
 	}

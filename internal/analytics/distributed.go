@@ -11,15 +11,13 @@ import (
 
 // This file implements partition training: every partition of the input
 // table (one per shard, or one for a table read whole) reduces to a partial —
-// sufficient statistics where the algorithm's math is a sum over rows, a
-// locally trained model where it is not — and the coordinator folds the
-// partials into one model. Linear and logistic regression, naive Bayes and
-// column summaries merge exactly (their estimators are sums of per-row
-// terms), so their trainers here serve every partition count. K-means and
-// decision trees merge by consolidation (weighted reclustering of the shards'
-// centers, a voting ensemble of the shards' trees), agree with single-backend
-// training up to local-optima tolerance, and so run only for several
-// partitions.
+// sufficient statistics whose math is a sum over rows — and the coordinator
+// folds the partials into one model. Linear and logistic regression, naive
+// Bayes and column summaries merge exactly (their estimators are sums of
+// per-row terms), so their trainers here serve every partition count; so does
+// TrainKMeans (kmeans.go), whose per-round cluster sums merge the same way.
+// Decision trees are the exception: greedy splits do not decompose into
+// per-partition sums, so several partitions grow a voting forest (forest.go).
 
 // forEachPart runs fn(i, parts[i]) concurrently for every non-empty partition
 // and returns the first error.
@@ -535,191 +533,4 @@ func TrainNaiveBayes(parts []*Dataset) (*NaiveBayesModel, error) {
 		return nil, err
 	}
 	return MergeNaiveBayesPartials(featureNames, partials)
-}
-
-// ---------------------------------------------------------------------------
-// K-means: local clustering + weighted center consolidation (k-means‖ style).
-// ---------------------------------------------------------------------------
-
-// KMeansPartial is one shard's locally trained centers with their cluster
-// populations — the shard's data distribution compressed to K weighted points.
-type KMeansPartial struct {
-	Centroids [][]float64
-	Weights   []int
-	N         int
-}
-
-// TrainKMeansDistributed clusters per-shard partitions: every shard runs
-// k-means locally, the coordinator consolidates the K·S weighted centers with
-// weighted Lloyd iterations (the k-means‖ reclustering step), and a final
-// scatter assigns every row to the consolidated centers. Returns the model
-// and per-partition assignments aligned with parts (nil for empty
-// partitions). Results agree with single-backend k-means up to local-optima
-// tolerance, not bit-exactly.
-func TrainKMeansDistributed(parts []*Dataset, opts KMeansOptions) (*KMeansModel, [][]int, error) {
-	featureNames, total, err := partStats(parts, "k-means")
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.K <= 0 {
-		return nil, nil, fmt.Errorf("analytics: k-means requires K > 0")
-	}
-	if opts.K > total {
-		opts.K = total
-	}
-	if opts.MaxIterations <= 0 {
-		opts.MaxIterations = 50
-	}
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = 1e-6
-	}
-
-	// Local clustering per shard (seeds decorrelated per ordinal).
-	partials := make([]*KMeansPartial, len(parts))
-	if err := forEachPart(parts, func(i int, ds *Dataset) error {
-		localOpts := opts
-		localOpts.Seed = opts.Seed + int64(i)*101
-		model, assignments, err := TrainKMeans(ds, localOpts)
-		if err != nil {
-			return err
-		}
-		weights := make([]int, len(model.Centroids))
-		for _, c := range assignments {
-			weights[c]++
-		}
-		partials[i] = &KMeansPartial{Centroids: model.Centroids, Weights: weights, N: ds.Rows()}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-
-	centroids := MergeKMeansPartials(partials, opts)
-
-	// Final scatter: assign every row to the consolidated centers.
-	assignments := make([][]int, len(parts))
-	inertia := make([]float64, len(parts))
-	if err := forEachPart(parts, func(i int, ds *Dataset) (err error) {
-		assignments[i] = make([]int, ds.Rows())
-		inertia[i], err = assignParallel(ds, centroids, assignments[i], opts.Parallelism)
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	totalInertia := 0.0
-	for _, v := range inertia {
-		totalInertia += v
-	}
-	model := &KMeansModel{
-		FeatureNames: append([]string(nil), featureNames...),
-		Centroids:    centroids,
-		Inertia:      totalInertia,
-		Iterations:   opts.MaxIterations,
-		N:            total,
-	}
-	return model, assignments, nil
-}
-
-// MergeKMeansPartials consolidates per-shard centers into K global centers by
-// weighted Lloyd iterations over the union of centers (each weighted by its
-// local cluster population), seeded with weighted k-means++.
-func MergeKMeansPartials(partials []*KMeansPartial, opts KMeansOptions) [][]float64 {
-	var points [][]float64
-	var weights []float64
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		for c, centroid := range p.Centroids {
-			if p.Weights[c] == 0 {
-				continue
-			}
-			points = append(points, centroid)
-			weights = append(weights, float64(p.Weights[c]))
-		}
-	}
-	k := opts.K
-	if k > len(points) {
-		k = len(points)
-	}
-	if k == 0 {
-		return nil
-	}
-
-	// Weighted k-means++ seeding.
-	r := newRNG(opts.Seed)
-	centroids := make([][]float64, 0, k)
-	centroids = append(centroids, append([]float64(nil), points[weightedPick(weights, r)]...))
-	for len(centroids) < k {
-		dists := make([]float64, len(points))
-		total := 0.0
-		for i, pt := range points {
-			_, d := nearestCentroid(pt, centroids)
-			dists[i] = d * weights[i]
-			total += dists[i]
-		}
-		if total == 0 {
-			centroids = append(centroids, append([]float64(nil), points[r.Intn(len(points))]...))
-			continue
-		}
-		centroids = append(centroids, append([]float64(nil), points[weightedPick(dists, r)]...))
-	}
-
-	// Weighted Lloyd iterations over the compressed point set.
-	dims := len(points[0])
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 50
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		sums := make([][]float64, k)
-		counts := make([]float64, k)
-		for c := range sums {
-			sums[c] = make([]float64, dims)
-		}
-		for i, pt := range points {
-			c, _ := nearestCentroid(pt, centroids)
-			counts[c] += weights[i]
-			for j := 0; j < dims; j++ {
-				sums[c][j] += pt[j] * weights[i]
-			}
-		}
-		movement := 0.0
-		next := make([][]float64, k)
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				next[c] = centroids[c]
-				continue
-			}
-			next[c] = make([]float64, dims)
-			for j := 0; j < dims; j++ {
-				next[c][j] = sums[c][j] / counts[c]
-				movement += math.Abs(next[c][j] - centroids[c][j])
-			}
-		}
-		centroids = next
-		if movement < opts.Tolerance {
-			break
-		}
-	}
-	return centroids
-}
-
-// weightedPick samples an index proportionally to the given weights.
-func weightedPick(weights []float64, r *rng) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		return r.Intn(len(weights))
-	}
-	target := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if acc >= target {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

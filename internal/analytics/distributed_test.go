@@ -2,7 +2,7 @@ package analytics
 
 import (
 	"math"
-	"sort"
+	"reflect"
 	"testing"
 
 	"idaax/internal/expr"
@@ -163,50 +163,72 @@ func TestDistributedSummarizeMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestDistributedKMeansWithinTolerance pins partitioned Lloyd to the
+// one-pass oracle run over the partitions concatenated in ordinal order: the
+// same seeding, the same assignments and iteration count, and centroids equal
+// up to the summation order of the per-partition cluster sums.
 func TestDistributedKMeansWithinTolerance(t *testing.T) {
-	// Well-separated clusters: both single and consolidated training must
-	// find the same three centers.
-	ds := &Dataset{FeatureNames: []string{"A", "B"}}
+	// Well-separated clusters, and an unclustered population where Lloyd
+	// runs many rounds, so per-round merge order matters.
+	separated := &Dataset{FeatureNames: []string{"A", "B"}}
 	r := newRNG(11)
 	centers := [][]float64{{0, 0}, {20, 20}, {-20, 20}}
 	for i := 0; i < 900; i++ {
 		c := centers[i%3]
-		ds.Features = append(ds.Features, []float64{c[0] + r.Float64(), c[1] + r.Float64()})
-		ds.IDs = append(ds.IDs, types.NewInt(int64(i)))
+		separated.Features = append(separated.Features, []float64{c[0] + r.Float64(), c[1] + r.Float64()})
+		separated.IDs = append(separated.IDs, types.NewInt(int64(i)))
 	}
-	single, _, err := TrainKMeans(ds, KMeansOptions{K: 3, MaxIterations: 50, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		ds *Dataset
+		k  int
+	}{{separated, 3}, {extractXY(t, syntheticRelation(2000), false), 4}} {
+		checkKMeansAgainstOracle(t, c.ds, c.k)
 	}
-	dist, assignments, err := TrainKMeansDistributed(splitDataset(ds, 4), KMeansOptions{K: 3, MaxIterations: 50, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist.N != 900 {
-		t.Fatalf("N = %d", dist.N)
-	}
-	rowsAssigned := 0
-	for _, a := range assignments {
-		rowsAssigned += len(a)
-	}
-	if rowsAssigned != 900 {
-		t.Fatalf("assignments cover %d rows", rowsAssigned)
-	}
-	// Compare sorted centroid sets.
-	sortCentroids := func(cs [][]float64) [][]float64 {
-		out := append([][]float64(nil), cs...)
-		sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-		return out
-	}
-	s, d := sortCentroids(single.Centroids), sortCentroids(dist.Centroids)
-	for i := range s {
-		for j := range s[i] {
-			if math.Abs(s[i][j]-d[i][j]) > 1.0 {
-				t.Fatalf("centroid %d dim %d: single %v, distributed %v", i, j, s[i], d[i])
+}
+
+// checkKMeansAgainstOracle deals ds into 2, 4 and 7 partitions, plus a nil
+// and an empty one, and compares TrainKMeans on them with kmeansOracle on
+// their concatenation.
+func checkKMeansAgainstOracle(t *testing.T, ds *Dataset, k int) {
+	t.Helper()
+	for _, shards := range []int{2, 4, 7} {
+		parts := splitDataset(ds, shards)
+		parts = append(parts[:1], append([]*Dataset{nil, {FeatureNames: ds.FeatureNames}}, parts[1:]...)...)
+		concat := &Dataset{FeatureNames: ds.FeatureNames}
+		for _, p := range parts {
+			if p != nil {
+				concat.Features = append(concat.Features, p.Features...)
 			}
 		}
+		opts := KMeansOptions{K: k, MaxIterations: 50, Seed: 3, Parallelism: 3}
+		want, wantAssign, err := kmeansOracle(concat, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, assignments, err := TrainKMeans(parts, opts)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if got.N != want.N || got.Iterations != want.Iterations {
+			t.Fatalf("k=%d, %d shards: N %d, %d iterations; oracle N %d, %d iterations", k, shards, got.N, got.Iterations, want.N, want.Iterations)
+		}
+		var gotAssign []int
+		for i, a := range assignments {
+			if (a == nil) != (parts[i] == nil || parts[i].Rows() == 0) {
+				t.Fatalf("%d shards: partition %d has %d assignments for %v", shards, i, len(a), parts[i])
+			}
+			gotAssign = append(gotAssign, a...)
+		}
+		if !reflect.DeepEqual(gotAssign, wantAssign) {
+			t.Fatalf("k=%d, %d shards: assignments differ from the oracle's", k, shards)
+		}
+		for c := range want.Centroids {
+			for j := range want.Centroids[c] {
+				relClose(t, "centroid", got.Centroids[c][j], want.Centroids[c][j], 1e-9)
+			}
+		}
+		relClose(t, "inertia", got.Inertia, want.Inertia, 1e-9)
 	}
-	relClose(t, "inertia", dist.Inertia, single.Inertia, 0.25)
 }
 
 func TestDistributedDecisionForestWithinTolerance(t *testing.T) {
@@ -298,7 +320,7 @@ func TestExtractAndSummarizeEmptyInputErrors(t *testing.T) {
 	if _, _, err := ScoreRelation(ModelKindLinear, model, allNull, "ID"); err == nil {
 		t.Fatal("ScoreRelation on an all-skipped relation must fail")
 	}
-	rows, _, err := scorePartition(ModelKindLinear, model, allNull, "ID", true)
+	rows, err := scorePartition(ModelKindLinear, model, allNull, "ID", true)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("scorePartition(allowEmpty): %d rows, %v", len(rows), err)
 	}

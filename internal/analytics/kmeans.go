@@ -23,21 +23,29 @@ type KMeansOptions struct {
 	K             int
 	MaxIterations int
 	Seed          int64
-	// Parallelism is the number of goroutines used for the assignment step
-	// (the accelerator passes its slice count). <=0 means GOMAXPROCS.
+	// Parallelism is the number of goroutines each partition uses for the
+	// assignment step (the accelerator passes its slice count). <=0 means
+	// GOMAXPROCS.
 	Parallelism int
 	// Tolerance stops iterating when total centroid movement falls below it.
 	Tolerance float64
 }
 
-// TrainKMeans clusters the dataset with Lloyd's algorithm and k-means++
-// initialisation. The assignment step is parallelised across worker slices,
-// matching how the accelerator distributes row ranges.
-func TrainKMeans(ds *Dataset, opts KMeansOptions) (*KMeansModel, []int, error) {
-	n := ds.Rows()
-	p := ds.Cols()
-	if n == 0 {
-		return nil, nil, fmt.Errorf("analytics: k-means requires at least one row")
+// TrainKMeans clusters the partitions with exact partitioned Lloyd and
+// k-means++ seeding. Seeding runs over the non-empty partitions' rows
+// concatenated in ordinal order. Every round each partition assigns its rows
+// to the nearest centroid and sums its clusters, all partitions in parallel,
+// and the coordinator merges the per-cluster sums and counts in ordinal order,
+// starting from the first partition's sums. One partition therefore gives
+// the one-pass result bit for bit, and several give the same clustering as
+// one pass over their concatenation up to summation order. The assignment
+// step is parallelised across worker slices within each partition, matching
+// how the accelerator distributes row ranges. Returns the model and the
+// assignments aligned with parts (nil for empty partitions).
+func TrainKMeans(parts []*Dataset, opts KMeansOptions) (*KMeansModel, [][]int, error) {
+	featureNames, n, err := partStats(parts, "k-means")
+	if err != nil {
+		return nil, nil, err
 	}
 	if opts.K <= 0 {
 		return nil, nil, fmt.Errorf("analytics: k-means requires K > 0")
@@ -56,53 +64,91 @@ func TrainKMeans(ds *Dataset, opts KMeansOptions) (*KMeansModel, []int, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	centroids := initKMeansPlusPlus(ds, opts.K, newRNG(opts.Seed))
-	assignments := make([]int, n)
+	rows := make([][]float64, 0, n)
+	assignments := make([][]int, len(parts))
+	for i, ds := range parts {
+		if ds != nil && ds.Rows() > 0 {
+			rows = append(rows, ds.Features...)
+			assignments[i] = make([]int, ds.Rows())
+		}
+	}
+	centroids := initKMeansPlusPlus(rows, opts.K, newRNG(opts.Seed))
+	sums := make([][][]float64, len(parts))
+	counts := make([][]int, len(parts))
 	iterations := 0
 
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		iterations = iter + 1
-		if _, err := assignParallel(ds, centroids, assignments, workers); err != nil {
+		if err := forEachPart(parts, func(i int, ds *Dataset) error {
+			if _, err := assignParallel(ds, centroids, assignments[i], workers); err != nil {
+				return err
+			}
+			sum := make([][]float64, opts.K)
+			count := make([]int, opts.K)
+			for c := range sum {
+				sum[c] = make([]float64, len(featureNames))
+			}
+			for r, c := range assignments[i] {
+				count[c]++
+				for j, v := range ds.Features[r] {
+					sum[c][j] += v
+				}
+			}
+			sums[i], counts[i] = sum, count
+			return nil
+		}); err != nil {
 			return nil, nil, err
 		}
 
-		// Recompute centroids.
-		newCentroids := make([][]float64, opts.K)
-		counts := make([]int, opts.K)
-		for c := range newCentroids {
-			newCentroids[c] = make([]float64, p)
-		}
-		for i := 0; i < n; i++ {
-			c := assignments[i]
-			counts[c]++
-			for j := 0; j < p; j++ {
-				newCentroids[c][j] += ds.Features[i][j]
+		// Merge in ordinal order; the merged sums become the new centroids.
+		var next [][]float64
+		var count []int
+		for i := range parts {
+			if sums[i] == nil {
+				continue
+			}
+			if next == nil {
+				next, count = sums[i], counts[i]
+				continue
+			}
+			for c := range next {
+				count[c] += counts[i][c]
+				for j := range next[c] {
+					next[c][j] += sums[i][c][j]
+				}
 			}
 		}
 		movement := 0.0
-		for c := 0; c < opts.K; c++ {
-			if counts[c] == 0 {
+		for c := range next {
+			if count[c] == 0 {
 				// Empty cluster: keep the previous centroid.
-				newCentroids[c] = centroids[c]
+				next[c] = centroids[c]
 				continue
 			}
-			for j := 0; j < p; j++ {
-				newCentroids[c][j] /= float64(counts[c])
-				movement += math.Abs(newCentroids[c][j] - centroids[c][j])
+			for j := range next[c] {
+				next[c][j] /= float64(count[c])
+				movement += math.Abs(next[c][j] - centroids[c][j])
 			}
 		}
-		centroids = newCentroids
+		centroids = next
 		if movement < opts.Tolerance {
 			break
 		}
 	}
-	inertia, err := assignParallel(ds, centroids, assignments, workers)
-	if err != nil {
+	inertias := make([]float64, len(parts))
+	if err := forEachPart(parts, func(i int, ds *Dataset) (err error) {
+		inertias[i], err = assignParallel(ds, centroids, assignments[i], workers)
+		return err
+	}); err != nil {
 		return nil, nil, err
+	}
+	inertia := 0.0
+	for _, v := range inertias {
+		inertia += v
 	}
 
 	model := &KMeansModel{
-		FeatureNames: append([]string(nil), ds.FeatureNames...),
+		FeatureNames: append([]string(nil), featureNames...),
 		Centroids:    centroids,
 		Inertia:      inertia,
 		Iterations:   iterations,
@@ -117,22 +163,25 @@ func (m *KMeansModel) Predict(features []float64) int {
 	return best
 }
 
-func initKMeansPlusPlus(ds *Dataset, k int, r *rng) [][]float64 {
-	n := ds.Rows()
+// initKMeansPlusPlus picks k initial centroids from rows with k-means++:
+// the first uniformly, each next one with probability proportional to its
+// squared distance from the centroids chosen so far.
+func initKMeansPlusPlus(rows [][]float64, k int, r *rng) [][]float64 {
+	n := len(rows)
 	centroids := make([][]float64, 0, k)
 	first := r.Intn(n)
-	centroids = append(centroids, append([]float64(nil), ds.Features[first]...))
+	centroids = append(centroids, append([]float64(nil), rows[first]...))
 	dists := make([]float64, n)
 	for len(centroids) < k {
 		total := 0.0
 		for i := 0; i < n; i++ {
-			_, d := nearestCentroid(ds.Features[i], centroids)
+			_, d := nearestCentroid(rows[i], centroids)
 			dists[i] = d
 			total += d
 		}
 		if total == 0 {
 			// All points identical to chosen centroids; pick randomly.
-			centroids = append(centroids, append([]float64(nil), ds.Features[r.Intn(n)]...))
+			centroids = append(centroids, append([]float64(nil), rows[r.Intn(n)]...))
 			continue
 		}
 		target := r.Float64() * total
@@ -145,7 +194,7 @@ func initKMeansPlusPlus(ds *Dataset, k int, r *rng) [][]float64 {
 				break
 			}
 		}
-		centroids = append(centroids, append([]float64(nil), ds.Features[chosen]...))
+		centroids = append(centroids, append([]float64(nil), rows[chosen]...))
 	}
 	return centroids
 }

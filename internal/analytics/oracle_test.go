@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 
 // The reference oracles below train on one whole dataset in a single pass
 // over its rows, with no partials and no merge. They pin what
-// TrainLinearRegression, TrainLogisticRegression and TrainNaiveBayes must
-// produce on one partition, and what the merged models must approach on
-// several.
+// TrainLinearRegression, TrainLogisticRegression, TrainNaiveBayes and
+// TrainKMeans must produce on one partition, and what the merged models must
+// approach on several.
 
 // linearRegressionOracle is the one-pass linear regression trainer over a
 // whole dataset: it builds the normal equations (X'X + ridge*I) beta = X'y
@@ -256,6 +257,88 @@ func naiveBayesOracle(ds *Dataset) (*NaiveBayesModel, error) {
 	return model, nil
 }
 
+// kmeansOracle is the one-dataset k-means trainer: Lloyd's algorithm with
+// k-means++ initialisation, the assignment step parallelised across worker
+// slices and the centroids recomputed in one pass over the rows. TrainKMeans
+// on one partition must match it bit for bit.
+func kmeansOracle(ds *Dataset, opts KMeansOptions) (*KMeansModel, []int, error) {
+	n := ds.Rows()
+	p := ds.Cols()
+	if n == 0 {
+		return nil, nil, fmt.Errorf("analytics: k-means requires at least one row")
+	}
+	if opts.K <= 0 {
+		return nil, nil, fmt.Errorf("analytics: k-means requires K > 0")
+	}
+	if opts.K > n {
+		opts.K = n
+	}
+	if opts.MaxIterations <= 0 {
+		opts.MaxIterations = 50
+	}
+	if opts.Tolerance <= 0 {
+		opts.Tolerance = 1e-6
+	}
+	workers := opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+
+	centroids := initKMeansPlusPlus(ds.Features, opts.K, newRNG(opts.Seed))
+	assignments := make([]int, n)
+	iterations := 0
+
+	for iter := 0; iter < opts.MaxIterations; iter++ {
+		iterations = iter + 1
+		if _, err := assignParallel(ds, centroids, assignments, workers); err != nil {
+			return nil, nil, err
+		}
+
+		// Recompute centroids.
+		newCentroids := make([][]float64, opts.K)
+		counts := make([]int, opts.K)
+		for c := range newCentroids {
+			newCentroids[c] = make([]float64, p)
+		}
+		for i := 0; i < n; i++ {
+			c := assignments[i]
+			counts[c]++
+			for j := 0; j < p; j++ {
+				newCentroids[c][j] += ds.Features[i][j]
+			}
+		}
+		movement := 0.0
+		for c := 0; c < opts.K; c++ {
+			if counts[c] == 0 {
+				// Empty cluster: keep the previous centroid.
+				newCentroids[c] = centroids[c]
+				continue
+			}
+			for j := 0; j < p; j++ {
+				newCentroids[c][j] /= float64(counts[c])
+				movement += math.Abs(newCentroids[c][j] - centroids[c][j])
+			}
+		}
+		centroids = newCentroids
+		if movement < opts.Tolerance {
+			break
+		}
+	}
+	inertia, err := assignParallel(ds, centroids, assignments, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	model := &KMeansModel{
+		FeatureNames: append([]string(nil), ds.FeatureNames...),
+		Centroids:    centroids,
+		Inertia:      inertia,
+		Iterations:   iterations,
+		N:            n,
+	}
+	return model, assignments, nil
+}
+
 // bitsDiff returns "" when got and want are identical, comparing every float
 // by its IEEE-754 bits (so a NaN matches a NaN with the same payload and -0
 // does not match +0), and otherwise the path of the first difference.
@@ -381,6 +464,15 @@ func TestOraclesMatchOnePartition(t *testing.T) {
 			nb, nbErr := TrainNaiveBayes(parts)
 			nbWant, nbWantErr := naiveBayesOracle(c.ds)
 			check("naive bayes", nb, nbWant, nbErr, nbWantErr)
+			// Parallelism 0 is GOMAXPROCS for both, so the pin holds at any
+			// -cpu setting.
+			kmOpts := KMeansOptions{K: 3, MaxIterations: 50, Seed: 3}
+			km, kmAssign, kmErr := TrainKMeans(parts, kmOpts)
+			kmWant, kmWantAssign, kmWantErr := kmeansOracle(c.ds, kmOpts)
+			check("k-means", km, kmWant, kmErr, kmWantErr)
+			if kmErr == nil && !reflect.DeepEqual(kmAssign[0], kmWantAssign) {
+				t.Fatal("one-partition k-means assignments differ from the oracle's")
+			}
 		})
 	}
 }

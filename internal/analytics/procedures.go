@@ -51,20 +51,31 @@ func materialize(ctx *core.ProcContext, outTable string, rel *relalg.Relation) (
 }
 
 func materializeRows(ctx *core.ProcContext, outTable string, schema types.Schema, rows []types.Row) (int, error) {
-	outTable = types.NormalizeName(outTable)
-	if ctx.Catalog.HasTable(outTable) {
-		if ctx.AOTs.IsAOT(outTable) {
-			if err := ctx.AOTs.Drop(outTable); err != nil {
-				return 0, err
-			}
-		} else {
-			return 0, fmt.Errorf("analytics: output table %s exists and is not accelerator-only", outTable)
-		}
-	}
-	if err := ctx.AOTs.CreateFromSchema(ctx.User, outTable, "", schema, ""); err != nil {
+	out, err := materializeTarget(ctx, outTable, "", schema, "")
+	if err != nil {
 		return 0, err
 	}
-	return ctx.InsertRows(outTable, rows)
+	return ctx.InsertRows(out, rows)
+}
+
+// materializeTarget drops an existing accelerator-only output table of the
+// same name and creates it empty on the named backend ("" for the default
+// accelerator) with an optional distribution key, so shard-local writes find
+// it on every member. It returns the normalised name.
+func materializeTarget(ctx *core.ProcContext, outTable, accName string, schema types.Schema, distKey string) (string, error) {
+	outTable = types.NormalizeName(outTable)
+	if ctx.Catalog.HasTable(outTable) {
+		if !ctx.AOTs.IsAOT(outTable) {
+			return "", fmt.Errorf("analytics: output table %s exists and is not accelerator-only", outTable)
+		}
+		if err := ctx.AOTs.Drop(outTable); err != nil {
+			return "", err
+		}
+	}
+	if err := ctx.AOTs.CreateFromSchema(ctx.User, outTable, accName, schema, distKey); err != nil {
+		return "", err
+	}
+	return outTable, nil
 }
 
 func statsRelation(stats []ColumnStats) *relalg.Relation {
@@ -145,7 +156,7 @@ func procSummary(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	}
 	columns := core.SplitList(cols)
 	var rows atomic.Int64
-	parts, _, err := readPartitions(ctx, table, "IDAX.SUMMARY", func(rel *relalg.Relation, _ bool) ([]ColumnMoments, error) {
+	parts, err := readPartitions(ctx, scatterTarget(ctx, table), table, "IDAX.SUMMARY", func(rel *relalg.Relation, _ writeFunc) ([]ColumnMoments, error) {
 		rows.Add(int64(len(rel.Rows)))
 		return SummarizePartial(rel, columns)
 	})
@@ -318,10 +329,10 @@ func procSplitData(ctx *core.ProcContext, args []types.Value) (*core.ProcResult,
 // Training procedures
 //
 // One body each: readDatasets yields one Dataset per partition of the input
-// table. Linear and logistic regression and naive Bayes run one partition
-// trainer (merged partials) for any partition count. KMEANS and
-// DECISION_TREE let the count pick: the single-backend trainer for one,
-// consolidated centers or a forest for several.
+// table. Linear and logistic regression, naive Bayes and k-means run one
+// partition trainer (merged partials) for any partition count.
+// DECISION_TREE lets the count pick: a tree for one partition, a forest of
+// one tree per partition for several, because greedy splits do not merge.
 // ---------------------------------------------------------------------------
 
 func procLinearRegression(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
@@ -419,34 +430,18 @@ func procKMeans(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, er
 	if fleet != nil {
 		opts.Parallelism = fleet.Slices()
 	}
-	var model *KMeansModel
-	assignments := make([][]int, 1)
-	if len(parts) == 1 {
-		model, assignments[0], err = TrainKMeans(parts[0], opts)
-	} else {
-		model, assignments, err = TrainKMeansDistributed(parts, opts)
-	}
+	model, assignments, err := TrainKMeans(parts, opts)
 	if err != nil {
 		return nil, err
 	}
-	msg := fmt.Sprintf("k-means (k=%d) converged after %d iterations, inertia %.2f", k, model.Iterations, model.Inertia)
-	if len(parts) > 1 {
-		msg = fmt.Sprintf("k-means (k=%d) trained shard-local across %d shards (consolidated centers, inertia %.2f)", k, shardsUsed(parts), model.Inertia)
-	}
 	res, err := saveTrained(ctx, parts, modelTable, ModelKindKMeans, model, model.N,
-		map[string]float64{"INERTIA": model.Inertia, "ITERATIONS": float64(model.Iterations), "K": float64(k)}, msg)
+		map[string]float64{"INERTIA": model.Inertia, "ITERATIONS": float64(model.Iterations), "K": float64(k)},
+		fmt.Sprintf("k-means (k=%d) trained %s in %d iterations, inertia %.2f", k, trainedOn(parts, model.N), model.Iterations, model.Inertia))
 	if err != nil || assignTable == "" {
 		return res, err
 	}
-	// Assignments are written where their partition was read: shard-local on
-	// a shard group, through the routed insert path otherwise.
-	batches := assignmentRows(parts, assignments, idColumn == "")
-	if fleet != nil {
-		err = writeAssignmentsShardLocal(ctx, fleet, assignTable, batches)
-	} else {
-		_, err = materializeRows(ctx, assignTable, assignmentSchema(), batches[0])
-	}
-	if err != nil {
+	// Assignments are written where their partition was read.
+	if err := writeAssignments(ctx, fleet, assignTable, assignmentRows(parts, assignments, idColumn == "")); err != nil {
 		return nil, err
 	}
 	res.OutputTables = append(res.OutputTables, types.NormalizeName(assignTable))
@@ -523,7 +518,9 @@ func procDecisionTree(ctx *core.ProcContext, args []types.Value) (*core.ProcResu
 			map[string]float64{"ACCURACY": acc, "NODES": float64(tree.Nodes), "DEPTH": float64(tree.Depth())},
 			fmt.Sprintf("decision tree with %d nodes (depth %d, accuracy=%.4f)", tree.Nodes, tree.Depth(), acc))
 	}
-	// Several partitions grow one tree each; the model is their voting forest.
+	// Several partitions grow one tree each; the model is their voting
+	// forest. Greedy splits do not decompose into per-partition sums, so
+	// unlike the other trainers this one cannot merge exactly.
 	forest, err := TrainDecisionForestDistributed(parts, opts)
 	if err != nil {
 		return nil, err
@@ -563,40 +560,134 @@ func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	if err != nil {
 		return nil, err
 	}
-	if be, ok := scatterTarget(ctx, table); ok {
-		return distPredict(ctx, be, kind, model, table, idColumn, outTable)
-	}
-	rel, err := readTable(ctx, table)
+	meta, err := ctx.Catalog.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	rows, schema, err := ScoreRelation(kind, model, rel, idColumn)
+	if err := ctx.CheckSelect(table); err != nil {
+		return nil, err
+	}
+	idColumn = types.NormalizeName(idColumn)
+	idKind := types.KindString
+	if idx := meta.Schema.IndexOf(idColumn); idx >= 0 {
+		idKind = meta.Schema.Columns[idx].Kind
+	}
+	schema := predictionSchema(idKind)
+
+	// Placement: a whole-table input scores into the default accelerator, a
+	// sharded one into its shard group, each prediction written on the shard
+	// that computed it. When the id column is the input's hash distribution
+	// key (and the input is not mid-migration), the prediction table inherits
+	// the key: the identical member set places equal key values identically,
+	// so scores stay co-located with their inputs and joins between them run
+	// shard-local.
+	be := scatterTarget(ctx, table)
+	accName, distKey := "", ""
+	if be != nil {
+		accName = be.Name()
+		if info, ok := plannerInfo(be, table); ok && !info.Migrating && info.DistKey != "" && info.DistKey == idColumn {
+			distKey = "ID"
+		}
+	}
+	score := func(key string) (string, int, error) {
+		out, err := materializeTarget(ctx, outTable, accName, schema, key)
+		if err != nil {
+			return "", 0, err
+		}
+		written, err := readPartitions(ctx, be, table, "IDAX.PREDICT", func(rel *relalg.Relation, write writeFunc) (int, error) {
+			rows, err := scorePartition(kind, model, rel, idColumn, true)
+			if err != nil || len(rows) == 0 {
+				return 0, err
+			}
+			return write(out, rows)
+		})
+		total := 0
+		for _, n := range written {
+			total += n
+		}
+		if err == nil && total == 0 {
+			err = errNoUsableRows(table)
+		}
+		if err != nil {
+			// A failed PREDICT leaves no output table, on every backend. The
+			// drop's own error would only hide err.
+			_ = ctx.AOTs.Drop(out)
+			return "", 0, err
+		}
+		return out, total, nil
+	}
+
+	// The Migrating check above ran before the scatter takes the migration
+	// fence, so a rebalance starting in between could leave a shard-local
+	// write on a shard that does not own its key under the fresh prediction
+	// table's placement map — and a key-distributed table is pruned by that
+	// map. Detect the race after the fact (fleet epoch advanced or the input
+	// went migrating) and redo the scoring into a round-robin table, whose
+	// placement is arbitrary by construction.
+	type epocher interface{ Epoch() int64 }
+	epochBefore := int64(-1)
+	if ep, ok := be.(epocher); ok && distKey != "" {
+		epochBefore = ep.Epoch()
+	}
+	out, total, err := score(distKey)
 	if err != nil {
 		return nil, err
 	}
-	n, err := materializeRows(ctx, outTable, schema, rows)
-	if err != nil {
-		return nil, err
+	if distKey != "" {
+		stable := true
+		if ep, ok := be.(epocher); ok && ep.Epoch() != epochBefore {
+			stable = false
+		}
+		if info, ok := plannerInfo(be, table); !ok || info.Migrating {
+			stable = false
+		}
+		if !stable {
+			distKey = ""
+			if out, total, err = score(distKey); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return &core.ProcResult{
-		RowsAffected: n,
-		OutputTables: []string{types.NormalizeName(outTable)},
-		Message:      fmt.Sprintf("scored %d rows with %s model into %s", n, kind, types.NormalizeName(outTable)),
-	}, nil
+	msg := fmt.Sprintf("scored %d rows with %s model into %s", total, kind, out)
+	if be != nil {
+		colocated := ""
+		if distKey != "" {
+			colocated = ", co-located with input by " + idColumn
+		}
+		msg = fmt.Sprintf("scored %d rows shard-local across %d shards with %s model into %s (predictions written on their shard%s)", total, be.ShardCount(), kind, out, colocated)
+	}
+	return &core.ProcResult{RowsAffected: total, OutputTables: []string{out}, Message: msg}, nil
+}
+
+// predictionSchema is the schema of a PREDICT output table.
+func predictionSchema(idKind types.Kind) types.Schema {
+	return types.NewSchema(
+		types.Column{Name: "ID", Kind: idKind},
+		types.Column{Name: "PREDICTION", Kind: types.KindFloat},
+		types.Column{Name: "LABEL", Kind: types.KindString},
+	)
 }
 
 // ScoreRelation applies a trained model to every row of rel and returns the
 // scored rows with their schema. It is exported so the benchmark harness can
 // measure "client-side" scoring (same computation, but after extracting the
 // data out of the database) against the in-database path. An empty relation
-// (or one whose every row is incomplete) is an error; per-shard scoring uses
-// scorePartition, where an unusable partition is legitimate as long as other
-// shards hold rows.
+// (or one whose every row is incomplete) is an error; PREDICT scores each
+// partition with scorePartition, which allows that, and fails only when no
+// partition had a scoreable row.
 func ScoreRelation(kind string, model any, rel *relalg.Relation, idColumn string) ([]types.Row, types.Schema, error) {
-	return scorePartition(kind, model, rel, idColumn, false)
+	rows, err := scorePartition(kind, model, rel, idColumn, false)
+	if err != nil {
+		return nil, types.Schema{}, err
+	}
+	idKind := types.KindString
+	if idx := rel.Schema().IndexOf(idColumn); idx >= 0 {
+		idKind = rel.Schema().Columns[idx].Kind
+	}
+	return rows, predictionSchema(idKind), nil
 }
 
-func scorePartition(kind string, model any, rel *relalg.Relation, idColumn string, allowEmpty bool) ([]types.Row, types.Schema, error) {
+func scorePartition(kind string, model any, rel *relalg.Relation, idColumn string, allowEmpty bool) ([]types.Row, error) {
 	var featureNames []string
 	switch m := model.(type) {
 	case *LinearModel:
@@ -612,22 +703,13 @@ func scorePartition(kind string, model any, rel *relalg.Relation, idColumn strin
 	case *ForestModel:
 		featureNames = m.FeatureNames
 	default:
-		return nil, types.Schema{}, fmt.Errorf("analytics: unsupported model type %T", model)
+		return nil, fmt.Errorf("analytics: unsupported model type %T", model)
 	}
 	ds, err := Extract(rel, ExtractOptions{Features: featureNames, ID: idColumn, SkipIncomplete: true, AllowEmpty: allowEmpty})
 	if err != nil {
-		return nil, types.Schema{}, err
+		return nil, err
 	}
 
-	idKind := types.KindString
-	if idx := rel.Schema().IndexOf(idColumn); idx >= 0 {
-		idKind = rel.Schema().Columns[idx].Kind
-	}
-	schema := types.NewSchema(
-		types.Column{Name: "ID", Kind: idKind},
-		types.Column{Name: "PREDICTION", Kind: types.KindFloat},
-		types.Column{Name: "LABEL", Kind: types.KindString},
-	)
 	rows := make([]types.Row, ds.Rows())
 	for i := 0; i < ds.Rows(); i++ {
 		var prediction float64
@@ -657,5 +739,5 @@ func scorePartition(kind string, model any, rel *relalg.Relation, idColumn strin
 		}
 		rows[i] = types.Row{ds.IDs[i], types.NewFloat(prediction), types.NewString(label)}
 	}
-	return rows, schema, nil
+	return rows, nil
 }

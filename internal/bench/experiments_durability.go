@@ -34,7 +34,7 @@ func RunE16Durability(scale Scale) (*Table, error) {
 	if err := runE16Recovery(t, scale); err != nil {
 		return nil, fmt.Errorf("E16 recovery: %w", err)
 	}
-	t.AddNote("ingest is %d rows in 500-row INSERT statements into an accelerator-only table; wal=grouped fsyncs on a 2ms group-commit interval, wal=always fsyncs before every commit returns.", scale.LoadRows)
+	t.AddNote("ingest is %d rows in 500-row INSERT statements into an accelerator-only table; wal=grouped fsyncs on a 2ms group-commit interval, wal=always fsyncs before every commit returns. wal=off and wal=grouped report the fastest of %d interleaved runs each, wal=always one run.", scale.LoadRows, e16IngestRuns)
 	t.AddNote("recovery reopens a store that was killed without a clean shutdown: a checkpoint holding ~91%% of the rows plus a WAL tail with the rest; the reopen verifies the exact row count before timing is reported.")
 	return t, nil
 }
@@ -75,65 +75,49 @@ func e16Count(sys *idaax.System, table string) (int, error) {
 	return n, nil
 }
 
+// e16IngestRuns is how many times wal=off and wal=grouped ingest run, in
+// interleaved pairs; each reports its fastest run. A CPU shared with other
+// work only ever slows a run down, so the minimum of interleaved runs is the
+// estimate least moved by it, and interleaving exposes both modes to the
+// same background.
+const e16IngestRuns = 3
+
 func runE16Ingest(t *Table, scale Scale) error {
 	rows := scale.LoadRows
 	modes := []struct {
-		name    string
-		fsync   string
-		durable bool
+		name  string
+		fsync string
+		runs  int
 	}{
-		{"wal=off", "", false},
-		{"wal=grouped", "grouped", true},
-		{"wal=always", "always", true},
+		{"wal=off", "", e16IngestRuns},
+		{"wal=grouped", "grouped", e16IngestRuns},
+		{"wal=always", "always", 1},
+	}
+	best := make([]time.Duration, len(modes))
+	for run := 0; run < e16IngestRuns; run++ {
+		for i, m := range modes {
+			if run >= m.runs {
+				continue
+			}
+			elapsed, err := e16IngestOnce(scale, m.fsync, rows)
+			if err != nil {
+				return fmt.Errorf("%s: %w", m.name, err)
+			}
+			if best[i] == 0 || elapsed < best[i] {
+				best[i] = elapsed
+			}
+		}
 	}
 	var offRate float64
-	for _, m := range modes {
-		cfg := idaax.Config{AcceleratorSlices: scale.Slices, AnalyticsPublic: true}
-		var dir string
-		if m.durable {
-			var err error
-			if dir, err = os.MkdirTemp("", "idaax-e16-*"); err != nil {
-				return err
-			}
-			cfg.DataDir = dir
-			cfg.FsyncPolicy = m.fsync
-		}
-		sys, err := idaax.OpenDurable(cfg)
-		if err != nil {
-			return err
-		}
-		if _, err := sys.AdminSession().Exec("CREATE TABLE ing (k BIGINT, v DOUBLE) IN ACCELERATOR IDAA1"); err != nil {
-			sys.Close()
-			return err
-		}
-		start := time.Now()
-		err = e16Insert(sys, "ing", 0, rows)
-		elapsed := time.Since(start)
-		if err == nil {
-			var n int
-			if n, err = e16Count(sys, "ing"); err == nil && n != rows {
-				err = fmt.Errorf("ingest wrote %d of %d rows", n, rows)
-			}
-		}
-		closeErr := sys.Close()
-		if dir != "" {
-			os.RemoveAll(dir)
-		}
-		if err != nil {
-			return err
-		}
-		if closeErr != nil {
-			return closeErr
-		}
-
-		rate := float64(rows) / elapsed.Seconds()
+	for i, m := range modes {
+		rate := float64(rows) / best[i].Seconds()
 		rel := "1.00x"
 		if m.name == "wal=off" {
 			offRate = rate
 		} else if rate > 0 {
 			rel = fmt.Sprintf("%.2fx", offRate/rate)
 		}
-		t.AddRow("ingest", m.name, itoa(rows), ms(elapsed), fmt.Sprintf("%.0f", rate), rel)
+		t.AddRow("ingest", m.name, itoa(rows), ms(best[i]), fmt.Sprintf("%.0f", rate), rel)
 		// Gated metrics cover wal=off and wal=grouped only: wal=always ingest
 		// is dominated by the runner's raw fsync latency, which says nothing
 		// about the code — it is reported in the table but not regression-gated.
@@ -145,6 +129,43 @@ func runE16Ingest(t *Table, scale Scale) error {
 		}
 	}
 	return nil
+}
+
+// e16IngestOnce times one batched ingest of rows into a fresh system — in
+// memory when fsync is "", otherwise durable with that fsync policy — and
+// verifies the exact row count.
+func e16IngestOnce(scale Scale, fsync string, rows int) (time.Duration, error) {
+	cfg := idaax.Config{AcceleratorSlices: scale.Slices, AnalyticsPublic: true}
+	if fsync != "" {
+		dir, err := os.MkdirTemp("", "idaax-e16-*")
+		if err != nil {
+			return 0, err
+		}
+		defer os.RemoveAll(dir)
+		cfg.DataDir = dir
+		cfg.FsyncPolicy = fsync
+	}
+	sys, err := idaax.OpenDurable(cfg)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := sys.AdminSession().Exec("CREATE TABLE ing (k BIGINT, v DOUBLE) IN ACCELERATOR IDAA1"); err != nil {
+		sys.Close()
+		return 0, err
+	}
+	start := time.Now()
+	err = e16Insert(sys, "ing", 0, rows)
+	elapsed := time.Since(start)
+	if err == nil {
+		var n int
+		if n, err = e16Count(sys, "ing"); err == nil && n != rows {
+			err = fmt.Errorf("ingest wrote %d of %d rows", n, rows)
+		}
+	}
+	if closeErr := sys.Close(); err == nil {
+		err = closeErr
+	}
+	return elapsed, err
 }
 
 func runE16Recovery(t *Table, scale Scale) error {
