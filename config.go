@@ -62,9 +62,6 @@ type Config struct {
 	// AnalyticsPublic grants EXECUTE on the analytics procedures to PUBLIC.
 	// When false, only SYSADM and explicit grantees may call them.
 	AnalyticsPublic bool
-	// AdminUser overrides the implicit administrator authorization id
-	// (default SYSADM).
-	AdminUser string
 	// QueryHistorySize sets how many recent statements the query history ring
 	// retains (default 256).
 	QueryHistorySize int
@@ -124,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShardGroupName == "" {
 		c.ShardGroupName = "SHARDS"
-	}
-	if c.AdminUser == "" {
-		c.AdminUser = "SYSADM"
 	}
 	return c
 }

@@ -71,8 +71,9 @@ type writeFunc func(table string, rows []types.Row) (int, error)
 // readPartitions reads a procedure's input table as partitions and reduces
 // each one where its rows are. On a shard group be (see scatterTarget) it
 // yields one partial per member, computed shard-local through
-// CallShardLocal after the SELECT privilege check that routing would
-// otherwise apply, and hands reduce the member's ShardPartition.WriteLocal.
+// CallShardLocal, and hands reduce the member's ShardPartition.WriteLocal;
+// the scatter skips routing, so the input must be one the procedure's
+// registration declares it reads (checked before the CALL's body runs).
 // With be nil it yields one partial of the whole table, read through
 // ctx.QuerySQL, and hands reduce the routed ctx.InsertRows.
 func readPartitions[T any](ctx *core.ProcContext, be accel.MultiShard, table, proc string, reduce func(rel *relalg.Relation, write writeFunc) (T, error)) ([]T, error) {
@@ -86,9 +87,6 @@ func readPartitions[T any](ctx *core.ProcContext, be accel.MultiShard, table, pr
 			return nil, err
 		}
 		return []T{part}, nil
-	}
-	if err := ctx.CheckSelect(table); err != nil {
-		return nil, err
 	}
 	var parts []T
 	err := scatterStream(ctx, be, table, proc, func(p *accel.ShardPartition) (any, error) {

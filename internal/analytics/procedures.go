@@ -14,24 +14,26 @@ import (
 // RegisterAll registers the IDAX.* analytics procedures with the framework.
 // When public is false, only SYSADM (and explicit grantees via
 // SYSPROC.ACCEL_GRANT_PROCEDURE) may call them — the data-governance setting
-// the paper argues for.
+// the paper argues for. Each registration declares the input tables its CALL
+// reads and the outputs it replaces (see core.Procedure).
 func RegisterAll(f *core.Framework, public bool) {
-	reg := func(name, desc string, fn func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error)) {
-		f.MustRegister(&core.FuncProcedure{ProcName: name, Desc: desc, Fn: fn}, public)
+	reg := func(name, desc string, reads, replaces []int, run func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error)) {
+		f.MustRegister(core.Procedure{Name: name, Description: desc, Reads: reads, Replaces: replaces, Run: run}, public)
 	}
+	in0 := []int{0}
 
-	reg("IDAX.SUMMARY", "Column statistics: (in_table, 'col1,col2,...')", procSummary)
-	reg("IDAX.STANDARDIZE", "Z-score normalisation into a new AOT: (in_table, 'cols', out_table)", procStandardize)
-	reg("IDAX.IMPUTE", "Missing-value imputation into a new AOT: (in_table, 'cols', 'MEAN|MEDIAN|ZERO', out_table)", procImpute)
-	reg("IDAX.BIN", "Equal-width binning into a new AOT: (in_table, column, bins, out_table)", procBin)
-	reg("IDAX.ONE_HOT", "One-hot encoding into a new AOT: (in_table, column, out_table)", procOneHot)
-	reg("IDAX.SPLIT_DATA", "Deterministic train/test split into two AOTs: (in_table, train_table, test_table[, fraction, seed])", procSplitData)
-	reg("IDAX.LINEAR_REGRESSION", "Train linear regression: (in_table, target, 'features', model_table[, ridge])", procLinearRegression)
-	reg("IDAX.LOGISTIC_REGRESSION", "Train logistic regression: (in_table, target, 'features', model_table[, iterations, learning_rate])", procLogisticRegression)
-	reg("IDAX.KMEANS", "Train k-means and assign clusters: (in_table, 'features', k, model_table[, assign_table, id_column, iterations, seed])", procKMeans)
-	reg("IDAX.NAIVE_BAYES", "Train gaussian naive Bayes: (in_table, target, 'features', model_table)", procNaiveBayes)
-	reg("IDAX.DECISION_TREE", "Train a CART decision tree: (in_table, target, 'features', model_table[, max_depth])", procDecisionTree)
-	reg("IDAX.PREDICT", "Score a table with a trained model into a new AOT: (model_table, in_table, id_column, out_table)", procPredict)
+	reg("IDAX.SUMMARY", "Column statistics: (in_table, 'col1,col2,...')", in0, nil, procSummary)
+	reg("IDAX.STANDARDIZE", "Z-score normalisation into a new AOT: (in_table, 'cols', out_table)", in0, []int{2}, procStandardize)
+	reg("IDAX.IMPUTE", "Missing-value imputation into a new AOT: (in_table, 'cols', 'MEAN|MEDIAN|ZERO', out_table)", in0, []int{3}, procImpute)
+	reg("IDAX.BIN", "Equal-width binning into a new AOT: (in_table, column, bins, out_table)", in0, []int{3}, procBin)
+	reg("IDAX.ONE_HOT", "One-hot encoding into a new AOT: (in_table, column, out_table)", in0, []int{2}, procOneHot)
+	reg("IDAX.SPLIT_DATA", "Deterministic train/test split into two AOTs: (in_table, train_table, test_table[, fraction, seed])", in0, []int{1, 2}, procSplitData)
+	reg("IDAX.LINEAR_REGRESSION", "Train linear regression: (in_table, target, 'features', model_table[, ridge])", in0, []int{3}, procLinearRegression)
+	reg("IDAX.LOGISTIC_REGRESSION", "Train logistic regression: (in_table, target, 'features', model_table[, iterations, learning_rate])", in0, []int{3}, procLogisticRegression)
+	reg("IDAX.KMEANS", "Train k-means and assign clusters: (in_table, 'features', k, model_table[, assign_table, id_column, iterations, seed])", in0, []int{3, 4}, procKMeans)
+	reg("IDAX.NAIVE_BAYES", "Train gaussian naive Bayes: (in_table, target, 'features', model_table)", in0, []int{3}, procNaiveBayes)
+	reg("IDAX.DECISION_TREE", "Train a CART decision tree: (in_table, target, 'features', model_table[, max_depth])", in0, []int{3}, procDecisionTree)
+	reg("IDAX.PREDICT", "Score a table with a trained model into a new AOT: (model_table, in_table, id_column, out_table)", []int{0, 1}, []int{3}, procPredict)
 }
 
 // ---------------------------------------------------------------------------
@@ -61,13 +63,15 @@ func materializeRows(ctx *core.ProcContext, outTable string, schema types.Schema
 // materializeTarget drops an existing accelerator-only output table of the
 // same name and creates it empty on the named backend ("" for the default
 // accelerator) with an optional distribution key, so shard-local writes find
-// it on every member. It returns the normalised name.
+// it on every member. It returns the normalised name. Right before the drop
+// it applies the replace rule the CALL was admitted under again, which
+// covers a table created since.
 func materializeTarget(ctx *core.ProcContext, outTable, accName string, schema types.Schema, distKey string) (string, error) {
 	outTable = types.NormalizeName(outTable)
+	if err := ctx.Catalog.CheckReplace(ctx.User, outTable); err != nil {
+		return "", err
+	}
 	if ctx.Catalog.HasTable(outTable) {
-		if !ctx.AOTs.IsAOT(outTable) {
-			return "", fmt.Errorf("analytics: output table %s exists and is not accelerator-only", outTable)
-		}
 		if err := ctx.AOTs.Drop(outTable); err != nil {
 			return "", err
 		}
@@ -562,9 +566,6 @@ func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	}
 	meta, err := ctx.Catalog.Table(table)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.CheckSelect(table); err != nil {
 		return nil, err
 	}
 	idColumn = types.NormalizeName(idColumn)

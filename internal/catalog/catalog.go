@@ -62,7 +62,10 @@ func (t *Table) Clone() *Table {
 	return &cp
 }
 
-// Privilege names follow DB2: SELECT, INSERT, UPDATE, DELETE, EXECUTE, ALL.
+// Privilege names follow DB2: SELECT, INSERT, UPDATE, DELETE, EXECUTE, ALL
+// and CONTROL. CONTROL on a table (drop, grant, revoke, remove from the
+// accelerator, replace as a CALL's output) is held only by the owner and
+// SYSADM: no grant confers it, not even ALL.
 const (
 	PrivSelect  = "SELECT"
 	PrivInsert  = "INSERT"
@@ -70,6 +73,7 @@ const (
 	PrivDelete  = "DELETE"
 	PrivExecute = "EXECUTE"
 	PrivAll     = "ALL"
+	PrivControl = "CONTROL"
 )
 
 // PublicGrantee is the pseudo-user every session matches.
@@ -163,6 +167,11 @@ func (c *Catalog) CreateTable(t *Table) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	name := types.NormalizeName(t.Name)
+	if strings.HasPrefix(name, ProcedureObject("")) {
+		// A table so named would share its owner and its grants with the
+		// procedure's EXECUTE object.
+		return fmt.Errorf("catalog: table name %s is reserved for procedures", name)
+	}
 	if _, ok := c.tables[name]; ok {
 		return &ErrExists{Table: name}
 	}
@@ -295,7 +304,8 @@ func (c *Catalog) Revoke(grantee, object string, privileges ...string) {
 }
 
 // HasPrivilege reports whether user holds the privilege on the object, either
-// directly, via PUBLIC, via an ALL grant, or by being the admin or the owner.
+// by being the admin or the owner, or (for any privilege but CONTROL)
+// directly, via PUBLIC or via an ALL grant.
 func (c *Catalog) HasPrivilege(user, object, privilege string) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -309,10 +319,9 @@ func (c *Catalog) HasPrivilege(user, object, privilege string) bool {
 		return true
 	}
 	for _, grantee := range []string{user, PublicGrantee} {
-		if privs, ok := c.grants[grantee][object]; ok {
-			if privs[privilege] || privs[PrivAll] {
-				return true
-			}
+		privs := c.grants[grantee][object]
+		if privilege != PrivControl && (privs[privilege] || privs[PrivAll]) {
+			return true
 		}
 	}
 	return false
@@ -326,6 +335,33 @@ func (c *Catalog) CheckPrivilege(user, object, privilege string) error {
 		return nil
 	}
 	return &ErrNotAuthorized{User: types.NormalizeName(user), Privilege: strings.ToUpper(privilege), Object: types.NormalizeName(object)}
+}
+
+// CheckAdmin returns an ErrNotAuthorized error on object unless user is
+// SYSADM, the only user who may run administrative operations (fleet
+// topology, procedure grants).
+func CheckAdmin(user, object string) error {
+	if types.NormalizeName(user) == AdminUser {
+		return nil
+	}
+	return &ErrNotAuthorized{User: types.NormalizeName(user), Privilege: PrivControl, Object: types.NormalizeName(object)}
+}
+
+// CheckReplace is the rule for a table a CALL writes as its output: the
+// caller may replace it when it is absent, or when it is an accelerator-only
+// table on which the caller holds CONTROL (what DROP TABLE needs).
+func (c *Catalog) CheckReplace(user, table string) error {
+	t, err := c.Table(table)
+	if err != nil {
+		return nil
+	}
+	if err := c.CheckPrivilege(user, t.Name, PrivControl); err != nil {
+		return err
+	}
+	if t.Kind != KindAcceleratorOnly {
+		return fmt.Errorf("catalog: output table %s exists and is not accelerator-only", t.Name)
+	}
+	return nil
 }
 
 // GrantsFor lists the (object, privilege) pairs a grantee holds, sorted.

@@ -133,3 +133,65 @@ func TestGrantsForAndProcedureObject(t *testing.T) {
 		t.Fatal("procedure grant lookup failed")
 	}
 }
+
+func TestControlAndReplace(t *testing.T) {
+	c := New()
+	_ = c.CreateTable(&Table{Name: "aot", Schema: schema(), Owner: "alice", Kind: KindAcceleratorOnly, Accelerator: "IDAA1"})
+	_ = c.CreateTable(&Table{Name: "reg", Schema: schema(), Owner: "alice"})
+	// CONTROL: the owner and SYSADM, and no grant confers it, not even ALL.
+	c.Grant("bob", "aot", PrivAll, PrivControl)
+	for user, want := range map[string]bool{"alice": true, AdminUser: true, "bob": false, "carol": false} {
+		if got := c.HasPrivilege(user, "aot", PrivControl); got != want {
+			t.Fatalf("CONTROL for %s: %v, want %v", user, got, want)
+		}
+	}
+	if !c.HasPrivilege("bob", "aot", PrivDelete) {
+		t.Fatal("ALL should still cover DELETE")
+	}
+	// Administrative operations are SYSADM's alone: no grant and no table
+	// reaches them. A table may not take a procedure object's name, so no
+	// owner gains EXECUTE or the ALL grant on a procedure that way; a table
+	// named like an accelerator is an ordinary table.
+	for _, name := range []string{ProcedureObject("sysproc.accel_rebalance"), "PROCEDURE SYSPROC.ACCEL_GRANT_PROCEDURE", "procedure idax.kmeans"} {
+		if err := c.CreateTable(&Table{Name: name, Schema: schema(), Owner: "bob"}); err == nil {
+			t.Fatalf("CreateTable(%q) succeeded, want the procedure namespace reserved", name)
+		}
+	}
+	if err := c.CreateTable(&Table{Name: "ACCELERATOR SHARDS", Schema: schema(), Owner: "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, object := range []string{ProcedureObject("sysproc.accel_rebalance"), "ACCELERATOR SHARDS", "SHARDS"} {
+		c.Grant("bob", object, PrivAll)
+		var denied *ErrNotAuthorized
+		if err := CheckAdmin("bob", object); !errors.As(err, &denied) || denied.Privilege != PrivControl {
+			t.Fatalf("CheckAdmin(bob, %s) = %v, want lacks CONTROL", object, err)
+		}
+		if err := CheckAdmin("sysadm", object); err != nil {
+			t.Fatalf("CheckAdmin(SYSADM, %s) = %v", object, err)
+		}
+	}
+	if c.HasPrivilege("bob", ProcedureObject("idax.kmeans"), PrivExecute) {
+		t.Fatal("bob must not hold EXECUTE on IDAX.KMEANS")
+	}
+	// Replace: absent, or an AOT the caller controls.
+	var denied *ErrNotAuthorized
+	for _, tc := range []struct {
+		user, table string
+		ok          bool
+	}{
+		{"bob", "absent", true},
+		{"alice", "aot", true},
+		{AdminUser, "aot", true},
+		{"bob", "aot", false},
+		{"alice", "reg", false},
+		{AdminUser, "reg", false},
+	} {
+		err := c.CheckReplace(tc.user, tc.table)
+		if (err == nil) != tc.ok {
+			t.Fatalf("CheckReplace(%s, %s) = %v, want ok=%v", tc.user, tc.table, err, tc.ok)
+		}
+		if tc.user == "bob" && !tc.ok && !errors.As(err, &denied) {
+			t.Fatalf("CheckReplace(bob, aot) = %v, want ErrNotAuthorized", err)
+		}
+	}
+}

@@ -126,7 +126,7 @@ func TestAOTCreateFromSchema(t *testing.T) {
 func TestFrameworkRegistrationAndGovernance(t *testing.T) {
 	cat, a, mgr, fw := setup(t)
 	calls := 0
-	proc := &FuncProcedure{ProcName: "test.echo", Desc: "echoes", Fn: func(ctx *ProcContext, args []types.Value) (*ProcResult, error) {
+	proc := Procedure{Name: "test.echo", Description: "echoes", Run: func(ctx *ProcContext, args []types.Value) (*ProcResult, error) {
 		calls++
 		return &ProcResult{Message: "got " + fmt.Sprint(len(args)) + " args"}, nil
 	}}
@@ -171,6 +171,51 @@ func TestFrameworkRegistrationAndGovernance(t *testing.T) {
 	}
 	if err := fw.GrantExecute("NO.SUCH.PROC", "x"); err == nil {
 		t.Fatal("granting on unknown procedure should fail")
+	}
+}
+
+func TestFrameworkChecksDeclaredAccess(t *testing.T) {
+	cat, a, mgr, fw := setup(t)
+	schema := types.NewSchema(types.Column{Name: "X", Kind: types.KindInt})
+	_ = cat.CreateTable(&catalog.Table{Name: "IN1", Schema: schema, Owner: "ALICE"})
+	_ = cat.CreateTable(&catalog.Table{Name: "IN2", Schema: schema, Owner: "ALICE"})
+	if err := mgr.CreateFromSchema("ALICE", "OUT", "", schema, ""); err != nil {
+		t.Fatal(err)
+	}
+	cat.Grant("BOB", "IN1", catalog.PrivSelect)
+	runs := 0
+	run := func(ctx *ProcContext, args []types.Value) (*ProcResult, error) { runs++; return nil, nil }
+	fw.MustRegister(Procedure{Name: "t.rw", Reads: []int{0}, Replaces: []int{1}, Run: run}, true)
+	fw.MustRegister(Procedure{Name: "t.ctl", Controls: []int{0}, Run: run}, true)
+	fw.MustRegister(Procedure{Name: "t.admin", AdminOnly: true, Run: run}, true)
+	str := func(ss ...string) []types.Value {
+		out := make([]types.Value, len(ss))
+		for i, s := range ss {
+			out[i] = types.NewString(s)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		user, proc string
+		args       []types.Value
+		ok         bool
+	}{
+		{"BOB", "t.rw", str("IN1", "NEW"), true},
+		{"BOB", "t.rw", str("IN1,IN2", "NEW"), false}, // every table of a list
+		{"BOB", "t.rw", str("IN1", "OUT"), false},     // someone else's AOT
+		{"ALICE", "t.rw", str("IN1,IN2", "OUT"), true},
+		{"ALICE", "t.rw", str("IN1", "IN2"), false}, // not accelerator-only
+		{"BOB", "t.rw", nil, true},                  // absent arguments name nothing
+		{"BOB", "t.ctl", str("IN1"), false},
+		{"ALICE", "t.ctl", str("IN1"), true},
+		{"ALICE", "t.admin", nil, false},
+		{catalog.AdminUser, "t.admin", nil, true},
+	} {
+		before := runs
+		_, err := fw.Call(&ProcContext{User: tc.user, Catalog: cat, Accelerator: a, AOTs: mgr}, tc.proc, tc.args)
+		if (err == nil) != tc.ok || (runs > before) != tc.ok {
+			t.Fatalf("%s CALL %s%v: err %v, ran %v, want ok=%v", tc.user, tc.proc, tc.args, err, runs > before, tc.ok)
+		}
 	}
 }
 

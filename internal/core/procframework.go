@@ -53,13 +53,6 @@ type ProcContext struct {
 	Span *obs.Span
 }
 
-// CheckSelect verifies the caller may read the named table — the privilege
-// gate the routed Query path applies, needed explicitly by procedures that
-// bypass routing to scan shard-local.
-func (c *ProcContext) CheckSelect(table string) error {
-	return c.Catalog.CheckPrivilege(c.User, types.NormalizeName(table), catalog.PrivSelect)
-}
-
 // QuerySQL parses and runs a SELECT given as text.
 func (c *ProcContext) QuerySQL(sql string) (*relalg.Relation, error) {
 	st, err := sqlparse.Parse(sql)
@@ -95,31 +88,29 @@ type ProcResult struct {
 }
 
 // Procedure is an analytics or administrative operation invocable via CALL.
-type Procedure interface {
+// Its registration declares, by argument position, the tables a CALL
+// touches, and Framework.Call checks the declaration against the catalog
+// before Run executes. A declared argument names one table or a comma list
+// of them; an absent or empty one names none. A procedure that declares
+// nothing is governed by the routed Query, Exec and InsertRows calls its
+// body makes.
+type Procedure struct {
 	// Name is the procedure name as used in CALL (qualified names allowed).
-	Name() string
+	Name string
 	// Description is a one-line summary shown by SHOW PROCEDURES-style tools.
-	Description() string
-	// Execute runs the procedure.
-	Execute(ctx *ProcContext, args []types.Value) (*ProcResult, error)
-}
-
-// FuncProcedure adapts a plain function to the Procedure interface.
-type FuncProcedure struct {
-	ProcName string
-	Desc     string
-	Fn       func(ctx *ProcContext, args []types.Value) (*ProcResult, error)
-}
-
-// Name implements Procedure.
-func (p *FuncProcedure) Name() string { return p.ProcName }
-
-// Description implements Procedure.
-func (p *FuncProcedure) Description() string { return p.Desc }
-
-// Execute implements Procedure.
-func (p *FuncProcedure) Execute(ctx *ProcContext, args []types.Value) (*ProcResult, error) {
-	return p.Fn(ctx, args)
+	Description string
+	// Reads lists the arguments naming tables the caller must hold SELECT on.
+	Reads []int
+	// Replaces lists the arguments naming output tables the CALL drops and
+	// recreates; each must pass catalog.CheckReplace.
+	Replaces []int
+	// Controls lists the arguments naming tables the caller must hold
+	// CONTROL on.
+	Controls []int
+	// AdminOnly restricts the CALL to SYSADM (catalog.CheckAdmin).
+	AdminOnly bool
+	// Run is the procedure body.
+	Run func(ctx *ProcContext, args []types.Value) (*ProcResult, error)
 }
 
 // Framework is the registry and dispatcher for analytics procedures. It is the
@@ -131,19 +122,19 @@ type Framework struct {
 	cat *catalog.Catalog
 
 	mu    sync.RWMutex
-	procs map[string]Procedure
+	procs map[string]*Procedure
 }
 
 // NewFramework creates an empty procedure framework.
 func NewFramework(cat *catalog.Catalog) *Framework {
-	return &Framework{cat: cat, procs: make(map[string]Procedure)}
+	return &Framework{cat: cat, procs: make(map[string]*Procedure)}
 }
 
 // Register adds a procedure. When public is true, EXECUTE is granted to
 // PUBLIC (the usual setting for the built-in SYSPROC.ACCEL_* procedures);
 // otherwise only SYSADM and explicit grantees may call it.
 func (f *Framework) Register(p Procedure, public bool) error {
-	name := types.NormalizeName(p.Name())
+	name := types.NormalizeName(p.Name)
 	if name == "" {
 		return fmt.Errorf("core: procedure requires a name")
 	}
@@ -152,7 +143,8 @@ func (f *Framework) Register(p Procedure, public bool) error {
 	if _, ok := f.procs[name]; ok {
 		return fmt.Errorf("core: procedure %s is already registered", name)
 	}
-	f.procs[name] = p
+	p.Name = name
+	f.procs[name] = &p
 	if public {
 		f.cat.Grant(catalog.PublicGrantee, catalog.ProcedureObject(name), catalog.PrivExecute)
 	}
@@ -186,7 +178,7 @@ func (f *Framework) RevokeExecute(procName, grantee string) {
 }
 
 // Lookup returns the registered procedure.
-func (f *Framework) Lookup(name string) (Procedure, bool) {
+func (f *Framework) Lookup(name string) (*Procedure, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	p, ok := f.procs[types.NormalizeName(name)]
@@ -205,26 +197,57 @@ func (f *Framework) List() []string {
 	return out
 }
 
-// Call dispatches a procedure invocation: it verifies the EXECUTE privilege in
-// the DB2 catalog, then executes the procedure with the supplied context. This
-// is the single entry point the federation layer uses for CALL statements.
+// Call dispatches a procedure invocation: it checks, in the DB2 catalog, the
+// EXECUTE privilege and then the procedure's declared access, and only then
+// runs the body. This is the single entry point the federation layer uses
+// for CALL statements.
 func (f *Framework) Call(ctx *ProcContext, name string, args []types.Value) (*ProcResult, error) {
 	proc, ok := f.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("core: procedure %s is not registered", types.NormalizeName(name))
 	}
-	object := catalog.ProcedureObject(proc.Name())
-	if err := f.cat.CheckPrivilege(ctx.User, object, catalog.PrivExecute); err != nil {
+	if err := f.authorize(ctx.User, proc, args); err != nil {
 		return nil, err
 	}
-	res, err := proc.Execute(ctx, args)
+	res, err := proc.Run(ctx, args)
 	if err != nil {
-		return nil, fmt.Errorf("core: procedure %s failed: %w", types.NormalizeName(name), err)
+		return nil, fmt.Errorf("core: procedure %s failed: %w", proc.Name, err)
 	}
 	if res == nil {
 		res = &ProcResult{Message: "ok"}
 	}
 	return res, nil
+}
+
+// authorize checks that user may CALL p with args: EXECUTE on p, SYSADM when
+// p is AdminOnly, then every table its declaration names.
+func (f *Framework) authorize(user string, p *Procedure, args []types.Value) error {
+	object := catalog.ProcedureObject(p.Name)
+	if err := f.cat.CheckPrivilege(user, object, catalog.PrivExecute); err != nil {
+		return err
+	}
+	if p.AdminOnly {
+		if err := catalog.CheckAdmin(user, object); err != nil {
+			return err
+		}
+	}
+	each := func(positions []int, check func(table string) error) error {
+		for _, i := range positions {
+			for _, table := range SplitList(ArgStringDefault(args, i, "")) {
+				if err := check(table); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := each(p.Reads, func(t string) error { return f.cat.CheckPrivilege(user, t, catalog.PrivSelect) }); err != nil {
+		return err
+	}
+	if err := each(p.Controls, func(t string) error { return f.cat.CheckPrivilege(user, t, catalog.PrivControl) }); err != nil {
+		return err
+	}
+	return each(p.Replaces, func(t string) error { return f.cat.CheckReplace(user, t) })
 }
 
 // ---------------------------------------------------------------------------

@@ -51,8 +51,6 @@ type Config struct {
 	ShardGroup string
 	// LockTimeout bounds DB2 lock waits.
 	LockTimeout time.Duration
-	// AdminUser is granted implicit authority (default catalog.AdminUser).
-	AdminUser string
 	// QueryHistorySize caps the in-memory query history ring buffer
 	// (default 256 statements; the slow-query log keeps the last 64).
 	QueryHistorySize int
@@ -130,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShardGroup == "" {
 		c.ShardGroup = "SHARDS"
-	}
-	if c.AdminUser == "" {
-		c.AdminUser = catalog.AdminUser
 	}
 	if c.QueryHistorySize <= 0 {
 		c.QueryHistorySize = 256
@@ -423,6 +418,26 @@ func (c *Coordinator) ShardGroup(name string) (*shard.Router, error) {
 		return nil, fmt.Errorf("federation: %s is a single accelerator, not a shard group", b.Name())
 	}
 	return router, nil
+}
+
+// AnalyzeTable rebuilds a table's planner statistics on its accelerator
+// (every shard of a sharded table) and returns its catalog entry and the
+// rows analyzed. It is the one body of ANALYZE TABLE, SYSPROC.ACCEL_ANALYZE
+// and System.AnalyzeTable; the SQL surfaces check SELECT first.
+func (c *Coordinator) AnalyzeTable(table string) (*catalog.Table, int, error) {
+	meta, err := c.cat.Table(table)
+	if err != nil {
+		return nil, 0, err
+	}
+	if meta.Kind == catalog.KindRegular {
+		return nil, 0, fmt.Errorf("federation: cannot analyze %s: the table has no accelerator copy (planner statistics live on the accelerators)", meta.Name)
+	}
+	a, err := c.Accelerator(meta.Accelerator)
+	if err != nil {
+		return nil, 0, err
+	}
+	n, err := a.Analyze(meta.Name)
+	return meta, n, err
 }
 
 // DefaultAccelerator implements core.AcceleratorProvider.

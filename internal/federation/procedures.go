@@ -28,178 +28,133 @@ func sortedKeys[V any](m map[string]V) []string {
 // registerBuiltinProcedures installs the administrative stored procedures that
 // mirror the SYSPROC.ACCEL_* interface of the real product. They are the
 // supported way for applications to manage acceleration without leaving SQL.
+// Each registration declares the tables its CALL reads or controls (see
+// core.Procedure); the framework checks them before the body runs.
 func (c *Coordinator) registerBuiltinProcedures() {
-	register := func(name, desc string, fn func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error)) {
-		c.Procs.MustRegister(&core.FuncProcedure{ProcName: name, Desc: desc, Fn: fn}, true)
+	register := func(p core.Procedure) { c.Procs.MustRegister(p, true) }
+	// tablesArg is the position of the 'T1,T2' list in the ACCEL_*_TABLES
+	// calls. The registrations declare it and eachTable reads it, so a body
+	// touches only tables the framework checked.
+	const tablesArg = 1
+	eachTable := func(args []types.Value, fn func(table string) error) error {
+		list, err := core.ArgString(args, tablesArg, "table list")
+		if err != nil {
+			return err
+		}
+		for _, table := range core.SplitList(list) {
+			if err := fn(table); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
-	register("SYSPROC.ACCEL_ADD_TABLES",
-		"Add DB2 tables to an accelerator (creates empty shadow copies): (accelerator, 'T1,T2'[, distKey])",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	register(core.Procedure{Name: "SYSPROC.ACCEL_ADD_TABLES", Reads: []int{tablesArg},
+		Description: "Add DB2 tables to an accelerator (creates empty shadow copies): (accelerator, 'T1,T2'[, distKey])",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			accName := core.ArgStringDefault(args, 0, c.DefaultAccelerator())
-			list, err := core.ArgString(args, 1, "table list")
+			distKey := core.ArgStringDefault(args, 2, "")
+			var added []string
+			err := eachTable(args, func(table string) error {
+				added = append(added, table)
+				return c.Repl.AddTable(table, accName, distKey)
+			})
 			if err != nil {
 				return nil, err
 			}
-			distKey := core.ArgStringDefault(args, 2, "")
-			var added []string
-			for _, table := range core.SplitList(list) {
-				if err := ctx.Catalog.CheckPrivilege(ctx.User, table, catalog.PrivSelect); err != nil {
-					return nil, err
-				}
-				if err := c.Repl.AddTable(table, accName, distKey); err != nil {
-					return nil, err
-				}
-				added = append(added, table)
-			}
 			return &core.ProcResult{Message: fmt.Sprintf("added %s to %s", strings.Join(added, ","), types.NormalizeName(accName)), OutputTables: added}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_LOAD_TABLES",
-		"Fully (re)load accelerated tables from DB2: (accelerator, 'T1,T2')",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			list, err := core.ArgString(args, 1, "table list")
-			if err != nil {
-				// Allow single-argument form: ACCEL_LOAD_TABLES('T1,T2').
-				list, err = core.ArgString(args, 0, "table list")
-				if err != nil {
-					return nil, err
-				}
-			}
+	register(core.Procedure{Name: "SYSPROC.ACCEL_LOAD_TABLES", Reads: []int{tablesArg},
+		Description: "Fully (re)load accelerated tables from DB2: (accelerator, 'T1,T2')",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			total := 0
-			for _, table := range core.SplitList(list) {
-				if err := ctx.Catalog.CheckPrivilege(ctx.User, table, catalog.PrivSelect); err != nil {
-					return nil, err
-				}
+			err := eachTable(args, func(table string) error {
 				n, err := c.Repl.FullLoad(table)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				c.addMoved(true, n)
 				total += n
-			}
-			return &core.ProcResult{RowsAffected: total, Message: fmt.Sprintf("loaded %d rows", total)}, nil
-		})
-
-	register("SYSPROC.ACCEL_REMOVE_TABLES",
-		"Remove tables from an accelerator: (accelerator, 'T1,T2')",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			list, err := core.ArgString(args, 1, "table list")
-			if err != nil {
-				list, err = core.ArgString(args, 0, "table list")
-				if err != nil {
-					return nil, err
-				}
-			}
-			for _, table := range core.SplitList(list) {
-				meta, err := ctx.Catalog.Table(table)
-				if err != nil {
-					return nil, err
-				}
-				if types.NormalizeName(meta.Owner) != ctx.User && ctx.User != catalog.AdminUser {
-					return nil, &catalog.ErrNotAuthorized{User: ctx.User, Privilege: "CONTROL", Object: meta.Name}
-				}
-				if err := c.Repl.RemoveTable(table); err != nil {
-					return nil, err
-				}
-			}
-			return &core.ProcResult{Message: "tables removed from accelerator"}, nil
-		})
-
-	register("SYSPROC.ACCEL_SET_TABLES_REPLICATION",
-		"Enable or disable incremental replication: (accelerator, 'T1,T2', 'ON'|'OFF')",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			list, err := core.ArgString(args, 1, "table list")
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
+			return &core.ProcResult{RowsAffected: total, Message: fmt.Sprintf("loaded %d rows", total)}, nil
+		}})
+
+	register(core.Procedure{Name: "SYSPROC.ACCEL_REMOVE_TABLES", Controls: []int{tablesArg},
+		Description: "Remove tables from an accelerator: (accelerator, 'T1,T2')",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+			if err := eachTable(args, c.Repl.RemoveTable); err != nil {
+				return nil, err
+			}
+			return &core.ProcResult{Message: "tables removed from accelerator"}, nil
+		}})
+
+	register(core.Procedure{Name: "SYSPROC.ACCEL_SET_TABLES_REPLICATION", Controls: []int{tablesArg},
+		Description: "Enable or disable incremental replication: (accelerator, 'T1,T2', 'ON'|'OFF')",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			mode := strings.ToUpper(core.ArgStringDefault(args, 2, "ON"))
-			for _, table := range core.SplitList(list) {
-				if mode == "ON" || mode == "ENABLE" {
-					if err := c.Repl.EnableReplication(table); err != nil {
-						return nil, err
-					}
-				} else {
-					if err := c.Repl.DisableReplication(table); err != nil {
-						return nil, err
-					}
-				}
+			set := c.Repl.DisableReplication
+			if mode == "ON" || mode == "ENABLE" {
+				set = c.Repl.EnableReplication
+			}
+			if err := eachTable(args, set); err != nil {
+				return nil, err
 			}
 			return &core.ProcResult{Message: "replication " + mode}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_SYNC_TABLES",
-		"Apply pending captured changes to accelerated tables: (accelerator[, 'T1,T2'])",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			list := core.ArgStringDefault(args, 1, "")
+	register(core.Procedure{Name: "SYSPROC.ACCEL_SYNC_TABLES", Reads: []int{tablesArg},
+		Description: "Apply pending captured changes to accelerated tables: (accelerator[, 'T1,T2'])",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			total := 0
-			if list == "" {
-				n, err := c.Repl.SyncAll()
-				if err != nil {
-					return nil, err
-				}
-				total = n
+			var err error
+			if core.ArgStringDefault(args, tablesArg, "") == "" {
+				total, err = c.Repl.SyncAll()
 			} else {
-				for _, table := range core.SplitList(list) {
+				err = eachTable(args, func(table string) error {
 					n, err := c.Repl.ApplyPending(table)
-					if err != nil {
-						return nil, err
-					}
 					total += n
-				}
+					return err
+				})
+			}
+			if err != nil {
+				return nil, err
 			}
 			c.addMoved(true, total)
 			return &core.ProcResult{RowsAffected: total, Message: fmt.Sprintf("applied %d changes", total)}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_ANALYZE",
-		"Rebuild planner statistics (row counts, NDV, min/max, histograms) for accelerated tables: (accelerator, 'T1,T2')",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			list, err := core.ArgString(args, 1, "table list")
-			if err != nil {
-				// Allow single-argument form: ACCEL_ANALYZE('T1,T2').
-				list, err = core.ArgString(args, 0, "table list")
-				if err != nil {
-					return nil, err
-				}
-			}
+	register(core.Procedure{Name: "SYSPROC.ACCEL_ANALYZE", Reads: []int{tablesArg},
+		Description: "Rebuild planner statistics (row counts, NDV, min/max, histograms) for accelerated tables: (accelerator, 'T1,T2')",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			total := 0
 			var analyzed []string
-			for _, table := range core.SplitList(list) {
-				if err := ctx.Catalog.CheckPrivilege(ctx.User, table, catalog.PrivSelect); err != nil {
-					return nil, err
-				}
-				meta, err := ctx.Catalog.Table(table)
+			err := eachTable(args, func(table string) error {
+				meta, n, err := c.AnalyzeTable(table)
 				if err != nil {
-					return nil, err
-				}
-				if meta.Kind == catalog.KindRegular {
-					return nil, fmt.Errorf("federation: ACCEL_ANALYZE %s: the table has no accelerator copy", meta.Name)
-				}
-				a, err := c.Accelerator(meta.Accelerator)
-				if err != nil {
-					return nil, err
-				}
-				n, err := a.Analyze(meta.Name)
-				if err != nil {
-					return nil, err
+					return err
 				}
 				total += n
 				analyzed = append(analyzed, meta.Name)
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 			return &core.ProcResult{
 				RowsAffected: total,
 				Message:      fmt.Sprintf("analyzed %s: %d rows", strings.Join(analyzed, ","), total),
 				OutputTables: analyzed,
 			}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_REBALANCE",
-		"Rebalance a shard group's rows onto the current member set and wait for convergence: (group)",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			if ctx.User != catalog.AdminUser && ctx.User != types.NormalizeName(c.cfg.AdminUser) {
-				return nil, &catalog.ErrNotAuthorized{User: ctx.User, Privilege: "CONTROL", Object: "REBALANCE"}
-			}
+	register(core.Procedure{Name: "SYSPROC.ACCEL_REBALANCE", AdminOnly: true,
+		Description: "Rebalance a shard group's rows onto the current member set and wait for convergence: (group)",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			group := core.ArgStringDefault(args, 0, c.cfg.ShardGroup)
 			router, err := c.ShardGroup(group)
 			if err != nil {
@@ -217,49 +172,44 @@ func (c *Coordinator) registerBuiltinProcedures() {
 				Message: fmt.Sprintf("rebalanced %s: %d rows migrated in %d batches (epoch %d)",
 					types.NormalizeName(group), moved, after.Batches-before.Batches, after.Epoch),
 			}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_GRANT_PROCEDURE",
-		"Grant EXECUTE on an analytics procedure: (procedure, user)",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			proc, err := core.ArgString(args, 0, "procedure")
+	procedureAndUser := func(args []types.Value) (string, string, error) {
+		proc, err := core.ArgString(args, 0, "procedure")
+		if err != nil {
+			return "", "", err
+		}
+		user, err := core.ArgString(args, 1, "user")
+		return proc, user, err
+	}
+
+	register(core.Procedure{Name: "SYSPROC.ACCEL_GRANT_PROCEDURE", AdminOnly: true,
+		Description: "Grant EXECUTE on an analytics procedure: (procedure, user)",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+			proc, user, err := procedureAndUser(args)
 			if err != nil {
 				return nil, err
-			}
-			user, err := core.ArgString(args, 1, "user")
-			if err != nil {
-				return nil, err
-			}
-			if ctx.User != catalog.AdminUser && ctx.User != types.NormalizeName(c.cfg.AdminUser) {
-				return nil, &catalog.ErrNotAuthorized{User: ctx.User, Privilege: catalog.PrivExecute, Object: catalog.ProcedureObject(proc)}
 			}
 			if err := c.Procs.GrantExecute(proc, user); err != nil {
 				return nil, err
 			}
 			return &core.ProcResult{Message: "granted EXECUTE on " + types.NormalizeName(proc) + " to " + types.NormalizeName(user)}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_REVOKE_PROCEDURE",
-		"Revoke EXECUTE on an analytics procedure: (procedure, user)",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			proc, err := core.ArgString(args, 0, "procedure")
+	register(core.Procedure{Name: "SYSPROC.ACCEL_REVOKE_PROCEDURE", AdminOnly: true,
+		Description: "Revoke EXECUTE on an analytics procedure: (procedure, user)",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+			proc, user, err := procedureAndUser(args)
 			if err != nil {
 				return nil, err
-			}
-			user, err := core.ArgString(args, 1, "user")
-			if err != nil {
-				return nil, err
-			}
-			if ctx.User != catalog.AdminUser && ctx.User != types.NormalizeName(c.cfg.AdminUser) {
-				return nil, &catalog.ErrNotAuthorized{User: ctx.User, Privilege: catalog.PrivExecute, Object: catalog.ProcedureObject(proc)}
 			}
 			c.Procs.RevokeExecute(proc, user)
 			return &core.ProcResult{Message: "revoked"}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_METRICS",
-		"Snapshot the metrics registry — counters, gauges and latency histograms (count/mean/p50/p95/p99) — as one result set",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	register(core.Procedure{Name: "SYSPROC.ACCEL_METRICS",
+		Description: "Snapshot the metrics registry — counters, gauges and latency histograms (count/mean/p50/p95/p99) — as one result set",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			rep := c.Obs.Snapshot()
 			rel := &relalg.Relation{Cols: []expr.InputColumn{
 				{Name: "METRIC", Kind: types.KindString},
@@ -290,11 +240,11 @@ func (c *Coordinator) registerBuiltinProcedures() {
 				Relation: rel,
 				Message:  fmt.Sprintf("%d metric samples", len(rel.Rows)),
 			}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_QUERY_HISTORY",
-		"Return the most recent statements from the query history, newest first: ([n[, 'SLOW']])",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	register(core.Procedure{Name: "SYSPROC.ACCEL_QUERY_HISTORY",
+		Description: "Return the most recent statements from the query history, newest first: ([n[, 'SLOW']])",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			n := int(core.ArgInt(args, 0, 50))
 			slowOnly := strings.EqualFold(core.ArgStringDefault(args, 1, ""), "SLOW")
 			var recs []obs.QueryRecord
@@ -335,11 +285,11 @@ func (c *Coordinator) registerBuiltinProcedures() {
 				Relation: rel,
 				Message:  fmt.Sprintf("%d statements", len(recs)),
 			}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_EVENTS",
-		"Return the most recent fleet events from the journal, newest first: ([n[, 'WARN'|'ERROR']])",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	register(core.Procedure{Name: "SYSPROC.ACCEL_EVENTS",
+		Description: "Return the most recent fleet events from the journal, newest first: ([n[, 'WARN'|'ERROR']])",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			n := int(core.ArgInt(args, 0, 50))
 			var f eventlog.Filter
 			if s := core.ArgStringDefault(args, 1, ""); s != "" {
@@ -374,11 +324,11 @@ func (c *Coordinator) registerBuiltinProcedures() {
 				Relation: rel,
 				Message:  fmt.Sprintf("%d events", len(evs)),
 			}, nil
-		})
+		}})
 
-	register("SYSPROC.ACCEL_TABLE_INFO",
-		"Describe a table's acceleration state: (table)",
-		func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	register(core.Procedure{Name: "SYSPROC.ACCEL_TABLE_INFO", Reads: []int{0},
+		Description: "Describe a table's acceleration state: (table)",
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			table, err := core.ArgString(args, 0, "table")
 			if err != nil {
 				return nil, err
@@ -403,5 +353,5 @@ func (c *Coordinator) registerBuiltinProcedures() {
 			msg := fmt.Sprintf("%s kind=%s accelerator=%s db2_rows=%d accel_rows=%d pending_changes=%d",
 				meta.Name, meta.Kind, meta.Accelerator, db2Rows, accelRows, pending)
 			return &core.ProcResult{Message: msg}, nil
-		})
+		}})
 }

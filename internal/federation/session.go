@@ -548,7 +548,7 @@ func (s *Session) execDropTable(stmt *sqlparse.DropTableStmt) (*Result, error) {
 		}
 		return nil, err
 	}
-	if err := s.checkOwnership(meta); err != nil {
+	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivControl); err != nil {
 		return nil, err
 	}
 	switch meta.Kind {
@@ -732,22 +732,12 @@ func (s *Session) execDelete(tx *txn.Txn, stmt *sqlparse.DeleteStmt) (*Result, e
 // Governance
 // ---------------------------------------------------------------------------
 
-func (s *Session) checkOwnership(meta *catalog.Table) error {
-	if s.user == types.NormalizeName(s.coord.cfg.AdminUser) || s.user == catalog.AdminUser {
-		return nil
-	}
-	if types.NormalizeName(meta.Owner) == s.user {
-		return nil
-	}
-	return &catalog.ErrNotAuthorized{User: s.user, Privilege: "CONTROL", Object: meta.Name}
-}
-
 func (s *Session) execGrant(stmt *sqlparse.GrantStmt) (*Result, error) {
 	meta, err := s.coord.cat.Table(stmt.Table)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.checkOwnership(meta); err != nil {
+	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivControl); err != nil {
 		return nil, err
 	}
 	s.coord.cat.Grant(stmt.Grantee, meta.Name, stmt.Privileges...)
@@ -759,7 +749,7 @@ func (s *Session) execRevoke(stmt *sqlparse.RevokeStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.checkOwnership(meta); err != nil {
+	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivControl); err != nil {
 		return nil, err
 	}
 	s.coord.cat.Revoke(stmt.Grantee, meta.Name, stmt.Privileges...)
@@ -1040,10 +1030,10 @@ func (s *Session) executeForAnalyze(sel *sqlparse.SelectStmt, sp *obs.Span) (*re
 // blocking until the drain completes. Changing fleet topology is an
 // administrative action.
 func (s *Session) execAlterAccelerator(stmt *sqlparse.AlterAcceleratorStmt) (*Result, error) {
-	if s.user != types.NormalizeName(s.coord.cfg.AdminUser) && s.user != catalog.AdminUser {
-		return nil, &catalog.ErrNotAuthorized{User: s.user, Privilege: "CONTROL", Object: types.NormalizeName(stmt.Accelerator)}
-	}
 	group := types.NormalizeName(stmt.Accelerator)
+	if err := catalog.CheckAdmin(s.user, group); err != nil {
+		return nil, err
+	}
 	member := types.NormalizeName(stmt.Member)
 	if stmt.Remove {
 		if err := s.coord.RemoveShardMember(group, member); err != nil {
@@ -1066,21 +1056,10 @@ func (s *Session) execAlterAccelerator(stmt *sqlparse.AlterAcceleratorStmt) (*Re
 // execAnalyze implements ANALYZE TABLE: rebuild the table's planner
 // statistics on its accelerator (every shard for a sharded table).
 func (s *Session) execAnalyze(stmt *sqlparse.AnalyzeStmt) (*Result, error) {
-	meta, err := s.coord.cat.Table(stmt.Table)
-	if err != nil {
+	if err := s.coord.cat.CheckPrivilege(s.user, stmt.Table, catalog.PrivSelect); err != nil {
 		return nil, err
 	}
-	if err := s.coord.cat.CheckPrivilege(s.user, meta.Name, catalog.PrivSelect); err != nil {
-		return nil, err
-	}
-	if meta.Kind == catalog.KindRegular {
-		return nil, fmt.Errorf("federation: ANALYZE TABLE %s: the table has no accelerator copy (planner statistics live on the accelerators)", meta.Name)
-	}
-	a, err := s.coord.Accelerator(meta.Accelerator)
-	if err != nil {
-		return nil, err
-	}
-	n, err := a.Analyze(meta.Name)
+	meta, n, err := s.coord.AnalyzeTable(stmt.Table)
 	if err != nil {
 		return nil, err
 	}

@@ -949,15 +949,20 @@ func (p *parser) parseRevoke() (Statement, error) {
 	return st, nil
 }
 
+// tablePrivileges are the privileges GRANT and REVOKE accept on a table.
+// CONTROL is not among them: only the owner and SYSADM hold it.
+var tablePrivileges = map[string]bool{"SELECT": true, "INSERT": true, "UPDATE": true, "DELETE": true, "ALL": true}
+
 func (p *parser) parsePrivilegeList() ([]string, error) {
 	var privs []string
 	for {
 		t := p.peek()
-		if t.Type != tokKeyword && t.Type != tokIdent {
-			return nil, fmt.Errorf("sql: expected privilege name, got %q", t.Text)
+		priv := strings.ToUpper(t.Text)
+		if (t.Type != tokKeyword && t.Type != tokIdent) || !tablePrivileges[priv] {
+			return nil, fmt.Errorf("sql: expected SELECT, INSERT, UPDATE, DELETE or ALL, got %q", t.Text)
 		}
 		p.advance()
-		privs = append(privs, strings.ToUpper(t.Text))
+		privs = append(privs, priv)
 		if p.accept(tokSymbol, ",") {
 			continue
 		}

@@ -274,6 +274,9 @@ func TestParseErrors(t *testing.T) {
 		"INSERT INTO t VALUSE (1)",
 		"SELECT * FROM t WHERE",
 		"GRANT ON t TO u",
+		"GRANT FOO ON t TO u",
+		"GRANT CONTROL ON t TO u",
+		"REVOKE SELECT, CONTROL ON t FROM u",
 		"SELECT * FROM t GROUP",
 		"CREATE TABLE t (a BADTYPE)",
 		"SELECT 'unterminated FROM t",

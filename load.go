@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"idaax/internal/catalog"
 	"idaax/internal/loader"
 	"idaax/internal/types"
 )
@@ -25,8 +26,8 @@ type LoadOptions struct {
 	BatchSize int
 	// SkipMalformed skips unparsable records instead of failing the load.
 	SkipMalformed bool
-	// User is the authorization id performing the load (default the admin
-	// user); it needs INSERT privilege on the target table.
+	// User is the authorization id performing the load (default SYSADM); it
+	// needs INSERT privilege on the target table.
 	User string
 }
 
@@ -56,7 +57,7 @@ func (s *System) Load(table string, r io.Reader, opts LoadOptions) (*LoadReport,
 	}
 	user := opts.User
 	if user == "" {
-		user = s.cfg.AdminUser
+		user = catalog.AdminUser
 	}
 
 	l := loader.New(loader.Options{

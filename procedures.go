@@ -65,11 +65,13 @@ type ProcedureFunc func(ctx *ProcedureContext, args []string) (*ProcedureResult,
 // RegisterProcedure registers a custom analytics procedure with the in-database
 // framework. When public is true any user may CALL it; otherwise only the
 // administrator and users granted EXECUTE via SYSPROC.ACCEL_GRANT_PROCEDURE.
+// It declares no tables: its Query, Exec and InsertValues calls are checked
+// like the caller's own statements.
 func (s *System) RegisterProcedure(name, description string, public bool, fn ProcedureFunc) error {
-	proc := &core.FuncProcedure{
-		ProcName: name,
-		Desc:     description,
-		Fn: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	proc := core.Procedure{
+		Name:        name,
+		Description: description,
+		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			strArgs := make([]string, len(args))
 			for i, a := range args {
 				strArgs[i] = a.AsString()

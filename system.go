@@ -6,6 +6,7 @@ import (
 
 	"idaax/internal/accel"
 	"idaax/internal/analytics"
+	"idaax/internal/catalog"
 	"idaax/internal/federation"
 	"idaax/internal/shard"
 	"idaax/internal/types"
@@ -38,7 +39,6 @@ func (cfg Config) federationConfig() federation.Config {
 		Accelerators:    specs,
 		ShardGroup:      cfg.ShardGroupName,
 		LockTimeout:     cfg.LockTimeout,
-		AdminUser:       cfg.AdminUser,
 
 		QueryHistorySize:   cfg.QueryHistorySize,
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
@@ -140,8 +140,9 @@ func (s *System) Session(user string) *Session {
 	return &Session{sys: s, fed: s.coord.Session(user)}
 }
 
-// AdminSession opens a session with administrative authority.
-func (s *System) AdminSession() *Session { return s.Session(s.cfg.AdminUser) }
+// AdminSession opens a session as SYSADM, the one authorization id with
+// implicit authority on every object.
+func (s *System) AdminSession() *Session { return s.Session(catalog.AdminUser) }
 
 // AddAccelerator pairs an additional accelerator.
 func (s *System) AddAccelerator(name string, slices int) {
@@ -267,15 +268,8 @@ func (s *System) TableStatistics(table string) (TableStatistics, error) {
 // AnalyzeTable rebuilds a table's planner statistics exactly (the API twin of
 // ANALYZE TABLE / SYSPROC.ACCEL_ANALYZE) and returns the rows analyzed.
 func (s *System) AnalyzeTable(table string) (int, error) {
-	meta, err := s.coord.Catalog().Table(table)
-	if err != nil {
-		return 0, err
-	}
-	a, err := s.coord.Accelerator(meta.Accelerator)
-	if err != nil {
-		return 0, err
-	}
-	return a.Analyze(meta.Name)
+	_, n, err := s.coord.AnalyzeTable(table)
+	return n, err
 }
 
 // TableInfo describes a table's acceleration state.
