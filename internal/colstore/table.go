@@ -276,8 +276,12 @@ func (t *Table) insert(txnID int64, rows []types.Row, srcIDs []int64) (int, erro
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	base := len(t.created)
-	var appended []types.Row
-	var appendedSrc []int64
+	// Every row is validated into one slab sized for the whole batch; each
+	// appended row is a full slice of it, so the journal can keep them.
+	width := len(t.schema.Columns)
+	slab := make([]types.Value, 0, len(rows)*width)
+	appended := make([]types.Row, 0, len(rows))
+	appendedSrc := make([]int64, 0, len(rows))
 	journalAppended := func() {
 		if len(appended) > 0 {
 			t.logLocked(TableOpInsert, base, appended, appendedSrc, nil, txnID)
@@ -285,11 +289,12 @@ func (t *Table) insert(txnID int64, rows []types.Row, srcIDs []int64) (int, erro
 	}
 	count := 0
 	for ri, row := range rows {
-		validated, err := types.ValidateRow(t.schema, row)
-		if err != nil {
+		var err error
+		if slab, err = types.AppendValidRow(slab, t.schema, row); err != nil {
 			journalAppended()
 			return count, err
 		}
+		validated := types.Row(slab[len(slab)-width : len(slab) : len(slab)])
 		for ci, col := range t.cols {
 			col.Append(validated[ci])
 		}

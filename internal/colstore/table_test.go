@@ -346,3 +346,82 @@ func TestRestoreSweepsUncommittedSources(t *testing.T) {
 		t.Fatal("the retried insert of source 100 is not indexed")
 	}
 }
+
+type opLog []*TableOp
+
+func (l *opLog) LogTableOp(op *TableOp) { *l = append(*l, op) }
+
+// TestInsertFailingRowJournalsPrefix pins what a row that fails validation
+// mid-batch leaves behind: the rows before it are appended and journaled as
+// one coerced insert op, the error names the column, and the journaled rows
+// are separate full slices of the batch's slab.
+func TestInsertFailingRowJournalsPrefix(t *testing.T) {
+	tab := NewTable("T", testSchema(), "")
+	var log opLog
+	tab.SetJournal(&log)
+	rows := []types.Row{
+		{types.NewString("1"), types.NewInt(2), types.NewString("a")},
+		row(2, 2.5, "b"),
+		{types.Null(), types.NewFloat(1), types.NewString("c")},
+		row(4, 4.5, "d"),
+	}
+	n, err := tab.Insert(7, rows)
+	if n != 2 || err == nil || err.Error() != "types: NULL value for NOT NULL column ID" {
+		t.Fatalf("Insert = %d, %v; want 2 rows and the NOT NULL error", n, err)
+	}
+	if tab.VersionCount() != 2 || len(log) != 1 {
+		t.Fatalf("%d versions, %d journal ops; want 2 and 1", tab.VersionCount(), len(log))
+	}
+	op := log[0]
+	if op.Kind != TableOpInsert || op.Base != 0 || op.Txn != 7 || len(op.Rows) != 2 {
+		t.Fatalf("journaled op %+v", op)
+	}
+	if op.Rows[0][0] != types.NewInt(1) || op.Rows[0][1] != types.NewFloat(2) {
+		t.Errorf("journaled row 0 = %v, want coerced values", op.Rows[0])
+	}
+	for i, r := range op.Rows {
+		if len(r) != 3 || cap(r) != 3 {
+			t.Errorf("journaled row %d: len %d cap %d, want 3 and 3", i, len(r), cap(r))
+		}
+	}
+}
+
+// insertBatch is n rows of testSchema with distinct ids and a few distinct
+// strings, the shape one INSERT … VALUES statement hands the table.
+func insertBatch(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = row(int64(i), float64(i)/4, "region-"+string(rune('a'+i%7)))
+	}
+	return rows
+}
+
+// TestTableInsertAllocs pins the insert path's allocation rule: a batch is
+// validated into one slab and its values hash without allocating, so twice
+// the rows costs the same order of allocations, not twice as many.
+func TestTableInsertAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		rows := insertBatch(n)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := NewTable("T", testSchema(), "ID").Insert(1, rows); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(500), allocs(1000)
+	t.Logf("allocations: %.0f for 500 rows, %.0f for 1000 rows", small, large)
+	if large > 1.5*small || large-small > 50 {
+		t.Errorf("%.0f allocations for 1000 rows vs %.0f for 500, want the same order", large, small)
+	}
+}
+
+func BenchmarkTableInsert(b *testing.B) {
+	rows := insertBatch(500)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewTable("T", testSchema(), "ID").Insert(1, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(rows)), "rows/op")
+}

@@ -18,15 +18,16 @@ func BuildInsertRows(columns []string, valueRows [][]sqlparse.Expr, schema types
 	if err != nil {
 		return nil, err
 	}
+	// The rows are cut from one flat slab; each is a full slice of its part.
+	// The zero Value is NULL, so omitted columns need no fill.
+	width := schema.Len()
+	slab := make([]types.Value, len(valueRows)*width)
 	out := make([]types.Row, 0, len(valueRows))
-	for _, exprs := range valueRows {
+	for ri, exprs := range valueRows {
 		if len(exprs) != len(positions) {
 			return nil, fmt.Errorf("expr: INSERT has %d values for %d columns", len(exprs), len(positions))
 		}
-		row := make(types.Row, schema.Len())
-		for i := range row {
-			row[i] = types.Null()
-		}
+		row := types.Row(slab[ri*width : (ri+1)*width : (ri+1)*width])
 		for i, e := range exprs {
 			v, err := env.Eval(e, nil)
 			if err != nil {

@@ -247,11 +247,26 @@ func (c *Coordinator) registerBuiltinProcedures() {
 		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
 			n := int(core.ArgInt(args, 0, 50))
 			slowOnly := strings.EqualFold(core.ArgStringDefault(args, 1, ""), "SLOW")
-			var recs []obs.QueryRecord
+			var all []obs.QueryRecord
 			if slowOnly {
-				recs = c.History.SlowQueries(n)
+				all = c.History.SlowQueries(0)
 			} else {
-				recs = c.History.Recent(n)
+				all = c.History.Recent(0)
+			}
+			// Statement text carries its literals, so a caller other than
+			// SYSADM sees only its own statements, filtered before the cut
+			// to n.
+			recs := all
+			if catalog.CheckAdmin(ctx.User, "SYSPROC.ACCEL_QUERY_HISTORY") != nil {
+				recs = all[:0]
+				for _, r := range all {
+					if types.NormalizeName(r.User) == types.NormalizeName(ctx.User) {
+						recs = append(recs, r)
+					}
+				}
+			}
+			if n > 0 && len(recs) > n {
+				recs = recs[:n]
 			}
 			rel := &relalg.Relation{Cols: []expr.InputColumn{
 				{Name: "SEQ", Kind: types.KindInt},

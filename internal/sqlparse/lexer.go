@@ -203,22 +203,42 @@ func (l *lexer) lexNumber(start int) Token {
 
 func (l *lexer) lexString(start int) (Token, error) {
 	l.pos++ // opening quote
-	var sb strings.Builder
+	body := l.pos
+	escapes := 0 // doubled quotes ('') inside the literal
 	for l.pos < len(l.input) {
-		ch := l.input[l.pos]
-		if ch == '\'' {
-			if l.pos+1 < len(l.input) && l.input[l.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
+		if l.input[l.pos] != '\'' {
 			l.pos++
-			return Token{Type: tokString, Text: sb.String(), Pos: start}, nil
+			continue
 		}
-		sb.WriteByte(ch)
+		if l.pos+1 < len(l.input) && l.input[l.pos+1] == '\'' {
+			escapes++
+			l.pos += 2
+			continue
+		}
+		raw := l.input[body:l.pos]
 		l.pos++
+		return Token{Type: tokString, Text: unquote(raw, escapes), Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+}
+
+// unquote returns a string literal's value in one exact-size allocation of
+// its own. It must not alias the statement text: the column store keeps every
+// string it is given, so an aliasing literal would pin the whole statement
+// for as long as the row lives.
+func unquote(raw string, escapes int) string {
+	if escapes == 0 {
+		return strings.Clone(raw)
+	}
+	var sb strings.Builder
+	sb.Grow(len(raw) - escapes)
+	for i := 0; i < len(raw); i++ {
+		sb.WriteByte(raw[i])
+		if raw[i] == '\'' {
+			i++ // skip the second quote of the pair
+		}
+	}
+	return sb.String()
 }
 
 var twoCharSymbols = map[string]bool{
@@ -237,7 +257,7 @@ func (l *lexer) lexSymbol(start int) (Token, error) {
 	switch ch {
 	case '(', ')', ',', '.', ';', '*', '/', '+', '-', '=', '<', '>', '?', '%':
 		l.pos++
-		return Token{Type: tokSymbol, Text: string(ch), Pos: start}, nil
+		return Token{Type: tokSymbol, Text: l.input[start:l.pos], Pos: start}, nil
 	default:
 		return Token{}, fmt.Errorf("sql: unexpected character %q at offset %d", ch, start)
 	}

@@ -72,6 +72,23 @@ func ParseExpr(sql string) (Expr, error) {
 type parser struct {
 	toks []Token
 	pos  int
+	// lits is the chunk new literals are cut from (see literal).
+	lits []Literal
+}
+
+// maxLiteralChunk caps an arena chunk: a short statement allocates one chunk
+// of 8 literals, a 500-row, 5-column INSERT about ten chunks.
+const maxLiteralChunk = 512
+
+// literal returns a new literal holding v. Literals come from chunks that
+// double from 8 up to maxLiteralChunk, so a literal-heavy statement does not
+// pay one allocation per cell.
+func (p *parser) literal(v types.Value) *Literal {
+	if len(p.lits) == cap(p.lits) {
+		p.lits = make([]Literal, 0, min(max(2*cap(p.lits), 8), maxLiteralChunk))
+	}
+	p.lits = append(p.lits, Literal{Val: v})
+	return &p.lits[len(p.lits)-1]
 }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
@@ -501,17 +518,21 @@ func (p *parser) parseInsert() (Statement, error) {
 	}
 	switch {
 	case p.acceptKeyword("VALUES"):
+		// Every row's cells share one growing backing; each row is a full
+		// slice of it (cap == len), so appending to one row cannot reach
+		// the next.
+		var cells []Expr
 		for {
 			if err := p.expectSymbol("("); err != nil {
 				return nil, err
 			}
-			var row []Expr
+			start := len(cells)
 			for {
 				e, err := p.parseExpr()
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, e)
+				cells = append(cells, e)
 				if p.accept(tokSymbol, ",") {
 					continue
 				}
@@ -520,7 +541,7 @@ func (p *parser) parseInsert() (Statement, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			st.Rows = append(st.Rows, row)
+			st.Rows = append(st.Rows, cells[start:len(cells):len(cells)])
 			if p.accept(tokSymbol, ",") {
 				continue
 			}
@@ -1241,12 +1262,15 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The parser made operand just now, so a literal is negated in place.
 		if lit, ok := operand.(*Literal); ok {
 			switch lit.Val.Kind {
 			case types.KindInt:
-				return &Literal{Val: types.NewInt(-lit.Val.Int)}, nil
+				lit.Val.Int = -lit.Val.Int
+				return lit, nil
 			case types.KindFloat:
-				return &Literal{Val: types.NewFloat(-lit.Val.Float)}, nil
+				lit.Val.Float = -lit.Val.Float
+				return lit, nil
 			}
 		}
 		return &UnaryExpr{Op: "-", Operand: operand}, nil
@@ -1267,7 +1291,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sql: invalid number %q", t.Text)
 			}
-			return &Literal{Val: types.NewFloat(f)}, nil
+			return p.literal(types.NewFloat(f)), nil
 		}
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
@@ -1275,12 +1299,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if ferr != nil {
 				return nil, fmt.Errorf("sql: invalid number %q", t.Text)
 			}
-			return &Literal{Val: types.NewFloat(f)}, nil
+			return p.literal(types.NewFloat(f)), nil
 		}
-		return &Literal{Val: types.NewInt(n)}, nil
+		return p.literal(types.NewInt(n)), nil
 	case tokString:
 		p.advance()
-		return &Literal{Val: types.NewString(t.Text)}, nil
+		return p.literal(types.NewString(t.Text)), nil
 	case tokSymbol:
 		if t.Text == "(" {
 			p.advance()
@@ -1298,13 +1322,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		switch t.Text {
 		case "NULL":
 			p.advance()
-			return &Literal{Val: types.Null()}, nil
+			return p.literal(types.Null()), nil
 		case "TRUE":
 			p.advance()
-			return &Literal{Val: types.NewBool(true)}, nil
+			return p.literal(types.NewBool(true)), nil
 		case "FALSE":
 			p.advance()
-			return &Literal{Val: types.NewBool(false)}, nil
+			return p.literal(types.NewBool(false)), nil
 		case "CASE":
 			return p.parseCase()
 		case "CAST":

@@ -1,8 +1,11 @@
 package sqlparse
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"idaax/internal/types"
 )
@@ -400,6 +403,142 @@ func TestNegativeNumbersParseToLiterals(t *testing.T) {
 		}
 		if lit.Val != want {
 			t.Errorf("%s: literal %v, want %v", sql, lit.Val, want)
+		}
+	}
+}
+
+// The literal rows below also seed FuzzParse, which reads every string in
+// this file.
+
+func TestParseStringLiterals(t *testing.T) {
+	for sql, want := range map[string]string{
+		`INSERT INTO t VALUES ('it''s')`:    "it's",
+		`INSERT INTO t VALUES ('')`:         "",
+		`INSERT INTO t VALUES ('''')`:       "'",
+		`INSERT INTO t VALUES ('Zürich')`:   "Zürich",
+		`INSERT INTO t VALUES ('a''''b''')`: "a''b'",
+	} {
+		lit, ok := parseOne(t, sql).(*InsertStmt).Rows[0][0].(*Literal)
+		if !ok || lit.Val.Kind != types.KindString || lit.Val.Str != want {
+			t.Errorf("%s: got %#v, want string %q", sql, lit, want)
+		}
+	}
+	for _, sql := range []string{`INSERT INTO t VALUES ('abc`, `INSERT INTO t VALUES ('it''s)`, `SELECT 'abc`} {
+		if _, err := Parse(sql); err == nil || !strings.Contains(err.Error(), "unterminated string literal") {
+			t.Errorf("Parse(%q) = %v, want an unterminated string literal error", sql, err)
+		}
+	}
+}
+
+// TestStringLiteralOwnsItsBytes pins that a string literal does not alias
+// the statement text: the column store keeps every string it is given, so an
+// aliasing literal would keep the whole statement alive with the row.
+func TestStringLiteralOwnsItsBytes(t *testing.T) {
+	sql := `INSERT INTO t VALUES ('abc', 'd''e')`
+	text := unsafe.StringData(sql)
+	for i, e := range parseOne(t, sql).(*InsertStmt).Rows[0] {
+		s := e.(*Literal).Val.Str
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		if lo := uintptr(unsafe.Pointer(text)); p >= lo && p < lo+uintptr(len(sql)) {
+			t.Errorf("literal %d (%q) points into the statement text", i, s)
+		}
+	}
+}
+
+func TestParseInsertMixedRow(t *testing.T) {
+	rows := parseOne(t, `INSERT INTO t VALUES (1+2, -3, 'x' || 'y'), (4, - 2.5, NULL)`).(*InsertStmt).Rows
+	if len(rows) != 2 || len(rows[0]) != 3 || len(rows[1]) != 3 {
+		t.Fatalf("rows = %v", rows)
+	}
+	if b, ok := rows[0][0].(*BinaryExpr); !ok || b.Op != OpAdd {
+		t.Errorf("cell 0: %#v, want 1+2", rows[0][0])
+	}
+	if lit, ok := rows[0][1].(*Literal); !ok || lit.Val != types.NewInt(-3) {
+		t.Errorf("cell 1: %#v, want literal -3", rows[0][1])
+	}
+	if b, ok := rows[0][2].(*BinaryExpr); !ok || b.Op != OpConcat {
+		t.Errorf("cell 2: %#v, want 'x' || 'y'", rows[0][2])
+	}
+	want := []types.Value{types.NewInt(4), types.NewFloat(-2.5), types.Null()}
+	for i, w := range want {
+		if lit, ok := rows[1][i].(*Literal); !ok || lit.Val != w {
+			t.Errorf("row 1 cell %d: %#v, want %v", i, rows[1][i], w)
+		}
+	}
+	checkRowsDoNotAlias(t, rows)
+}
+
+// checkRowsDoNotAlias fails unless every VALUES row is a full slice: appending
+// to row i must never change row i+1.
+func checkRowsDoNotAlias(t *testing.T, rows [][]Expr) {
+	t.Helper()
+	sentinel := &Literal{Val: types.NewString("sentinel")}
+	for i := 0; i+1 < len(rows); i++ {
+		next := append([]Expr(nil), rows[i+1]...)
+		_ = append(rows[i], sentinel)
+		for j := range next {
+			if rows[i+1][j] != next[j] {
+				t.Fatalf("appending to row %d changed row %d cell %d", i, i+1, j)
+			}
+		}
+	}
+}
+
+// insertValuesSQL is a literal INSERT of n rows × 5 columns mixing ints,
+// decimals, strings and NULL.
+func insertValuesSQL(n int) string {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO raw_events VALUES ")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d.%02d, 'region-%d', NULL, -%d)", i, i*7, i%100, i%13, i%5)
+	}
+	return sb.String()
+}
+
+// TestParseInsertValuesAllocs pins the parser's allocation rule for literal
+// rows: beyond the one allocation each string literal needs to own its bytes,
+// the count does not grow with the number of rows.
+func TestParseInsertValuesAllocs(t *testing.T) {
+	const stringsPerRow = 1
+	allocs := func(n int) float64 {
+		sql := insertValuesSQL(n)
+		st := parseOne(t, sql).(*InsertStmt)
+		if len(st.Rows) != n {
+			t.Fatalf("%d rows parsed, want %d", len(st.Rows), n)
+		}
+		for i, row := range st.Rows {
+			if len(row) != 5 || cap(row) != len(row) {
+				t.Fatalf("row %d: len %d cap %d, want 5 and cap == len", i, len(row), cap(row))
+			}
+		}
+		checkRowsDoNotAlias(t, st.Rows)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Parse(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(500), allocs(1000)
+	perRow := (large - small) / 500
+	t.Logf("allocations: %.0f for 500 rows, %.0f for 1000 rows (%.3f per row)", small, large, perRow)
+	if perRow > stringsPerRow+0.05 {
+		t.Errorf("%.3f allocations per extra row, want at most %d (its string literal) + 0.05", perRow, stringsPerRow)
+	}
+	if small > 500*stringsPerRow+100 {
+		t.Errorf("%.0f allocations for 500 rows, want at most %d", small, 500*stringsPerRow+100)
+	}
+}
+
+func BenchmarkParseInsertValues(b *testing.B) {
+	sql := insertValuesSQL(500)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(sql)))
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(sql); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

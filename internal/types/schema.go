@@ -104,24 +104,35 @@ func (r Row) Clone() Row {
 // ValidateRow checks arity, NOT NULL constraints and coerces values to the
 // schema's column kinds. It returns the coerced row.
 func ValidateRow(s Schema, r Row) (Row, error) {
-	if len(r) != len(s.Columns) {
-		return nil, fmt.Errorf("types: row has %d values, table has %d columns", len(r), len(s.Columns))
+	out, err := AppendValidRow(make(Row, 0, len(s.Columns)), s, r)
+	if err != nil {
+		return nil, err
 	}
-	out := make(Row, len(r))
+	return out, nil
+}
+
+// AppendValidRow validates r as ValidateRow does and appends the coerced
+// values to dst, so a batch can validate all its rows into one slab. On error
+// dst is returned unextended.
+func AppendValidRow(dst []Value, s Schema, r Row) ([]Value, error) {
+	if len(r) != len(s.Columns) {
+		return dst, fmt.Errorf("types: row has %d values, table has %d columns", len(r), len(s.Columns))
+	}
+	start := len(dst)
 	for i, v := range r {
 		col := s.Columns[i]
 		if v.IsNull() {
 			if col.NotNull {
-				return nil, fmt.Errorf("types: NULL value for NOT NULL column %s", col.Name)
+				return dst[:start], fmt.Errorf("types: NULL value for NOT NULL column %s", col.Name)
 			}
-			out[i] = Null()
+			dst = append(dst, Null())
 			continue
 		}
 		cv, err := v.Cast(col.Kind)
 		if err != nil {
-			return nil, fmt.Errorf("types: column %s: %w", col.Name, err)
+			return dst[:start], fmt.Errorf("types: column %s: %w", col.Name, err)
 		}
-		out[i] = cv
+		dst = append(dst, cv)
 	}
-	return out, nil
+	return dst, nil
 }

@@ -8,7 +8,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -354,40 +353,51 @@ func Equal(a, b Value) bool {
 	return err == nil && c == 0
 }
 
-// Hash returns a stable hash of the value used by hash joins, group-by and
-// the accelerator's distribution-key partitioning.
+// Hash returns a stable hash of the value, used by the statistics sketches
+// and the accelerator's distribution-key partitioning. It is FNV-1a 64 over
+// the value's encoding, computed inline so that hashing allocates nothing;
+// the output places durable data, so it must not change.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
 	switch v.Kind {
 	case KindNull:
-		h.Write([]byte{0})
+		return fnvByte(fnvOffset64, 0)
 	case KindInt, KindTimestamp:
-		writeUint64(h, uint64(v.Int))
+		return fnvUint64(fnvOffset64, uint64(v.Int))
 	case KindFloat:
 		// Hash integral floats identically to ints so numeric group keys agree.
 		if v.Float == math.Trunc(v.Float) && !math.IsInf(v.Float, 0) {
-			writeUint64(h, uint64(int64(v.Float)))
-		} else {
-			writeUint64(h, math.Float64bits(v.Float))
+			return fnvUint64(fnvOffset64, uint64(int64(v.Float)))
 		}
+		return fnvUint64(fnvOffset64, math.Float64bits(v.Float))
 	case KindString:
-		h.Write([]byte(v.Str))
+		h := uint64(fnvOffset64)
+		for i := 0; i < len(v.Str); i++ {
+			h = fnvByte(h, v.Str[i])
+		}
+		return h
 	case KindBool:
 		if v.Bool {
-			h.Write([]byte{2})
-		} else {
-			h.Write([]byte{1})
+			return fnvByte(fnvOffset64, 2)
 		}
+		return fnvByte(fnvOffset64, 1)
 	}
-	return h.Sum64()
+	return fnvOffset64
 }
 
-func writeUint64(h interface{ Write([]byte) (int, error) }, u uint64) {
-	var buf [8]byte
+// FNV-1a 64 parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvUint64 feeds u's eight bytes, least significant first.
+func fnvUint64(h, u uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(u >> (8 * uint(i)))
+		h = fnvByte(h, byte(u>>(8*uint(i))))
 	}
-	h.Write(buf[:])
+	return h
 }
 
 // GroupKey returns a string usable as a map key for GROUP BY and DISTINCT.

@@ -285,6 +285,56 @@ func TestObservabilityMixedWorkload(t *testing.T) {
 	}
 }
 
+// TestQueryHistoryShowsCallersOwnStatements pins that
+// SYSPROC.ACCEL_QUERY_HISTORY shows a caller other than SYSADM only the
+// statements it ran itself, in both forms: statement text carries its
+// literals. The filter runs before the cut to n, so a caller's own statement
+// is not crowded out by newer ones of other users. SYSADM sees everything.
+func TestQueryHistoryShowsCallersOwnStatements(t *testing.T) {
+	sys := idaax.New(idaax.Config{})
+	defer sys.Close()
+	sys.SetSlowQueryThreshold(time.Nanosecond) // every statement is also "slow"
+	stranger := sys.Session("STRANGER")
+	if _, err := stranger.Exec("SELECT * FROM pay"); err == nil {
+		t.Fatal("STRANGER read a table that does not exist yet")
+	}
+	alice := sys.Session("ALICE")
+	alice.MustExec("CREATE TABLE pay (id BIGINT, ssn VARCHAR(11)) IN ACCELERATOR IDAA1")
+	alice.MustExec("INSERT INTO pay VALUES (1, '123-45-6789')")
+
+	history := func(s *idaax.Session, call string) *idaax.Result {
+		t.Helper()
+		res, err := s.Query(call)
+		if err != nil {
+			t.Fatalf("%s: %v", call, err)
+		}
+		return res
+	}
+	for _, call := range []string{"CALL SYSPROC.ACCEL_QUERY_HISTORY(5)", "CALL SYSPROC.ACCEL_QUERY_HISTORY(1, 'SLOW')"} {
+		res := history(stranger, call)
+		if len(res.Rows) != 1 {
+			t.Fatalf("STRANGER %s: %d rows, want its own statement only: %v", call, len(res.Rows), res.Rows)
+		}
+		for _, row := range res.Rows {
+			if strings.Contains(strings.Join(row, " "), "123-45-6789") || row[2] != "STRANGER" {
+				t.Errorf("STRANGER %s returned %v", call, row)
+			}
+		}
+	}
+	if res := history(alice, "CALL SYSPROC.ACCEL_QUERY_HISTORY(5)"); len(res.Rows) != 2 || !strings.Contains(res.Rows[0][1], "123-45-6789") {
+		t.Errorf("ALICE sees %v, want her INSERT and CREATE only", res.Rows)
+	}
+	users := map[string]bool{}
+	for _, row := range history(sys.AdminSession(), "CALL SYSPROC.ACCEL_QUERY_HISTORY(0)").Rows {
+		users[row[2]] = true
+	}
+	for _, u := range []string{"STRANGER", "ALICE"} {
+		if !users[u] {
+			t.Errorf("SYSADM does not see %s's statements: %v", u, users)
+		}
+	}
+}
+
 // TestStatsHammerRace drives queries and DML from several goroutines while
 // others poll every stats surface. Run with -race it proves the counters the
 // observability layer reads are all atomic or lock-guarded.
