@@ -75,7 +75,7 @@ type writeFunc func(table string, rows []types.Row) (int, error)
 // the scatter skips routing, so the input must be one the procedure's
 // registration declares it reads (checked before the CALL's body runs).
 // With be nil it yields one partial of the whole table, read through
-// ctx.QuerySQL, and hands reduce the routed ctx.InsertRows.
+// the routed ctx.Query, and hands reduce the routed ctx.InsertRows.
 func readPartitions[T any](ctx *core.ProcContext, be accel.MultiShard, table, proc string, reduce func(rel *relalg.Relation, write writeFunc) (T, error)) ([]T, error) {
 	if be == nil {
 		rel, err := readTable(ctx, table)
@@ -216,19 +216,18 @@ func writeAssignments(ctx *core.ProcContext, be accel.MultiShard, assignTable st
 	if be != nil {
 		accName = be.Name()
 	}
-	outTable, err := materializeTarget(ctx, assignTable, accName, assignmentSchema(), "")
-	if err != nil {
+	if err := materializeTarget(ctx, assignTable, accName, assignmentSchema(), ""); err != nil {
 		return err
 	}
 	written, covered := 0, 0
 	if be != nil {
 		// proc is empty: this is the second scatter of one CALL IDAX.KMEANS,
 		// and the per-procedure counters count CALLs, not scatter operations.
-		err = scatterStream(ctx, be, outTable, "", func(p *accel.ShardPartition) (any, error) {
+		err := scatterStream(ctx, be, assignTable, "", func(p *accel.ShardPartition) (any, error) {
 			if p.Ordinal >= len(batches) || len(batches[p.Ordinal]) == 0 {
 				return 0, nil
 			}
-			return p.WriteLocal(outTable, batches[p.Ordinal])
+			return p.WriteLocal(assignTable, batches[p.Ordinal])
 		}, func(_ int, partial any) error {
 			covered++
 			written += partial.(int)
@@ -242,7 +241,7 @@ func writeAssignments(ctx *core.ProcContext, be accel.MultiShard, assignTable st
 		if len(batches[i]) == 0 {
 			continue
 		}
-		n, err := ctx.InsertRows(outTable, batches[i])
+		n, err := ctx.InsertRows(assignTable, batches[i])
 		written += n
 		if err != nil {
 			return err

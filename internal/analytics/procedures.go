@@ -2,46 +2,60 @@ package analytics
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"idaax/internal/core"
 	"idaax/internal/expr"
 	"idaax/internal/relalg"
+	"idaax/internal/sqlparse"
 	"idaax/internal/types"
 )
 
 // RegisterAll registers the IDAX.* analytics procedures with the framework.
 // When public is false, only SYSADM (and explicit grantees via
 // SYSPROC.ACCEL_GRANT_PROCEDURE) may call them — the data-governance setting
-// the paper argues for. Each registration declares the input tables its CALL
-// reads and the outputs it replaces (see core.Procedure).
+// the paper argues for. Each registration declares its signature, which
+// names the input tables its CALL reads and the outputs it replaces (see
+// core.Procedure).
 func RegisterAll(f *core.Framework, public bool) {
-	reg := func(name, desc string, reads, replaces []int, run func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error)) {
-		f.MustRegister(core.Procedure{Name: name, Description: desc, Reads: reads, Replaces: replaces, Run: run}, public)
+	reg := func(name, desc string, run func(*core.ProcContext, []core.Arg) (*core.ProcResult, error), params ...core.Param) {
+		f.MustRegister(core.Procedure{Name: name, Description: desc, Params: params, Run: run}, public)
 	}
-	in0 := []int{0}
+	req := func(name string, kind core.ParamKind) core.Param {
+		return core.Param{Name: name, Kind: kind, Required: true}
+	}
+	opt := func(name string, kind core.ParamKind, def string) core.Param {
+		return core.Param{Name: name, Kind: kind, Default: def}
+	}
+	in, cols, out := req("in_table", core.InputTable), req("columns", core.Columns), req("out_table", core.OutputTable)
+	target, features, model := req("target", core.Column), req("features", core.Columns), req("model_table", core.OutputTable)
 
-	reg("IDAX.SUMMARY", "Column statistics: (in_table, 'col1,col2,...')", in0, nil, procSummary)
-	reg("IDAX.STANDARDIZE", "Z-score normalisation into a new AOT: (in_table, 'cols', out_table)", in0, []int{2}, procStandardize)
-	reg("IDAX.IMPUTE", "Missing-value imputation into a new AOT: (in_table, 'cols', 'MEAN|MEDIAN|ZERO', out_table)", in0, []int{3}, procImpute)
-	reg("IDAX.BIN", "Equal-width binning into a new AOT: (in_table, column, bins, out_table)", in0, []int{3}, procBin)
-	reg("IDAX.ONE_HOT", "One-hot encoding into a new AOT: (in_table, column, out_table)", in0, []int{2}, procOneHot)
-	reg("IDAX.SPLIT_DATA", "Deterministic train/test split into two AOTs: (in_table, train_table, test_table[, fraction, seed])", in0, []int{1, 2}, procSplitData)
-	reg("IDAX.LINEAR_REGRESSION", "Train linear regression: (in_table, target, 'features', model_table[, ridge])", in0, []int{3}, procLinearRegression)
-	reg("IDAX.LOGISTIC_REGRESSION", "Train logistic regression: (in_table, target, 'features', model_table[, iterations, learning_rate])", in0, []int{3}, procLogisticRegression)
-	reg("IDAX.KMEANS", "Train k-means and assign clusters: (in_table, 'features', k, model_table[, assign_table, id_column, iterations, seed])", in0, []int{3, 4}, procKMeans)
-	reg("IDAX.NAIVE_BAYES", "Train gaussian naive Bayes: (in_table, target, 'features', model_table)", in0, []int{3}, procNaiveBayes)
-	reg("IDAX.DECISION_TREE", "Train a CART decision tree: (in_table, target, 'features', model_table[, max_depth])", in0, []int{3}, procDecisionTree)
-	reg("IDAX.PREDICT", "Score a table with a trained model into a new AOT: (model_table, in_table, id_column, out_table)", []int{0, 1}, []int{3}, procPredict)
+	reg("IDAX.SUMMARY", "Column statistics", procSummary, in, cols)
+	reg("IDAX.STANDARDIZE", "Z-score normalisation into a new AOT", procStandardize, in, cols, out)
+	reg("IDAX.IMPUTE", "Missing-value imputation into a new AOT", procImpute, in, cols,
+		core.Param{Name: "strategy", Kind: core.Text, Default: "MEAN", Accepts: []string{"MEAN", "MEDIAN", "ZERO"}}, out)
+	reg("IDAX.BIN", "Equal-width binning into a new AOT", procBin, in, req("column", core.Column), opt("bins", core.Integer, "10"), out)
+	reg("IDAX.ONE_HOT", "One-hot encoding into a new AOT", procOneHot, in, req("column", core.Column), out, opt("max_categories", core.Integer, "32"))
+	reg("IDAX.SPLIT_DATA", "Deterministic train/test split into two AOTs", procSplitData,
+		in, req("train_table", core.OutputTable), req("test_table", core.OutputTable), opt("fraction", core.Number, "0.8"), opt("seed", core.Integer, "42"))
+	reg("IDAX.LINEAR_REGRESSION", "Train linear regression", procLinearRegression, in, target, features, model, opt("ridge", core.Number, "1e-6"))
+	reg("IDAX.LOGISTIC_REGRESSION", "Train logistic regression", procLogisticRegression,
+		in, target, features, model, opt("iterations", core.Integer, "200"), opt("learning_rate", core.Number, "0.1"))
+	reg("IDAX.KMEANS", "Train k-means and assign clusters", procKMeans, in, features, opt("k", core.Integer, "3"), model,
+		opt("assign_table", core.OutputTable, ""), opt("id_column", core.Column, ""), opt("iterations", core.Integer, "50"), opt("seed", core.Integer, "7"))
+	reg("IDAX.NAIVE_BAYES", "Train gaussian naive Bayes", procNaiveBayes, in, target, features, model)
+	reg("IDAX.DECISION_TREE", "Train a CART decision tree", procDecisionTree, in, target, features, model, opt("max_depth", core.Integer, "6"))
+	reg("IDAX.PREDICT", "Score a table with a trained model into a new AOT", procPredict,
+		req("model_table", core.InputTable), in, req("id_column", core.Column), out)
 }
 
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
 
+// readTable reads a whole table through the routed query path.
 func readTable(ctx *core.ProcContext, table string) (*relalg.Relation, error) {
-	return ctx.QuerySQL("SELECT * FROM " + types.NormalizeName(table))
+	return ctx.Query(&sqlparse.SelectStmt{Items: []sqlparse.SelectItem{{Star: true}}, From: []sqlparse.FromItem{{Table: table}}, Limit: -1})
 }
 
 // materialize creates (or replaces) an accelerator-only output table with the
@@ -53,33 +67,27 @@ func materialize(ctx *core.ProcContext, outTable string, rel *relalg.Relation) (
 }
 
 func materializeRows(ctx *core.ProcContext, outTable string, schema types.Schema, rows []types.Row) (int, error) {
-	out, err := materializeTarget(ctx, outTable, "", schema, "")
-	if err != nil {
+	if err := materializeTarget(ctx, outTable, "", schema, ""); err != nil {
 		return 0, err
 	}
-	return ctx.InsertRows(out, rows)
+	return ctx.InsertRows(outTable, rows)
 }
 
 // materializeTarget drops an existing accelerator-only output table of the
 // same name and creates it empty on the named backend ("" for the default
 // accelerator) with an optional distribution key, so shard-local writes find
-// it on every member. It returns the normalised name. Right before the drop
-// it applies the replace rule the CALL was admitted under again, which
-// covers a table created since.
-func materializeTarget(ctx *core.ProcContext, outTable, accName string, schema types.Schema, distKey string) (string, error) {
-	outTable = types.NormalizeName(outTable)
+// it on every member. Right before the drop it applies the replace rule the
+// CALL was admitted under again, which covers a table created since.
+func materializeTarget(ctx *core.ProcContext, outTable, accName string, schema types.Schema, distKey string) error {
 	if err := ctx.Catalog.CheckReplace(ctx.User, outTable); err != nil {
-		return "", err
+		return err
 	}
 	if ctx.Catalog.HasTable(outTable) {
 		if err := ctx.AOTs.Drop(outTable); err != nil {
-			return "", err
+			return err
 		}
 	}
-	if err := ctx.AOTs.CreateFromSchema(ctx.User, outTable, accName, schema, distKey); err != nil {
-		return "", err
-	}
-	return outTable, nil
+	return ctx.AOTs.CreateFromSchema(ctx.User, outTable, accName, schema, distKey)
 }
 
 func statsRelation(stats []ColumnStats) *relalg.Relation {
@@ -126,7 +134,7 @@ func saveTrained(ctx *core.ProcContext, parts []*Dataset, modelTable, kind strin
 	if err := saveModel(ctx, modelTable, kind, model, metrics); err != nil {
 		return nil, err
 	}
-	return &core.ProcResult{RowsAffected: n, OutputTables: []string{types.NormalizeName(modelTable)}, Message: msg}, nil
+	return &core.ProcResult{RowsAffected: n, Message: msg}, nil
 }
 
 // trainedOn words the rows a model was trained on for the CALL message.
@@ -149,16 +157,8 @@ func loadModelFromTable(ctx *core.ProcContext, modelTable string) (string, any, 
 // Transformation procedures
 // ---------------------------------------------------------------------------
 
-func procSummary(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
-	if err != nil {
-		return nil, err
-	}
-	cols, err := core.ArgString(args, 1, "column list")
-	if err != nil {
-		return nil, err
-	}
-	columns := core.SplitList(cols)
+func procSummary(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	table, columns := args[0].Str, args[1].Names
 	var rows atomic.Int64
 	parts, err := readPartitions(ctx, scatterTarget(ctx, table), table, "IDAX.SUMMARY", func(rel *relalg.Relation, _ writeFunc) ([]ColumnMoments, error) {
 		rows.Add(int64(len(rel.Rows)))
@@ -179,24 +179,13 @@ func procSummary(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	return &core.ProcResult{Relation: statsRelation(stats), Message: msg}, nil
 }
 
-func procStandardize(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
+func procStandardize(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	outTable := args[2].Str
+	rel, err := readTable(ctx, args[0].Str)
 	if err != nil {
 		return nil, err
 	}
-	cols, err := core.ArgString(args, 1, "column list")
-	if err != nil {
-		return nil, err
-	}
-	outTable, err := core.ArgString(args, 2, "output table")
-	if err != nil {
-		return nil, err
-	}
-	rel, err := readTable(ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	out, err := Standardize(rel, core.SplitList(cols))
+	out, err := Standardize(rel, args[1].Names)
 	if err != nil {
 		return nil, err
 	}
@@ -204,28 +193,16 @@ func procStandardize(ctx *core.ProcContext, args []types.Value) (*core.ProcResul
 	if err != nil {
 		return nil, err
 	}
-	return &core.ProcResult{RowsAffected: n, OutputTables: []string{types.NormalizeName(outTable)}, Message: fmt.Sprintf("standardised %d rows into %s", n, types.NormalizeName(outTable))}, nil
+	return &core.ProcResult{RowsAffected: n, Message: fmt.Sprintf("standardised %d rows into %s", n, outTable)}, nil
 }
 
-func procImpute(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
+func procImpute(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	outTable := args[3].Str
+	rel, err := readTable(ctx, args[0].Str)
 	if err != nil {
 		return nil, err
 	}
-	cols, err := core.ArgString(args, 1, "column list")
-	if err != nil {
-		return nil, err
-	}
-	strategy := ImputeStrategy(strings.ToUpper(core.ArgStringDefault(args, 2, string(ImputeMean))))
-	outTable, err := core.ArgString(args, 3, "output table")
-	if err != nil {
-		return nil, err
-	}
-	rel, err := readTable(ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	out, replaced, err := Impute(rel, core.SplitList(cols), strategy)
+	out, replaced, err := Impute(rel, args[1].Names, ImputeStrategy(args[2].Str))
 	if err != nil {
 		return nil, err
 	}
@@ -233,24 +210,12 @@ func procImpute(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, er
 	if err != nil {
 		return nil, err
 	}
-	return &core.ProcResult{RowsAffected: n, OutputTables: []string{types.NormalizeName(outTable)}, Message: fmt.Sprintf("imputed %d values into %s", replaced, types.NormalizeName(outTable))}, nil
+	return &core.ProcResult{RowsAffected: n, Message: fmt.Sprintf("imputed %d values into %s", replaced, outTable)}, nil
 }
 
-func procBin(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
-	if err != nil {
-		return nil, err
-	}
-	column, err := core.ArgString(args, 1, "column")
-	if err != nil {
-		return nil, err
-	}
-	bins := int(core.ArgInt(args, 2, 10))
-	outTable, err := core.ArgString(args, 3, "output table")
-	if err != nil {
-		return nil, err
-	}
-	rel, err := readTable(ctx, table)
+func procBin(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	column, bins, outTable := args[1].Str, int(args[2].Int), args[3].Str
+	rel, err := readTable(ctx, args[0].Str)
 	if err != nil {
 		return nil, err
 	}
@@ -262,28 +227,16 @@ func procBin(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error
 	if err != nil {
 		return nil, err
 	}
-	return &core.ProcResult{RowsAffected: n, OutputTables: []string{types.NormalizeName(outTable)}, Message: fmt.Sprintf("binned %s into %d bins", types.NormalizeName(column), bins)}, nil
+	return &core.ProcResult{RowsAffected: n, Message: fmt.Sprintf("binned %s into %d bins", column, bins)}, nil
 }
 
-func procOneHot(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
+func procOneHot(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	column, outTable := args[1].Str, args[2].Str
+	rel, err := readTable(ctx, args[0].Str)
 	if err != nil {
 		return nil, err
 	}
-	column, err := core.ArgString(args, 1, "column")
-	if err != nil {
-		return nil, err
-	}
-	outTable, err := core.ArgString(args, 2, "output table")
-	if err != nil {
-		return nil, err
-	}
-	maxCats := int(core.ArgInt(args, 3, 32))
-	rel, err := readTable(ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	out, newCols, err := OneHot(rel, column, maxCats)
+	out, newCols, err := OneHot(rel, column, int(args[3].Int))
 	if err != nil {
 		return nil, err
 	}
@@ -291,40 +244,25 @@ func procOneHot(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, er
 	if err != nil {
 		return nil, err
 	}
-	return &core.ProcResult{RowsAffected: n, OutputTables: []string{types.NormalizeName(outTable)}, Message: fmt.Sprintf("one-hot encoded %s into %d indicator columns", types.NormalizeName(column), len(newCols))}, nil
+	return &core.ProcResult{RowsAffected: n, Message: fmt.Sprintf("one-hot encoded %s into %d indicator columns", column, len(newCols))}, nil
 }
 
-func procSplitData(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
+func procSplitData(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	rel, err := readTable(ctx, args[0].Str)
 	if err != nil {
 		return nil, err
 	}
-	trainTable, err := core.ArgString(args, 1, "train table")
+	train, test := SplitData(rel, args[3].Num, args[4].Int)
+	nTrain, err := materialize(ctx, args[1].Str, train)
 	if err != nil {
 		return nil, err
 	}
-	testTable, err := core.ArgString(args, 2, "test table")
-	if err != nil {
-		return nil, err
-	}
-	fraction := core.ArgFloat(args, 3, 0.8)
-	seed := core.ArgInt(args, 4, 42)
-	rel, err := readTable(ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	train, test := SplitData(rel, fraction, seed)
-	nTrain, err := materialize(ctx, trainTable, train)
-	if err != nil {
-		return nil, err
-	}
-	nTest, err := materialize(ctx, testTable, test)
+	nTest, err := materialize(ctx, args[2].Str, test)
 	if err != nil {
 		return nil, err
 	}
 	return &core.ProcResult{
 		RowsAffected: nTrain + nTest,
-		OutputTables: []string{types.NormalizeName(trainTable), types.NormalizeName(testTable)},
 		Message:      fmt.Sprintf("split %d rows into %d train / %d test", len(rel.Rows), nTrain, nTest),
 	}, nil
 }
@@ -339,98 +277,44 @@ func procSplitData(ctx *core.ProcContext, args []types.Value) (*core.ProcResult,
 // one tree per partition for several, because greedy splits do not merge.
 // ---------------------------------------------------------------------------
 
-func procLinearRegression(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
+func procLinearRegression(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	parts, _, err := readDatasets(ctx, args[0].Str, "IDAX.LINEAR_REGRESSION",
+		ExtractOptions{Features: args[2].Names, Target: args[1].Str, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	target, err := core.ArgString(args, 1, "target column")
+	model, err := TrainLinearRegression(parts, args[4].Num)
 	if err != nil {
 		return nil, err
 	}
-	features, err := core.ArgString(args, 2, "feature list")
-	if err != nil {
-		return nil, err
-	}
-	modelTable, err := core.ArgString(args, 3, "model table")
-	if err != nil {
-		return nil, err
-	}
-	ridge := core.ArgFloat(args, 4, 1e-6)
-
-	parts, _, err := readDatasets(ctx, table, "IDAX.LINEAR_REGRESSION",
-		ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	model, err := TrainLinearRegression(parts, ridge)
-	if err != nil {
-		return nil, err
-	}
-	return saveTrained(ctx, parts, modelTable, ModelKindLinear, model, model.N,
+	return saveTrained(ctx, parts, args[3].Str, ModelKindLinear, model, model.N,
 		map[string]float64{"RMSE": model.RMSE, "R2": model.R2},
 		fmt.Sprintf("linear regression trained %s (RMSE=%.4f R2=%.4f)", trainedOn(parts, model.N), model.RMSE, model.R2))
 }
 
-func procLogisticRegression(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
+func procLogisticRegression(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	parts, _, err := readDatasets(ctx, args[0].Str, "IDAX.LOGISTIC_REGRESSION",
+		ExtractOptions{Features: args[2].Names, Target: args[1].Str, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	target, err := core.ArgString(args, 1, "target column")
+	model, err := TrainLogisticRegression(parts, int(args[4].Int), args[5].Num, 1e-4)
 	if err != nil {
 		return nil, err
 	}
-	features, err := core.ArgString(args, 2, "feature list")
-	if err != nil {
-		return nil, err
-	}
-	modelTable, err := core.ArgString(args, 3, "model table")
-	if err != nil {
-		return nil, err
-	}
-	iterations := int(core.ArgInt(args, 4, 200))
-	learningRate := core.ArgFloat(args, 5, 0.1)
-
-	parts, _, err := readDatasets(ctx, table, "IDAX.LOGISTIC_REGRESSION",
-		ExtractOptions{Features: core.SplitList(features), Target: target, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	model, err := TrainLogisticRegression(parts, iterations, learningRate, 1e-4)
-	if err != nil {
-		return nil, err
-	}
-	return saveTrained(ctx, parts, modelTable, ModelKindLogistic, model, model.N,
+	return saveTrained(ctx, parts, args[3].Str, ModelKindLogistic, model, model.N,
 		map[string]float64{"ACCURACY": model.TrainAccuracy, "LOGLOSS": model.TrainLogLoss},
 		fmt.Sprintf("logistic regression trained %s (accuracy=%.4f)", trainedOn(parts, model.N), model.TrainAccuracy))
 }
 
-func procKMeans(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
+func procKMeans(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	k, assignTable, idColumn := int(args[2].Int), args[4].Str, args[5].Str
+	parts, fleet, err := readDatasets(ctx, args[0].Str, "IDAX.KMEANS",
+		ExtractOptions{Features: args[1].Names, ID: idColumn, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	features, err := core.ArgString(args, 1, "feature list")
-	if err != nil {
-		return nil, err
-	}
-	k := int(core.ArgInt(args, 2, 3))
-	modelTable, err := core.ArgString(args, 3, "model table")
-	if err != nil {
-		return nil, err
-	}
-	assignTable := core.ArgStringDefault(args, 4, "")
-	idColumn := core.ArgStringDefault(args, 5, "")
-	iterations := int(core.ArgInt(args, 6, 50))
-	seed := core.ArgInt(args, 7, 7)
-
-	parts, fleet, err := readDatasets(ctx, table, "IDAX.KMEANS",
-		ExtractOptions{Features: core.SplitList(features), ID: idColumn, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	opts := KMeansOptions{K: k, MaxIterations: iterations, Seed: seed, Parallelism: ctx.Accelerator.Slices()}
+	opts := KMeansOptions{K: k, MaxIterations: int(args[6].Int), Seed: args[7].Int, Parallelism: ctx.Accelerator.Slices()}
 	if fleet != nil {
 		opts.Parallelism = fleet.Slices()
 	}
@@ -438,7 +322,7 @@ func procKMeans(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, er
 	if err != nil {
 		return nil, err
 	}
-	res, err := saveTrained(ctx, parts, modelTable, ModelKindKMeans, model, model.N,
+	res, err := saveTrained(ctx, parts, args[3].Str, ModelKindKMeans, model, model.N,
 		map[string]float64{"INERTIA": model.Inertia, "ITERATIONS": float64(model.Iterations), "K": float64(k)},
 		fmt.Sprintf("k-means (k=%d) trained %s in %d iterations, inertia %.2f", k, trainedOn(parts, model.N), model.Iterations, model.Inertia))
 	if err != nil || assignTable == "" {
@@ -448,29 +332,12 @@ func procKMeans(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, er
 	if err := writeAssignments(ctx, fleet, assignTable, assignmentRows(parts, assignments, idColumn == "")); err != nil {
 		return nil, err
 	}
-	res.OutputTables = append(res.OutputTables, types.NormalizeName(assignTable))
 	return res, nil
 }
 
-func procNaiveBayes(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
-	if err != nil {
-		return nil, err
-	}
-	target, err := core.ArgString(args, 1, "target column")
-	if err != nil {
-		return nil, err
-	}
-	features, err := core.ArgString(args, 2, "feature list")
-	if err != nil {
-		return nil, err
-	}
-	modelTable, err := core.ArgString(args, 3, "model table")
-	if err != nil {
-		return nil, err
-	}
-	parts, _, err := readDatasets(ctx, table, "IDAX.NAIVE_BAYES",
-		ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
+func procNaiveBayes(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	parts, _, err := readDatasets(ctx, args[0].Str, "IDAX.NAIVE_BAYES",
+		ExtractOptions{Features: args[2].Names, Target: args[1].Str, TargetCategorical: true, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
@@ -482,36 +349,19 @@ func procNaiveBayes(ctx *core.ProcContext, args []types.Value) (*core.ProcResult
 	if err != nil {
 		return nil, err
 	}
-	return saveTrained(ctx, parts, modelTable, ModelKindNaiveBayes, model, model.N,
+	return saveTrained(ctx, parts, args[3].Str, ModelKindNaiveBayes, model, model.N,
 		map[string]float64{"ACCURACY": acc, "CLASSES": float64(len(model.Classes))},
 		fmt.Sprintf("naive bayes trained %s, %d classes (accuracy=%.4f)", trainedOn(parts, model.N), len(model.Classes), acc))
 }
 
-func procDecisionTree(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	table, err := core.ArgString(args, 0, "input table")
+func procDecisionTree(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	modelTable := args[3].Str
+	parts, _, err := readDatasets(ctx, args[0].Str, "IDAX.DECISION_TREE",
+		ExtractOptions{Features: args[2].Names, Target: args[1].Str, TargetCategorical: true, SkipIncomplete: true})
 	if err != nil {
 		return nil, err
 	}
-	target, err := core.ArgString(args, 1, "target column")
-	if err != nil {
-		return nil, err
-	}
-	features, err := core.ArgString(args, 2, "feature list")
-	if err != nil {
-		return nil, err
-	}
-	modelTable, err := core.ArgString(args, 3, "model table")
-	if err != nil {
-		return nil, err
-	}
-	maxDepth := int(core.ArgInt(args, 4, 6))
-
-	parts, _, err := readDatasets(ctx, table, "IDAX.DECISION_TREE",
-		ExtractOptions{Features: core.SplitList(features), Target: target, TargetCategorical: true, SkipIncomplete: true})
-	if err != nil {
-		return nil, err
-	}
-	opts := DecisionTreeOptions{MaxDepth: maxDepth}
+	opts := DecisionTreeOptions{MaxDepth: int(args[4].Int)}
 	if len(parts) == 1 {
 		tree, err := TrainDecisionTree(parts[0], opts)
 		if err != nil {
@@ -542,25 +392,9 @@ func procDecisionTree(ctx *core.ProcContext, args []types.Value) (*core.ProcResu
 // Scoring
 // ---------------------------------------------------------------------------
 
-func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-	modelTable, err := core.ArgString(args, 0, "model table")
-	if err != nil {
-		return nil, err
-	}
-	table, err := core.ArgString(args, 1, "input table")
-	if err != nil {
-		return nil, err
-	}
-	idColumn, err := core.ArgString(args, 2, "id column")
-	if err != nil {
-		return nil, err
-	}
-	outTable, err := core.ArgString(args, 3, "output table")
-	if err != nil {
-		return nil, err
-	}
-
-	kind, model, err := loadModelFromTable(ctx, modelTable)
+func procPredict(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+	table, idColumn, outTable := args[1].Str, args[2].Str, args[3].Str
+	kind, model, err := loadModelFromTable(ctx, args[0].Str)
 	if err != nil {
 		return nil, err
 	}
@@ -568,7 +402,6 @@ func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	if err != nil {
 		return nil, err
 	}
-	idColumn = types.NormalizeName(idColumn)
 	idKind := types.KindString
 	if idx := meta.Schema.IndexOf(idColumn); idx >= 0 {
 		idKind = meta.Schema.Columns[idx].Kind
@@ -590,17 +423,16 @@ func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 			distKey = "ID"
 		}
 	}
-	score := func(key string) (string, int, error) {
-		out, err := materializeTarget(ctx, outTable, accName, schema, key)
-		if err != nil {
-			return "", 0, err
+	score := func(key string) (int, error) {
+		if err := materializeTarget(ctx, outTable, accName, schema, key); err != nil {
+			return 0, err
 		}
 		written, err := readPartitions(ctx, be, table, "IDAX.PREDICT", func(rel *relalg.Relation, write writeFunc) (int, error) {
 			rows, err := scorePartition(kind, model, rel, idColumn, true)
 			if err != nil || len(rows) == 0 {
 				return 0, err
 			}
-			return write(out, rows)
+			return write(outTable, rows)
 		})
 		total := 0
 		for _, n := range written {
@@ -612,10 +444,10 @@ func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 		if err != nil {
 			// A failed PREDICT leaves no output table, on every backend. The
 			// drop's own error would only hide err.
-			_ = ctx.AOTs.Drop(out)
-			return "", 0, err
+			_ = ctx.AOTs.Drop(outTable)
+			return 0, err
 		}
-		return out, total, nil
+		return total, nil
 	}
 
 	// The Migrating check above ran before the scatter takes the migration
@@ -630,7 +462,7 @@ func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 	if ep, ok := be.(epocher); ok && distKey != "" {
 		epochBefore = ep.Epoch()
 	}
-	out, total, err := score(distKey)
+	total, err := score(distKey)
 	if err != nil {
 		return nil, err
 	}
@@ -644,20 +476,20 @@ func procPredict(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, e
 		}
 		if !stable {
 			distKey = ""
-			if out, total, err = score(distKey); err != nil {
+			if total, err = score(distKey); err != nil {
 				return nil, err
 			}
 		}
 	}
-	msg := fmt.Sprintf("scored %d rows with %s model into %s", total, kind, out)
+	msg := fmt.Sprintf("scored %d rows with %s model into %s", total, kind, outTable)
 	if be != nil {
 		colocated := ""
 		if distKey != "" {
 			colocated = ", co-located with input by " + idColumn
 		}
-		msg = fmt.Sprintf("scored %d rows shard-local across %d shards with %s model into %s (predictions written on their shard%s)", total, be.ShardCount(), kind, out, colocated)
+		msg = fmt.Sprintf("scored %d rows shard-local across %d shards with %s model into %s (predictions written on their shard%s)", total, be.ShardCount(), kind, outTable, colocated)
 	}
-	return &core.ProcResult{RowsAffected: total, OutputTables: []string{out}, Message: msg}, nil
+	return &core.ProcResult{RowsAffected: total, Message: msg}, nil
 }
 
 // predictionSchema is the schema of a PREDICT output table.

@@ -28,9 +28,6 @@ func SetDictThreshold(n int) int {
 	return int(dictThreshold.Swap(int64(n)))
 }
 
-// DictThreshold returns the current dictionary cardinality threshold.
-func DictThreshold() int { return int(dictThreshold.Load()) }
-
 // appendDict maintains the column's dictionary for the value appended at row
 // idx. Caller has already appended to strs/nulls. NULL rows record the
 // placeholder code 0 (nulls stays authoritative; readers must check it before
@@ -103,16 +100,6 @@ func (c *Column) DictSize() int {
 		return 0
 	}
 	return len(c.dict)
-}
-
-// DictStrings returns the dictionary in code order. The slice aliases the
-// column's append-only dictionary and must be treated as read-only.
-func (c *Column) DictStrings() []string {
-	if !c.DictEncoded() {
-		return nil
-	}
-	d := len(c.dict)
-	return c.dict[:d:d]
 }
 
 // DictCode returns the code for s, or -1 when s is not in the dictionary (or

@@ -28,134 +28,119 @@ func sortedKeys[V any](m map[string]V) []string {
 // registerBuiltinProcedures installs the administrative stored procedures that
 // mirror the SYSPROC.ACCEL_* interface of the real product. They are the
 // supported way for applications to manage acceleration without leaving SQL.
-// Each registration declares the tables its CALL reads or controls (see
-// core.Procedure); the framework checks them before the body runs.
+// Each registration declares its signature, whose table parameters name
+// the tables its CALL reads or controls (see core.Procedure); the framework
+// checks them before the body runs.
 func (c *Coordinator) registerBuiltinProcedures() {
 	register := func(p core.Procedure) { c.Procs.MustRegister(p, true) }
-	// tablesArg is the position of the 'T1,T2' list in the ACCEL_*_TABLES
-	// calls. The registrations declare it and eachTable reads it, so a body
-	// touches only tables the framework checked.
-	const tablesArg = 1
-	eachTable := func(args []types.Value, fn func(table string) error) error {
-		list, err := core.ArgString(args, tablesArg, "table list")
-		if err != nil {
-			return err
-		}
-		for _, table := range core.SplitList(list) {
-			if err := fn(table); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	// The ACCEL_*_TABLES calls take (accelerator, 'T1,T2', ...).
+	accelerator := core.Param{Name: "accelerator", Kind: core.Text, Default: c.DefaultAccelerator()}
+	reads := core.Param{Name: "tables", Kind: core.InputTables, Required: true}
+	controls := core.Param{Name: "tables", Kind: core.ControlledTables, Required: true}
+	count := core.Param{Name: "n", Kind: core.Integer, Default: "50"}
 
-	register(core.Procedure{Name: "SYSPROC.ACCEL_ADD_TABLES", Reads: []int{tablesArg},
-		Description: "Add DB2 tables to an accelerator (creates empty shadow copies): (accelerator, 'T1,T2'[, distKey])",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			accName := core.ArgStringDefault(args, 0, c.DefaultAccelerator())
-			distKey := core.ArgStringDefault(args, 2, "")
-			var added []string
-			err := eachTable(args, func(table string) error {
-				added = append(added, table)
-				return c.Repl.AddTable(table, accName, distKey)
-			})
-			if err != nil {
-				return nil, err
+	register(core.Procedure{Name: "SYSPROC.ACCEL_ADD_TABLES",
+		Description: "Add DB2 tables to an accelerator (creates empty shadow copies)",
+		Params:      []core.Param{accelerator, reads, {Name: "dist_key", Kind: core.Column}},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+			for _, table := range args[1].Names {
+				if err := c.Repl.AddTable(table, args[0].Str, args[2].Str); err != nil {
+					return nil, err
+				}
 			}
-			return &core.ProcResult{Message: fmt.Sprintf("added %s to %s", strings.Join(added, ","), types.NormalizeName(accName)), OutputTables: added}, nil
+			return &core.ProcResult{Message: fmt.Sprintf("added %s to %s", strings.Join(args[1].Names, ","), types.NormalizeName(args[0].Str))}, nil
 		}})
 
-	register(core.Procedure{Name: "SYSPROC.ACCEL_LOAD_TABLES", Reads: []int{tablesArg},
-		Description: "Fully (re)load accelerated tables from DB2: (accelerator, 'T1,T2')",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	register(core.Procedure{Name: "SYSPROC.ACCEL_LOAD_TABLES",
+		Description: "Fully (re)load accelerated tables from DB2",
+		Params:      []core.Param{accelerator, reads},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
 			total := 0
-			err := eachTable(args, func(table string) error {
+			for _, table := range args[1].Names {
 				n, err := c.Repl.FullLoad(table)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				c.addMoved(true, n)
 				total += n
-				return nil
-			})
-			if err != nil {
-				return nil, err
 			}
 			return &core.ProcResult{RowsAffected: total, Message: fmt.Sprintf("loaded %d rows", total)}, nil
 		}})
 
-	register(core.Procedure{Name: "SYSPROC.ACCEL_REMOVE_TABLES", Controls: []int{tablesArg},
-		Description: "Remove tables from an accelerator: (accelerator, 'T1,T2')",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			if err := eachTable(args, c.Repl.RemoveTable); err != nil {
-				return nil, err
+	register(core.Procedure{Name: "SYSPROC.ACCEL_REMOVE_TABLES",
+		Description: "Remove tables from an accelerator",
+		Params:      []core.Param{accelerator, controls},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+			for _, table := range args[1].Names {
+				if err := c.Repl.RemoveTable(table); err != nil {
+					return nil, err
+				}
 			}
 			return &core.ProcResult{Message: "tables removed from accelerator"}, nil
 		}})
 
-	register(core.Procedure{Name: "SYSPROC.ACCEL_SET_TABLES_REPLICATION", Controls: []int{tablesArg},
-		Description: "Enable or disable incremental replication: (accelerator, 'T1,T2', 'ON'|'OFF')",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			mode := strings.ToUpper(core.ArgStringDefault(args, 2, "ON"))
+	register(core.Procedure{Name: "SYSPROC.ACCEL_SET_TABLES_REPLICATION",
+		Description: "Enable or disable incremental replication",
+		Params:      []core.Param{accelerator, controls, {Name: "mode", Kind: core.Text, Default: "ON", Accepts: []string{"ON", "OFF"}}},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
 			set := c.Repl.DisableReplication
-			if mode == "ON" || mode == "ENABLE" {
+			if args[2].Str == "ON" {
 				set = c.Repl.EnableReplication
 			}
-			if err := eachTable(args, set); err != nil {
-				return nil, err
+			for _, table := range args[1].Names {
+				if err := set(table); err != nil {
+					return nil, err
+				}
 			}
-			return &core.ProcResult{Message: "replication " + mode}, nil
+			return &core.ProcResult{Message: "replication " + args[2].Str}, nil
 		}})
 
-	register(core.Procedure{Name: "SYSPROC.ACCEL_SYNC_TABLES", Reads: []int{tablesArg},
-		Description: "Apply pending captured changes to accelerated tables: (accelerator[, 'T1,T2'])",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	register(core.Procedure{Name: "SYSPROC.ACCEL_SYNC_TABLES",
+		Description: "Apply pending captured changes to accelerated tables, to every replicated one when no tables are named",
+		Params:      []core.Param{accelerator, {Name: "tables", Kind: core.InputTables}},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
 			total := 0
-			var err error
-			if core.ArgStringDefault(args, tablesArg, "") == "" {
-				total, err = c.Repl.SyncAll()
-			} else {
-				err = eachTable(args, func(table string) error {
-					n, err := c.Repl.ApplyPending(table)
-					total += n
-					return err
-				})
+			if len(args[1].Names) == 0 {
+				n, err := c.Repl.SyncAll()
+				if err != nil {
+					return nil, err
+				}
+				total = n
 			}
-			if err != nil {
-				return nil, err
+			for _, table := range args[1].Names {
+				n, err := c.Repl.ApplyPending(table)
+				if err != nil {
+					return nil, err
+				}
+				total += n
 			}
 			c.addMoved(true, total)
 			return &core.ProcResult{RowsAffected: total, Message: fmt.Sprintf("applied %d changes", total)}, nil
 		}})
 
-	register(core.Procedure{Name: "SYSPROC.ACCEL_ANALYZE", Reads: []int{tablesArg},
-		Description: "Rebuild planner statistics (row counts, NDV, min/max, histograms) for accelerated tables: (accelerator, 'T1,T2')",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+	register(core.Procedure{Name: "SYSPROC.ACCEL_ANALYZE",
+		Description: "Rebuild planner statistics (row counts, NDV, min/max, histograms) for accelerated tables",
+		Params:      []core.Param{accelerator, reads},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
 			total := 0
-			var analyzed []string
-			err := eachTable(args, func(table string) error {
-				meta, n, err := c.AnalyzeTable(table)
+			for _, table := range args[1].Names {
+				_, n, err := c.AnalyzeTable(table)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				total += n
-				analyzed = append(analyzed, meta.Name)
-				return nil
-			})
-			if err != nil {
-				return nil, err
 			}
 			return &core.ProcResult{
 				RowsAffected: total,
-				Message:      fmt.Sprintf("analyzed %s: %d rows", strings.Join(analyzed, ","), total),
-				OutputTables: analyzed,
+				Message:      fmt.Sprintf("analyzed %s: %d rows", strings.Join(args[1].Names, ","), total),
 			}, nil
 		}})
 
 	register(core.Procedure{Name: "SYSPROC.ACCEL_REBALANCE", AdminOnly: true,
-		Description: "Rebalance a shard group's rows onto the current member set and wait for convergence: (group)",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			group := core.ArgStringDefault(args, 0, c.cfg.ShardGroup)
+		Description: "Rebalance a shard group's rows onto the current member set and wait for convergence",
+		Params:      []core.Param{{Name: "group", Kind: core.Text, Default: c.cfg.ShardGroup}},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+			group := args[0].Str
 			router, err := c.ShardGroup(group)
 			if err != nil {
 				return nil, err
@@ -174,22 +159,13 @@ func (c *Coordinator) registerBuiltinProcedures() {
 			}, nil
 		}})
 
-	procedureAndUser := func(args []types.Value) (string, string, error) {
-		proc, err := core.ArgString(args, 0, "procedure")
-		if err != nil {
-			return "", "", err
-		}
-		user, err := core.ArgString(args, 1, "user")
-		return proc, user, err
-	}
+	procedureAndUser := []core.Param{{Name: "procedure", Kind: core.Text, Required: true}, {Name: "user", Kind: core.Text, Required: true}}
 
 	register(core.Procedure{Name: "SYSPROC.ACCEL_GRANT_PROCEDURE", AdminOnly: true,
-		Description: "Grant EXECUTE on an analytics procedure: (procedure, user)",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			proc, user, err := procedureAndUser(args)
-			if err != nil {
-				return nil, err
-			}
+		Description: "Grant EXECUTE on an analytics procedure",
+		Params:      procedureAndUser,
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+			proc, user := args[0].Str, args[1].Str
 			if err := c.Procs.GrantExecute(proc, user); err != nil {
 				return nil, err
 			}
@@ -197,19 +173,16 @@ func (c *Coordinator) registerBuiltinProcedures() {
 		}})
 
 	register(core.Procedure{Name: "SYSPROC.ACCEL_REVOKE_PROCEDURE", AdminOnly: true,
-		Description: "Revoke EXECUTE on an analytics procedure: (procedure, user)",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			proc, user, err := procedureAndUser(args)
-			if err != nil {
-				return nil, err
-			}
-			c.Procs.RevokeExecute(proc, user)
+		Description: "Revoke EXECUTE on an analytics procedure",
+		Params:      procedureAndUser,
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+			c.Procs.RevokeExecute(args[0].Str, args[1].Str)
 			return &core.ProcResult{Message: "revoked"}, nil
 		}})
 
 	register(core.Procedure{Name: "SYSPROC.ACCEL_METRICS",
 		Description: "Snapshot the metrics registry — counters, gauges and latency histograms (count/mean/p50/p95/p99) — as one result set",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
 			rep := c.Obs.Snapshot()
 			rel := &relalg.Relation{Cols: []expr.InputColumn{
 				{Name: "METRIC", Kind: types.KindString},
@@ -243,12 +216,12 @@ func (c *Coordinator) registerBuiltinProcedures() {
 		}})
 
 	register(core.Procedure{Name: "SYSPROC.ACCEL_QUERY_HISTORY",
-		Description: "Return the most recent statements from the query history, newest first: ([n[, 'SLOW']])",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			n := int(core.ArgInt(args, 0, 50))
-			slowOnly := strings.EqualFold(core.ArgStringDefault(args, 1, ""), "SLOW")
+		Description: "Return the most recent statements from the query history, newest first; 'SLOW' keeps the slow ones",
+		Params:      []core.Param{count, {Name: "filter", Kind: core.Text, Accepts: []string{"SLOW"}}},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+			n := int(args[0].Int)
 			var all []obs.QueryRecord
-			if slowOnly {
+			if args[1].Str == "SLOW" {
 				all = c.History.SlowQueries(0)
 			} else {
 				all = c.History.Recent(0)
@@ -303,18 +276,11 @@ func (c *Coordinator) registerBuiltinProcedures() {
 		}})
 
 	register(core.Procedure{Name: "SYSPROC.ACCEL_EVENTS",
-		Description: "Return the most recent fleet events from the journal, newest first: ([n[, 'WARN'|'ERROR']])",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			n := int(core.ArgInt(args, 0, 50))
-			var f eventlog.Filter
-			if s := core.ArgStringDefault(args, 1, ""); s != "" {
-				sev, ok := eventlog.ParseSeverity(s)
-				if !ok {
-					return nil, fmt.Errorf("federation: ACCEL_EVENTS: unknown severity %q (use INFO, WARN or ERROR)", s)
-				}
-				f.MinSeverity = sev
-			}
-			evs := c.Events.Recent(n, f)
+		Description: "Return the most recent fleet events from the journal, newest first, at or above a severity",
+		Params:      []core.Param{count, {Name: "severity", Kind: core.Text, Default: "INFO", Accepts: []string{"INFO", "WARN", "ERROR"}}},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+			sev, _ := eventlog.ParseSeverity(args[1].Str) // Accepts lists only severities it parses
+			evs := c.Events.Recent(int(args[0].Int), eventlog.Filter{MinSeverity: sev})
 			rel := &relalg.Relation{Cols: []expr.InputColumn{
 				{Name: "SEQ", Kind: types.KindInt},
 				{Name: "TIME", Kind: types.KindString},
@@ -341,14 +307,11 @@ func (c *Coordinator) registerBuiltinProcedures() {
 			}, nil
 		}})
 
-	register(core.Procedure{Name: "SYSPROC.ACCEL_TABLE_INFO", Reads: []int{0},
-		Description: "Describe a table's acceleration state: (table)",
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
-			table, err := core.ArgString(args, 0, "table")
-			if err != nil {
-				return nil, err
-			}
-			meta, err := ctx.Catalog.Table(table)
+	register(core.Procedure{Name: "SYSPROC.ACCEL_TABLE_INFO",
+		Description: "Describe a table's acceleration state",
+		Params:      []core.Param{{Name: "table", Kind: core.InputTable, Required: true}},
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
+			meta, err := ctx.Catalog.Table(args[0].Str)
 			if err != nil {
 				return nil, err
 			}

@@ -184,17 +184,6 @@ func (t *Tracker) ClearOverride(name string) {
 	t.mu.Unlock()
 }
 
-// Override returns the current watchdog verdict on a component, if any.
-func (t *Tracker) Override(name string) (Probe, bool) {
-	if t == nil {
-		return Probe{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.overrides[name]
-	return p, ok
-}
-
 // Report runs every registered check, folds in the watchdog overrides and
 // aggregates the fleet verdict. Checks run outside the tracker lock so a slow
 // check cannot block Register/SetOverride callers.

@@ -69,6 +69,35 @@ func ParseExpr(sql string) (Expr, error) {
 	return e, nil
 }
 
+// ParseNames parses a comma list of table or column names, each NAME or
+// SCHEMA.NAME as CREATE TABLE accepts it, and nothing else. The procedure
+// framework binds CALL arguments that name tables and columns with it.
+func ParseNames(s string) ([]string, error) {
+	toks, err := lex(s)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	var names []string
+	for {
+		name, err := p.qualifiedName()
+		if err != nil {
+			return nil, err
+		}
+		if name == "" {
+			return nil, fmt.Errorf("sql: empty name")
+		}
+		names = append(names, name)
+		if !p.accept(tokSymbol, ",") {
+			break
+		}
+	}
+	if !p.atEOF() {
+		return nil, fmt.Errorf("sql: unexpected trailing input in name list at %q", p.peek().Text)
+	}
+	return names, nil
+}
+
 type parser struct {
 	toks []Token
 	pos  int

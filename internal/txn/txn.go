@@ -60,15 +60,11 @@ type Txn struct {
 	ID       ID
 	Status   Status
 	AutoTxn  bool // created implicitly for a single auto-commit statement
-	started  time.Time
 	undo     []UndoRecord
 	locks    map[string]LockMode
 	mu       sync.Mutex
 	readOnly bool
 }
-
-// Started returns the transaction start time.
-func (t *Txn) Started() time.Time { return t.started }
 
 // RecordUndo appends an undo record.
 func (t *Txn) RecordUndo(rec UndoRecord) {
@@ -117,7 +113,7 @@ func NewManager() *Manager {
 func (m *Manager) Begin(auto bool) *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{ID: m.nextID, Status: StatusActive, AutoTxn: auto, started: time.Now(), locks: make(map[string]LockMode)}
+	t := &Txn{ID: m.nextID, Status: StatusActive, AutoTxn: auto, locks: make(map[string]LockMode)}
 	m.nextID++
 	m.active[t.ID] = t
 	return t

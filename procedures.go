@@ -65,16 +65,17 @@ type ProcedureFunc func(ctx *ProcedureContext, args []string) (*ProcedureResult,
 // RegisterProcedure registers a custom analytics procedure with the in-database
 // framework. When public is true any user may CALL it; otherwise only the
 // administrator and users granted EXECUTE via SYSPROC.ACCEL_GRANT_PROCEDURE.
-// It declares no tables: its Query, Exec and InsertValues calls are checked
-// like the caller's own statements.
+// It declares no signature: any arguments reach fn as text, and its Query,
+// Exec and InsertValues calls are checked like the caller's own statements.
 func (s *System) RegisterProcedure(name, description string, public bool, fn ProcedureFunc) error {
 	proc := core.Procedure{
 		Name:        name,
 		Description: description,
-		Run: func(ctx *core.ProcContext, args []types.Value) (*core.ProcResult, error) {
+		TextArgs:    true,
+		Run: func(ctx *core.ProcContext, args []core.Arg) (*core.ProcResult, error) {
 			strArgs := make([]string, len(args))
 			for i, a := range args {
-				strArgs[i] = a.AsString()
+				strArgs[i] = a.Str
 			}
 			res, err := fn(&ProcedureContext{inner: ctx}, strArgs)
 			if err != nil {
